@@ -3,9 +3,17 @@
 A generator is (f(t), b_1..b_(n-1)) with f(0) a unit of F and the b's
 nonzero.  Its Milnor class is the relative symbol
 {f(0)^(-1) f(t) mod t^(m+1), b_1..b_(n-1)}; its de Rham-Witt image is
-phi(gamma_inv of the same unit, b's).  The two routes are linked by the
-diagonal c_i = -(1/i) omega_i coming from the log-derivative identity
-log gamma(a) = - sum_j ghost(a)_j t^j / j.
+phi(gamma_inv of the same unit u, b's).  That image is computed by the
+log-derivative route, with no unghost/ghost round trip.  For u = gamma(a),
+
+    -t u'/u = sum_j ghost(a)_j t^j,  so  log u = - sum_j ghost(a)_j t^j / j,
+
+and the ghost tuple of gamma_inv(u) is g_j = -j l_j for l = log u, which
+log_t gives by its O(m^2) recurrence; the tuple is then wedged with the
+dlog(b)'s as in phi.  The same identity links the two routes by the
+diagonal c_i = -(1/i) omega_i.  Both images live in the one tuple shape
+forms.FormTuple: canonical components c_i on the Milnor side, ghost
+components omega_i on the de Rham-Witt side.
 
 Parametrized curves (g_0..g_n) over F(u) supply boundaries: faces are cut
 at the rational zeros and poles of the cube coordinates g_1..g_n, with
@@ -16,15 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (FaceDegenerate, NonRationalBoundary, NonRationalSupport,
-                     NotAdmissible)
-from .forms import CanonRelForm, DiffForm
-from .milnorfield import UPoly, Valuation, base_context
+from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
+from .forms import CanonRelForm
+from .milnorfield import UPoly, Valuation, _rational_support, base_context
 from .relmilnor import RelMilnorClass, RelSymbol, normal_form, restrict_class
-from .scalars import Context, FieldElem
-from .trunc import TruncElem
-from .witt import gamma_inv
-from .drw import DRWForm, phi
+from .scalars import FieldElem
+from .trunc import TruncElem, log_t
+from .witt import GhostTuple
+from .drw import DRWForm, ghost_dlog
 
 
 class CycleGen:
@@ -111,14 +118,16 @@ def cyc_milnor(zs, m: int) -> RelMilnorClass:
 
 
 def cycle_to_drw(zs, m: int) -> DRWForm:
-    """The de Rham-Witt form of a generator sum: phi(gamma_inv(unit), bs)."""
+    """The de Rham-Witt form of a generator sum: phi(gamma_inv(unit), bs),
+    with the ghost tuple of gamma_inv(u) read off log u as g_j = -j l_j."""
     zs = _as_sum(zs)
     n = zs[0].degree
     ctx = zs[0].ctx
     total = DRWForm.zero(ctx, n - 1, m)
     for z in zs:
-        a = gamma_inv(z.unit(m))
-        total = total + phi(a, z.bs).scale(z.coef)
+        ell = log_t(z.unit(m)).coeffs
+        g = GhostTuple(ctx, m, [ell[j].scale(-j) for j in range(1, m + 1)])
+        total = total + ghost_dlog(g, z.bs).scale(z.coef)
     return total
 
 
@@ -171,52 +180,21 @@ class ParamCurve:
         return "Curve(%s)" % "; ".join(str(g) for g in self.gs)
 
 
-def _support_points(curve: ParamCurve, which):
-    """Rational points where some g_i (i in which) has a zero or pole, as
-    Valuations (infinity included), plus the non-rational factor report."""
-    ctx, upos = curve.ctx, curve.upos
-    base = base_context(ctx, upos)
-    seen = {}
-    points = []
-    nonrational = []
-    include_inf = False
-    for i in which:
-        g = curve.gs[i]
-        num = UPoly.from_poly(base, g.frac.numer, upos)
-        den = UPoly.from_poly(base, g.frac.denom, upos)
-        if num.degree() != den.degree():
-            include_inf = True
-        for poly in (g.frac.numer, g.frac.denom):
-            _, factors = poly.factor_list()
-            for fac, _mult in factors:
-                fu = UPoly.from_poly(base, fac, upos)
-                d = fu.degree()
-                if d == 0:
-                    continue
-                if d >= 2:
-                    nonrational.append(str(fac))
-                    continue
-                c = -fu.coeffs.get(0, base.zero) / fu.coeffs[1]
-                if ("fin", c) not in seen:
-                    seen[("fin", c)] = True
-                    points.append(Valuation.finite(ctx, upos, c))
-    if include_inf:
-        points.append(Valuation.infinity(ctx, upos))
-    return points, nonrational
-
-
 def boundary(curve: ParamCurve, m: int):
     """The boundary sum_(i>=1) (-1)^i (del_i^inf - del_i^0) as a list of
     CycleGen, cutting the curve at the rational zeros and poles of each
     cube coordinate with multiplicity ord_c(g_i)."""
-    n = curve.degree
-    points, nonrational = _support_points(curve, range(1, n + 1))
+    ctx, upos, n = curve.ctx, curve.upos, curve.degree
+    points, include_inf, nonrational = _rational_support(ctx, curve.gs[1:], upos)
     if nonrational:
         raise NonRationalBoundary("cube coordinates vanish outside rational "
                                   "points: %s" % nonrational)
+    vals = [Valuation.finite(ctx, upos, c) for c in points]
+    if include_inf:
+        vals.append(Valuation.infinity(ctx, upos))
     out = []
-    one = base_context(curve.ctx, curve.upos).one
-    for v in points:
+    one = base_context(ctx, upos).one
+    for v in vals:
         data = [v.ord_residue(g) for g in curve.gs]
         hot = [i for i in range(1, n + 1) if data[i][0] != 0]
         if not hot:

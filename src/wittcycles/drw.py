@@ -2,8 +2,11 @@
 
 In characteristic zero the ghost map extends to an isomorphism onto m
 plain copies of Omega^n_F, and that tuple is the sole internal
-representation here.  Product and sum are componentwise (product is the
-wedge); the twist sits in the translated operator formulas:
+representation here.  A DRWForm is the same tuple of forms as a canonical
+relative form (both are forms.FormTuple, with one shared sum, scaling,
+restriction and JSON code), told apart by type.  Product and sum are
+componentwise (product is the wedge); the twist sits in the translated
+operator formulas:
 
     (d alpha)_j   = (1/j) d(omega_j)
     (V_s alpha)_j = s * omega_(j/s)  when s | j, else 0
@@ -19,63 +22,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroArgument
-from .forms import DiffForm, dlog
+from .forms import DiffForm, FormTuple, dlog, dlog_wedge
 from .scalars import FieldElem
-from .witt import WittVector, ghost
+from .witt import GhostTuple, WittVector, ghost
 
 
-class DRWForm:
-    """An n-form of level m as the ghost tuple (omega_1..omega_m). Immutable."""
+class DRWForm(FormTuple):
+    """An n-form of level m as the ghost tuple (omega_1..omega_m); the
+    product is the componentwise wedge. Immutable."""
 
-    __slots__ = ("ctx", "degree", "level", "comps")
-
-    def __init__(self, ctx, degree, level, comps):
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        comps = tuple(comps)
-        if len(comps) != level:
-            raise ValueError("need exactly %d components" % level)
-        for w in comps:
-            if w.degree != degree:
-                raise ValueError("component degree mismatch")
-        self.ctx = ctx
-        self.degree = degree
-        self.level = level
-        self.comps = comps
-
-    @classmethod
-    def zero(cls, ctx, degree, level):
-        return cls(ctx, degree, level, (DiffForm.zero(ctx, degree),) * level)
-
-    def is_zero(self):
-        return all(w.is_zero() for w in self.comps)
-
-    def __eq__(self, other):
-        return (isinstance(other, DRWForm) and self.ctx == other.ctx
-                and self.degree == other.degree and self.level == other.level
-                and self.comps == other.comps)
-
-    def _check(self, other):
-        self.ctx.check(other.ctx)
-        if self.level != other.level:
-            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
-
-    def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return DRWForm(self.ctx, self.degree, self.level,
-                       [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return DRWForm(self.ctx, self.degree, self.level, [-w for w in self.comps])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return DRWForm(self.ctx, self.degree, self.level,
-                       [w.scale(c) for w in self.comps])
+    __slots__ = ()
+    json_key = "ghost"
 
     def __mul__(self, other):
         self._check(other)
@@ -84,19 +41,6 @@ class DRWForm:
 
     def __repr__(self):
         return "DRW(" + "; ".join(str(w) for w in self.comps) + ")"
-
-    def to_json(self):
-        return {"degree": self.degree, "level": self.level,
-                "ghost": [w.to_json() for w in self.comps]}
-
-    @classmethod
-    def from_json(cls, ctx, data):
-        return cls(ctx, data["degree"], data["level"],
-                   [DiffForm.from_json(ctx, data["degree"], w) for w in data["ghost"]])
-
-
-def drw_add(a: DRWForm, b: DRWForm) -> DRWForm:
-    return a + b
 
 
 def drw_mul(a: DRWForm, b: DRWForm) -> DRWForm:
@@ -110,9 +54,7 @@ def drw_d(a: DRWForm) -> DRWForm:
 
 
 def drw_restrict(a: DRWForm, level: int) -> DRWForm:
-    if level > a.level:
-        raise ValueError("cannot restrict upward")
-    return DRWForm(a.ctx, a.degree, level, a.comps[:level])
+    return a.restrict(level)
 
 
 def drw_V(s: int, a: DRWForm, level: int) -> DRWForm:
@@ -152,19 +94,17 @@ def teich_dlog(b: FieldElem, level: int) -> DRWForm:
 
 
 def phi(a: WittVector, bs) -> DRWForm:
-    """a * dlog[b_1] ^ ... ^ dlog[b_k] directly in ghost coordinates:
-    component j is ghost(a)_j times the wedge of the dlog(b_i)."""
+    """a * dlog[b_1] ^ ... ^ dlog[b_k] directly in ghost coordinates."""
     bs = list(bs)
-    base = a.ctx.one
-    w = DiffForm.scalar(base)
-    for b in bs:
-        if b.is_zero():
-            raise ZeroArgument("phi with a zero unit entry")
-        w = w.wedge(dlog(b))
-    g = ghost(a)
-    return DRWForm(a.ctx, len(bs), a.level,
-                   [w.scale(gj) if not gj.is_zero() else DiffForm.zero(a.ctx, len(bs))
-                    for gj in g.comps])
+    if any(b.is_zero() for b in bs):
+        raise ZeroArgument("phi with a zero unit entry")
+    return ghost_dlog(ghost(a), bs)
+
+
+def ghost_dlog(g: GhostTuple, bs) -> DRWForm:
+    """The form with ghost components g_j * dlog(b_1) ^ ... ^ dlog(b_k)."""
+    w = dlog_wedge(g.ctx, bs)
+    return DRWForm(g.ctx, w.degree, g.level, [w.scale(gj) for gj in g.comps])
 
 
 def drw_V_dlog_identity_check(a: WittVector, bs, s: int, level: int) -> bool:

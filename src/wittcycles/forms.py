@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotRelative, ZeroArgument
-from .scalars import Context, FieldElem
+from .scalars import FieldElem
 
 
 def _merge_sign(s, t):
@@ -159,14 +159,6 @@ class DiffForm:
         return cls(ctx, degree, coeffs)
 
 
-def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    return a.wedge(b)
-
-
-def d(a: DiffForm) -> DiffForm:
-    return a.d()
-
-
 def dlog(u: FieldElem) -> DiffForm:
     """du/u as a 1-form; rejects u = 0.  dlog(c) = 0 for rational c."""
     if u.is_zero():
@@ -180,12 +172,9 @@ def dlog(u: FieldElem) -> DiffForm:
     return DiffForm(ctx, 1, coeffs)
 
 
-def dlog_wedge(values) -> DiffForm:
+def dlog_wedge(ctx, values) -> DiffForm:
     """dlog(v1) ^ ... ^ dlog(vk); the empty product is the 0-form 1."""
-    values = list(values)
-    if not values:
-        raise ValueError("need a context to build the empty dlog product")
-    total = DiffForm.scalar(values[0].ctx.one)
+    total = DiffForm.scalar(ctx.one)
     for v in values:
         total = total.wedge(dlog(v))
     return total
@@ -350,30 +339,29 @@ class FormOnTrunc:
                    [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
 
 
-def trunc_wedge(a: FormOnTrunc, b: FormOnTrunc) -> FormOnTrunc:
-    return a.wedge(b)
-
-
-def trunc_d(a: FormOnTrunc) -> FormOnTrunc:
-    return a.d()
-
-
-class CanonRelForm:
-    """Canonical representative (c_1..c_m) of a relative class in
-    t F_m (x) Omega^n_F. Immutable."""
+class FormTuple:
+    """A tuple (w_1..w_m), m >= 1, of n-forms over F with componentwise
+    sums; the shared shape of canonical relative forms and de Rham-Witt
+    ghost tuples.  Sums, negatives, scalings and restrictions keep the
+    subclass, and forms of different subclasses never compare equal.
+    Immutable."""
 
     __slots__ = ("ctx", "degree", "level", "comps")
+    json_key = "comps"
 
     def __init__(self, ctx, degree, level, comps):
+        if level < 1:
+            raise ValueError("level must be >= 1")
+        comps = tuple(comps)
+        if len(comps) != level:
+            raise ValueError("need exactly %d components" % level)
+        for w in comps:
+            if w.degree != degree:
+                raise ValueError("component degree mismatch")
         self.ctx = ctx
         self.degree = degree
         self.level = level
-        self.comps = tuple(comps)
-        if len(self.comps) != level:
-            raise ValueError("need exactly %d components" % level)
-        for w in self.comps:
-            if w.degree != degree:
-                raise ValueError("component degree mismatch")
+        self.comps = comps
 
     @classmethod
     def zero(cls, ctx, degree, level):
@@ -383,48 +371,59 @@ class CanonRelForm:
         return all(w.is_zero() for w in self.comps)
 
     def __eq__(self, other):
-        return (isinstance(other, CanonRelForm) and self.ctx == other.ctx
+        return (type(other) is type(self) and self.ctx == other.ctx
                 and self.degree == other.degree and self.level == other.level
                 and self.comps == other.comps)
 
-    def __add__(self, other):
+    def _check(self, other):
         self.ctx.check(other.ctx)
-        if (self.degree, self.level) != (other.degree, other.level):
-            raise ValueError("shape mismatch")
-        return CanonRelForm(self.ctx, self.degree, self.level,
-                            [a + b for a, b in zip(self.comps, other.comps)])
+        if self.level != other.level:
+            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
+
+    def __add__(self, other):
+        self._check(other)
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        return type(self)(self.ctx, self.degree, self.level,
+                          [a + b for a, b in zip(self.comps, other.comps)])
 
     def __neg__(self):
-        return CanonRelForm(self.ctx, self.degree, self.level,
-                            [-w for w in self.comps])
+        return type(self)(self.ctx, self.degree, self.level, [-w for w in self.comps])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return CanonRelForm(self.ctx, self.degree, self.level,
-                            [w.scale(c) for w in self.comps])
-
-    def embed(self) -> FormOnTrunc:
-        """The representative sum_i t^i (x) c_i as a relative form on F_m."""
-        return FormOnTrunc(self.ctx, self.degree, self.level, poly=self.comps)
+        return type(self)(self.ctx, self.degree, self.level,
+                          [w.scale(c) for w in self.comps])
 
     def restrict(self, level):
         if level > self.level:
             raise ValueError("cannot restrict upward")
-        return CanonRelForm(self.ctx, self.degree, level, self.comps[:level])
+        return type(self)(self.ctx, self.degree, level, self.comps[:level])
 
     def __repr__(self):
         return "(" + ", ".join(str(w) for w in self.comps) + ")"
 
     def to_json(self):
         return {"degree": self.degree, "level": self.level,
-                "comps": [w.to_json() for w in self.comps]}
+                self.json_key: [w.to_json() for w in self.comps]}
 
     @classmethod
     def from_json(cls, ctx, data):
         return cls(ctx, data["degree"], data["level"],
-                   [DiffForm.from_json(ctx, data["degree"], w) for w in data["comps"]])
+                   [DiffForm.from_json(ctx, data["degree"], w) for w in data[cls.json_key]])
+
+
+class CanonRelForm(FormTuple):
+    """Canonical representative (c_1..c_m) of a relative class in
+    t F_m (x) Omega^n_F. Immutable."""
+
+    __slots__ = ()
+
+    def embed(self) -> FormOnTrunc:
+        """The representative sum_i t^i (x) c_i as a relative form on F_m."""
+        return FormOnTrunc(self.ctx, self.degree, self.level, poly=self.comps)
 
 
 def reduce_mod_exact(alpha: FormOnTrunc) -> CanonRelForm:

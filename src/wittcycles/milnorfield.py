@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NoUnitEntry, ZeroEntry)
-from .forms import DiffForm, dlog
+from .forms import DiffForm, dlog_wedge
 from .scalars import Context, FieldElem
 
 
@@ -232,10 +232,7 @@ def dlog_realization(terms) -> DiffForm:
     for sym in terms:
         if sym.degree != n:
             raise ValueError("mixed degrees in one symbol sum")
-        w = DiffForm.scalar(ctx.rational(sym.coef))
-        for y in sym.entries:
-            w = w.wedge(dlog(y))
-        total = total + w
+        total = total + dlog_wedge(ctx, sym.entries).scale(sym.coef)
     return total
 
 
@@ -273,32 +270,31 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
     return out
 
 
-def _rational_support(syms, upos):
-    """All rational points of the u-line where some entry has a zero or a
-    pole, whether to include infinity, and the non-rational factors."""
-    ctx = syms[0].ctx
+def _rational_support(ctx, values, upos):
+    """The rational points c of the u-line where some value has a zero or
+    a pole, in first-seen order; whether infinity is among them; and the
+    non-rational factors."""
     base = base_context(ctx, upos)
     points = {}
     nonrational = []
     include_inf = False
-    for sym in syms:
-        for y in sym.entries:
-            num = UPoly.from_poly(base, y.frac.numer, upos)
-            den = UPoly.from_poly(base, y.frac.denom, upos)
-            if num.degree() != den.degree():
-                include_inf = True
-            for poly in (y.frac.numer, y.frac.denom):
-                _, factors = poly.factor_list()
-                for fac, _mult in factors:
-                    fu = UPoly.from_poly(base, fac, upos)
-                    d = fu.degree()
-                    if d == 0:
-                        continue
-                    if d == 1:
-                        c = -fu.coeffs.get(0, base.zero) / fu.coeffs[1]
-                        points.setdefault(("fin", c), c)
-                    else:
-                        nonrational.append(str(fac))
+    for y in values:
+        num = UPoly.from_poly(base, y.frac.numer, upos)
+        den = UPoly.from_poly(base, y.frac.denom, upos)
+        if num.degree() != den.degree():
+            include_inf = True
+        for poly in (y.frac.numer, y.frac.denom):
+            _, factors = poly.factor_list()
+            for fac, _mult in factors:
+                fu = UPoly.from_poly(base, fac, upos)
+                d = fu.degree()
+                if d == 0:
+                    continue
+                if d == 1:
+                    c = -fu.coeffs.get(0, base.zero) / fu.coeffs[1]
+                    points.setdefault(("fin", c), c)
+                else:
+                    nonrational.append(str(fac))
     return list(points.values()), include_inf, nonrational
 
 
@@ -310,7 +306,8 @@ def gersten_boundary(terms, upos):
         terms = [terms]
     terms = list(terms)
     ctx = terms[0].ctx
-    points, include_inf, nonrational = _rational_support(terms, upos)
+    points, include_inf, nonrational = _rational_support(
+        ctx, [y for sym in terms for y in sym.entries], upos)
     out = []
     for c in points:
         v = Valuation.finite(ctx, upos, c)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
-from .forms import CanonRelForm, DiffForm, dlog, reduce_mod_exact
-from .scalars import FieldElem
+from .forms import CanonRelForm, dlog_wedge, reduce_mod_exact
 from .trunc import TruncElem, embed_form, exp_t, log_t, trunc_dlog
 
 
@@ -164,13 +163,10 @@ def theta(a: TruncElem, bs, coef=1) -> RelSymbol:
 def mult_by_absolute(cs, xi: RelMilnorClass) -> RelMilnorClass:
     """Product with the absolute symbol {c_1..c_k} of units of F: wedge
     every canonical component with dlog(c_1)^..^dlog(c_k)."""
-    cs = list(cs)
-    w = DiffForm.scalar(xi.ctx.one)
-    for c in cs:
-        w = w.wedge(dlog(xi.ctx.elem(c)))
+    w = dlog_wedge(xi.ctx, [xi.ctx.elem(c) for c in cs])
     comps = [ci.wedge(w) for ci in xi.canon.comps]
-    return RelMilnorClass(xi.degree + len(cs),
-                          CanonRelForm(xi.ctx, xi.canon.degree + len(cs),
+    return RelMilnorClass(xi.degree + w.degree,
+                          CanonRelForm(xi.ctx, xi.canon.degree + w.degree,
                                        xi.level, comps))
 
 

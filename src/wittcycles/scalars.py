@@ -395,6 +395,11 @@ def split_unit(a: FieldElem):
 
 _OPS = set("+-*/^(),")
 
+# Parentheses may nest at most MAX_NESTING deep.  Each level costs four
+# frames of the recursive descent, so the bound keeps parsing well inside
+# Python's recursion limit; deeper input is a ParseError.
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -443,6 +448,14 @@ class _Parser:
             raise ParseError("expected %r in %r" % (tok, self.text))
 
     def parse(self):
+        depth = 0
+        for tok in self.tokens:
+            if tok == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError("parentheses nested deeper than %d" % MAX_NESTING)
+            elif tok == ")":
+                depth -= 1
         value = self.elem()
         if self.peek() is not None:
             raise ParseError("trailing input in %r" % self.text)

@@ -226,12 +226,7 @@ def trunc_dlog(u: TruncElem) -> FormOnTrunc:
     """u^(-1) du as a 1-form over F_m; additive in products of units."""
     if not u.is_unit():
         raise NotAUnit("dlog of a non-unit")
-    v = u.inv()
-    scalar = FormOnTrunc(u.ctx, 0, u.level,
-                         DiffForm.scalar(v.coeffs[0]),
-                         [DiffForm.scalar(c) for c in v.coeffs[1:]],
-                         [DiffForm.zero(u.ctx, -1)] * u.level)
-    return scalar.wedge(trunc_d(u))
+    return embed_form(u.inv()).wedge(trunc_d(u))
 
 
 def embed_form(a: TruncElem) -> FormOnTrunc:

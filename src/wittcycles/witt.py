@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadConstantTerm
-from .scalars import Context, FieldElem
+from .scalars import FieldElem
 from .trunc import TruncElem
 
 
@@ -131,14 +131,6 @@ def unghost(g: GhostTuple) -> WittVector:
                 acc = acc - d * coords[d - 1] ** (j // d)
         coords.append(acc.scale(Fraction(1, j)))
     return WittVector(g.ctx, g.level, coords)
-
-
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    return a + b
-
-
-def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    return a * b
 
 
 def gamma(a: WittVector) -> TruncElem:

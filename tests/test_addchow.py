@@ -10,10 +10,13 @@ from wittcycles.addchow import (CycleGen, ParamCurve, boundary,
                                 drw_to_milnor_diagonal, milnor_to_drw_diagonal,
                                 modulus_check_curve, tower_compat,
                                 verify_boundary_vanishing)
+from wittcycles.drw import DRWForm, phi
 from wittcycles.errors import NonRationalBoundary
 from wittcycles.forms import dlog
+from wittcycles.milnorfield import FieldSymbol, gersten_boundary
 from wittcycles.scalars import Context
-from wittcycles.witt import GhostTuple, WittVector, unghost
+from wittcycles.verify import Sampler
+from wittcycles.witt import GhostTuple, WittVector, gamma_inv, unghost
 
 
 @pytest.fixture
@@ -166,3 +169,34 @@ def test_generator_json_roundtrip(ctx):
     z = CycleGen([ctx.one, ctx.rational(-3)], [x], Fraction(2, 3))
     back = CycleGen.from_json(ctx, z.to_json())
     assert back.f == z.f and back.bs == z.bs and back.coef == z.coef
+
+
+def test_cycle_to_drw_matches_gamma_inv_route(ctx):
+    # reference: phi of gamma_inv(unit), i.e. the unghost/ghost round trip
+    s = Sampler(ctx, 2024)
+    for m in range(1, 13):
+        n = 1 + m % 3
+        zs = [s.cycle_gen(n, m) for _ in range(2 if m <= 6 else 1)]
+        want = DRWForm.zero(ctx, n - 1, m)
+        for z in zs:
+            want = want + phi(gamma_inv(z.unit(m)), z.bs).scale(z.coef)
+        assert cycle_to_drw(zs, m) == want
+
+
+def test_boundary_and_gersten_boundary_share_support(ectx):
+    x, y, u = ectx.gens()
+    # g1 has a double root at u = 1, a simple root at u = -2 and a pole of
+    # order 3 at infinity; g0 is a unit at all three points
+    g0 = (u + 5) / (u + 3)
+    g1 = (u - 1) ** 2 * (u + 2)
+    gens = boundary(ParamCurve(ectx, 2, [g0, g1]), 2)
+    bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1]), 2)
+    assert not nonrational
+    assert sorted(str(v) for v, _ in bnd) == ["(u = -2)", "(u = 1)", "(u = infinity)"]
+    assert str(bnd[-1][0]) == "(u = infinity)"
+    # one face per point, in the same order: f(t) = 1 - t / g0(point),
+    # multiplicity ord(g1)
+    assert len(gens) == len(bnd)
+    for z, (v, parts) in zip(gens, bnd):
+        assert z.f[1] == -v.ord_residue(g0)[1].inv()
+        assert z.coef == v.ord(g1) == parts[0].coef

@@ -92,3 +92,19 @@ def test_verify_is_deterministic(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("elapsed_s"), r2.pop("elapsed_s")
     assert r1 == r2
+
+
+def test_deep_nesting_exits_2(capsys):
+    deep = "(" * 3000 + "1+t" + ")" * 3000
+    code, out, err = run(capsys, "nf", "--m", "4", "--vars", "x,y",
+                         "--symbol", "{%s, x}" % deep)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
+def test_nesting_100_deep_parses(capsys):
+    nested = "(" * 100 + "1+t" + ")" * 100
+    code, out, _ = run(capsys, "nf", "--m", "1", "--vars", "x",
+                       "--symbol", "{%s, x}" % nested)
+    _, flat, _ = run(capsys, "nf", "--m", "1", "--vars", "x", "--symbol", "{1+t, x}")
+    assert code == 0 and out == flat

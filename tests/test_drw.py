@@ -7,7 +7,7 @@ import pytest
 from wittcycles.drw import (DRWForm, drw_F, drw_V, drw_d, drw_mul,
                             drw_restrict, drw_V_dlog_identity_check,
                             from_witt, phi, teich_dlog)
-from wittcycles.forms import DiffForm, dlog
+from wittcycles.forms import CanonRelForm, DiffForm, dlog
 from wittcycles.scalars import Context
 from wittcycles.witt import WittVector, teichmuller, verschiebung
 
@@ -117,3 +117,19 @@ def test_degree0_matches_witt_verschiebung(ctx):
 def test_json_roundtrip(ctx):
     a = phi(WittVector(ctx, 2, [ctx.var(0), ctx.one]), [ctx.var(1)])
     assert DRWForm.from_json(ctx, a.to_json()) == a
+
+
+def test_form_tuples_keep_their_type(ctx):
+    x, y = ctx.gens()
+    comps = [dlog(x), dlog(x + y)]
+    om = DRWForm(ctx, 1, 2, comps)
+    c = CanonRelForm(ctx, 1, 2, comps)
+    assert om.comps == c.comps
+    assert om != c and c != om
+    for a in (om, c):
+        for b in (a + a, -a, a - a, a.scale(3), a.restrict(1),
+                  type(a).zero(ctx, 1, 2)):
+            assert type(b) is type(a)
+        assert type(a).from_json(ctx, a.to_json()) == a
+    assert "ghost" in om.to_json() and "comps" in c.to_json()
+    assert repr(om).startswith("DRW(") and repr(c).startswith("(")

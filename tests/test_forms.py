@@ -34,7 +34,7 @@ def test_wedge_antisymmetry_and_d_squared(ctx):
     b = DiffForm(ctx, 1, {(0,): x + 1})
     assert a.wedge(b) == -b.wedge(a)
     assert a.d().d().is_zero()
-    assert dlog_wedge([x, x]).is_zero()
+    assert dlog_wedge(ctx, [x, x]).is_zero()
 
 
 def test_trunc_d_with_dt_term(ctx):
