@@ -18,10 +18,10 @@ from .milnorfield import (FieldSymbol, Valuation, collect_terms,
                           dlog_realization, elem_identity_instance,
                           gersten_boundary, rewrite_filtration, tame_symbol,
                           weil_reciprocity_check)
-from .addchow import (CycleGen, ParamCurve, boundary, check_admissible,
-                      cyc_milnor, cycle_to_drw, drw_to_milnor_diagonal,
-                      milnor_to_drw_diagonal, modulus_check_curve,
-                      tower_compat, verify_boundary_vanishing)
+from .addchow import (CycleGen, ParamCurve, boundary, cyc_milnor, cycle_to_drw,
+                      drw_to_milnor_diagonal, milnor_to_drw_diagonal,
+                      modulus_check_curve, tower_compat,
+                      verify_boundary_vanishing)
 from .verify import run_suite
 
 __version__ = "0.1.0"

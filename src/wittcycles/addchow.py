@@ -9,11 +9,11 @@ log-derivative route, with no unghost/ghost round trip.  For u = gamma(a),
     -t u'/u = sum_j ghost(a)_j t^j,  so  log u = - sum_j ghost(a)_j t^j / j,
 
 and the ghost tuple of gamma_inv(u) is g_j = -j l_j for l = log u, which
-log_t gives by its O(m^2) recurrence; the tuple is then wedged with the
-dlog(b)'s as in phi.  The same identity links the two routes by the
-diagonal c_i = -(1/i) omega_i.  Both images live in the one tuple shape
-forms.FormTuple: canonical components c_i on the Milnor side, ghost
-components omega_i on the de Rham-Witt side.
+witt.log_ghost reads off one O(m^2) log_t recurrence; the tuple is then
+wedged with the dlog(b)'s as in phi.  The same identity links the two
+routes by the diagonal c_i = -(1/i) omega_i.  Both images live in the
+one tuple shape forms.FormTuple: canonical components c_i on the Milnor
+side, ghost components omega_i on the de Rham-Witt side.
 
 Parametrized curves (g_0..g_n) over F(u) supply boundaries: faces are cut
 at the rational zeros and poles of the cube coordinates g_1..g_n, with
@@ -26,11 +26,11 @@ from fractions import Fraction
 
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
-from .milnorfield import UPoly, Valuation, _rational_support, base_context
+from .milnorfield import Valuation, _rational_support, base_context
 from .relmilnor import RelMilnorClass, RelSymbol, normal_form, restrict_class
 from .scalars import FieldElem
-from .trunc import TruncElem, log_t
-from .witt import GhostTuple
+from .trunc import TruncElem
+from .witt import log_ghost
 from .drw import DRWForm, ghost_dlog
 
 
@@ -94,10 +94,6 @@ class CycleGen:
                    Fraction(int(p), int(q)))
 
 
-def check_admissible(z: CycleGen, m: int) -> bool:
-    return z.is_admissible()
-
-
 def _as_sum(zs):
     return [zs] if isinstance(zs, CycleGen) else list(zs)
 
@@ -125,9 +121,7 @@ def cycle_to_drw(zs, m: int) -> DRWForm:
     ctx = zs[0].ctx
     total = DRWForm.zero(ctx, n - 1, m)
     for z in zs:
-        ell = log_t(z.unit(m)).coeffs
-        g = GhostTuple(ctx, m, [ell[j].scale(-j) for j in range(1, m + 1)])
-        total = total + ghost_dlog(g, z.bs).scale(z.coef)
+        total = total + ghost_dlog(log_ghost(z.unit(m)), z.bs).scale(z.coef)
     return total
 
 
@@ -237,12 +231,13 @@ def _ord_at_factor(g: FieldElem, fac) -> int:
     """ord of g at the closed point cut out by the irreducible fac; exact
     for any closed point, rational or not, since only factor
     multiplicities enter."""
-    return (_factor_multiplicity(g.frac.numer, fac)
-            - _factor_multiplicity(g.frac.denom, fac))
+    return (_factor_multiplicity(g.num, fac)
+            - _factor_multiplicity(g.den_poly(), fac))
 
 
-def _u_degree(base, poly, upos):
-    return UPoly.from_poly(base, poly, upos).degree()
+def _ord_at_infinity(g: FieldElem, upos) -> int:
+    """ord of g at u = infinity: deg_u(den) - deg_u(num)."""
+    return g.den_poly().degree(upos) - g.num.degree(upos)
 
 
 def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
@@ -250,13 +245,12 @@ def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
     points of any degree, infinity included):
     sum_i ord_c(g_i - 1) >= (m+1) * ord_c(g_0)."""
     ctx, upos = curve.ctx, curve.upos
-    base = base_context(ctx, upos)
     one = ctx.one
     g0 = curve.gs[0]
     checks = []
-    _, factors = g0.frac.numer.factor_list()
+    _, factors = g0.num.factor_list()
     for fac, mult in factors:
-        if _u_degree(base, fac, upos) == 0:
+        if fac.degree(upos) == 0:
             continue
         # numerator and denominator are coprime, so ord(g_0) here = mult
         ords = []
@@ -264,17 +258,12 @@ def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
             diff = g - one
             ords.append(None if diff.is_zero() else _ord_at_factor(diff, fac))
         checks.append((mult, ords))
-    d0_inf = (_u_degree(base, g0.frac.denom, upos)
-              - _u_degree(base, g0.frac.numer, upos))
+    d0_inf = _ord_at_infinity(g0, upos)
     if d0_inf > 0:
         ords = []
         for g in curve.gs[1:]:
             diff = g - one
-            if diff.is_zero():
-                ords.append(None)
-            else:
-                ords.append(_u_degree(base, diff.frac.denom, upos)
-                            - _u_degree(base, diff.frac.numer, upos))
+            ords.append(None if diff.is_zero() else _ord_at_infinity(diff, upos))
         checks.append((d0_inf, ords))
     for d0, ords in checks:
         if any(o is None for o in ords):

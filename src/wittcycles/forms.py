@@ -67,11 +67,6 @@ class DiffForm:
         """A 0-form from a field element."""
         return cls(value.ctx, 0, {(): value})
 
-    def as_scalar(self) -> FieldElem:
-        if self.degree != 0:
-            raise ValueError("not a 0-form")
-        return self.coeffs.get((), self.ctx.zero)
-
     def is_zero(self):
         return not self.coeffs
 

@@ -35,12 +35,11 @@ def base_context(ctx: Context, upos: int) -> Context:
 
 
 def lift_elem(ctx: Context, a: FieldElem, upos: int) -> FieldElem:
-    """A base-field element viewed in the extended context."""
-    def up(terms):
-        return [(mon[:upos] + (0,) + mon[upos:], coef) for mon, coef in terms]
-    num = ctx.from_terms(up(a.frac.numer.terms()))
-    den = ctx.from_terms(up(a.frac.denom.terms()))
-    return num / den
+    """A base-field element viewed in the extended context; set_ring
+    inserts the designated variable (at upos) with exponent 0, which keeps
+    num and den coprime and the leading coefficient of den."""
+    den = a.den if type(a.den) is int else a.den.set_ring(ctx.ring)
+    return FieldElem(ctx, a.num.set_ring(ctx.ring), den)
 
 
 class UPoly:
@@ -55,21 +54,13 @@ class UPoly:
 
     @classmethod
     def from_poly(cls, base, poly, upos):
-        buckets = {}
-        for mon, coef in poly.terms():
-            e = mon[upos]
-            bmon = mon[:upos] + mon[upos + 1:]
-            buckets.setdefault(e, []).append((bmon, coef))
-        return cls(base, {e: base.from_terms(ts) for e, ts in buckets.items()})
+        return cls(base, base.split(poly, upos))
 
     def is_zero(self):
         return not self.coeffs
 
     def degree(self):
         return max(self.coeffs) if self.coeffs else -1
-
-    def low_degree(self):
-        return min(self.coeffs) if self.coeffs else -1
 
     def eval(self, c: FieldElem) -> FieldElem:
         total = self.base.zero
@@ -203,8 +194,8 @@ class Valuation:
         self.ctx.check(f.ctx)
         if f.is_zero():
             raise ZeroEntry("valuation of zero")
-        num = UPoly.from_poly(self.base, f.frac.numer, self.upos)
-        den = UPoly.from_poly(self.base, f.frac.denom, self.upos)
+        num = UPoly.from_poly(self.base, f.num, self.upos)
+        den = UPoly.from_poly(self.base, f.den_poly(), self.upos)
         if self.kind == "infinity":
             ord_ = den.degree() - num.degree()
             residue = num.reversed().eval(self.base.zero) / den.reversed().eval(self.base.zero)
@@ -279,11 +270,10 @@ def _rational_support(ctx, values, upos):
     nonrational = []
     include_inf = False
     for y in values:
-        num = UPoly.from_poly(base, y.frac.numer, upos)
-        den = UPoly.from_poly(base, y.frac.denom, upos)
-        if num.degree() != den.degree():
+        num, den = y.num, y.den_poly()
+        if num.degree(upos) != den.degree(upos):
             include_inf = True
-        for poly in (y.frac.numer, y.frac.denom):
+        for poly in (num, den):
             _, factors = poly.factor_list()
             for fac, _mult in factors:
                 fu = UPoly.from_poly(base, fac, upos)
@@ -418,18 +408,12 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True
     pi = ctx.var(upos)
     v = Valuation.finite(ctx, upos, base_context(ctx, upos).zero)
 
-    def lift0(c):
-        return lift_elem(ctx, c, upos)
-
-    def ord_pi(f):
-        return v.ord(f)
-
     def recurse(entries, coef):
         entries = list(entries)
         one = ctx.one
         if any((y - one).is_zero() for y in entries):
             return []
-        ms = [ord_pi(y - one) for y in entries]
+        ms = [v.ord(y - one) for y in entries]
         # early exit: an entry already lies in 1 + pi^m
         for i, mi in enumerate(ms):
             if mi >= m:
@@ -440,7 +424,7 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True
         # front entry must be a unit of the local ring
         front = None
         for i, y in enumerate(entries):
-            if ms[i] >= 0 and ord_pi(y) == 0:
+            if ms[i] >= 0 and v.ord(y) == 0:
                 front = i
                 break
         if front is None:
@@ -463,7 +447,7 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True
         return [(wk, FieldSymbol(ctx, (vres,) + sk.entries, -sk.coef))
                 for wk, sk in inner]
 
-    total = sum(ord_pi(y - ctx.one) for y in sym.entries if not (y - ctx.one).is_zero())
+    total = sum(v.ord(y - ctx.one) for y in sym.entries if not (y - ctx.one).is_zero())
     if any((y - ctx.one).is_zero() for y in sym.entries):
         return []
     if total < m:
@@ -477,10 +461,10 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True
     while stack:
         w, res = stack.pop()
         for p, y in enumerate(res.entries):
-            j = ord_pi(y)
+            j = v.ord(y)
             if j == 0:
                 continue
-            e = ord_pi(w - ctx.one)
+            e = v.ord(w - ctx.one)
             u0 = (w - ctx.one) * pi ** (-e)
             unit = y * pi ** (-j)
             others = res.entries[:p] + res.entries[p + 1:]

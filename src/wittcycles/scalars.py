@@ -24,8 +24,17 @@ Elements live in one of two tiers of that form:
   enters it only on division by a non-constant, and results there are
   cancelled by sympy's polynomial gcd.
 
+The algorithms read ``num`` and ``den_poly()`` directly.  Polynomials
+move between contexts with sympy's ``PolyElement.set_ring``, which
+inserts or drops a variable by name when its exponent is 0, and
+``Context.split`` cuts a polynomial of a context with one more variable
+into its coefficients by powers of that variable.  Each coefficient is an
+integer polynomial over 1, which is already canonical.
+
 The ``frac`` property gives the same value as an element of sympy's
-``FracField`` over QQ.
+``FracField`` over QQ.  It is the bridge for printing and for the
+differential tests only; ``from_terms`` rebuilds a polynomial from terms
+for JSON input and for those tests.
 """
 
 from __future__ import annotations
@@ -116,6 +125,16 @@ class Context:
                for mon, c in acc.items() if c}
         return FieldElem(self, *_coprime(self.ring.dtype(num), den))
 
+    def split(self, poly, pos):
+        """The integer polynomial poly of a context with one more variable,
+        inserted at position pos, as {e: coefficient of that variable^e}
+        with coefficients in this context; zero coefficients are left out."""
+        zero = self.ring.zero_monom
+        buckets = {}
+        for mon, c in poly.items():
+            buckets.setdefault(mon[pos], {})[mon[:pos] + mon[pos + 1:] or zero] = c
+        return {e: FieldElem(self, self.ring.dtype(ts)) for e, ts in buckets.items()}
+
     def elem(self, value):
         """Coerce an int, Fraction, string or FieldElem into this context."""
         if isinstance(value, FieldElem):
@@ -178,7 +197,8 @@ class FieldElem:
         self.num = num
         self.den = den
 
-    def _den_poly(self):
+    def den_poly(self):
+        """The denominator as a polynomial of ctx.ring, in either tier."""
         den = self.den
         return self.ctx.ring.dtype({self.ctx.ring.zero_monom: den}) \
             if type(den) is int else den
@@ -290,7 +310,7 @@ class FieldElem:
     def inv(self):
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return _settled(self.ctx, self._den_poly(), self.num)
+        return _settled(self.ctx, self.den_poly(), self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -335,7 +355,7 @@ class FieldElem:
         """The same value in sympy's FracField QQ(x1..xr)."""
         field = self.ctx.field
         qring = field.ring
-        return field.raw_new(self.num.set_ring(qring), self._den_poly().set_ring(qring))
+        return field.raw_new(self.num.set_ring(qring), self.den_poly().set_ring(qring))
 
     def __repr__(self):
         return str(self.frac)
@@ -344,7 +364,7 @@ class FieldElem:
 
     def to_json(self):
         return {"num": _poly_to_json(self.num),
-                "den": _poly_to_json(self._den_poly())}
+                "den": _poly_to_json(self.den_poly())}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -366,11 +386,6 @@ def _poly_from_json(ctx, data):
         p, q = (coef.split("/") + ["1"])[:2]
         terms.append((mon, Fraction(int(p), int(q))))
     return ctx.from_terms(terms)
-
-
-def partial_derivative(a: FieldElem, i: int) -> FieldElem:
-    """d(a)/d(x_i), 0-based index; exact quotient rule."""
-    return a.diff(i)
 
 
 def split_unit(a: FieldElem):

@@ -247,12 +247,11 @@ def parse_trunc(ctx: Context, level: int, text: str) -> TruncElem:
     inner = Context(ctx.names + ("t",))
     value = _Parser(inner, _tokenize(text), text).parse()
     tpos = inner.r - 1
-    if any(mon[tpos] for mon, _ in value.frac.denom.terms()):
+    dens = ctx.split(value.den_poly(), tpos)
+    if list(dens) != [0]:
         raise ParseError("t may not appear in denominators: %r" % text)
-    den = ctx.from_terms((mon[:tpos], c) for mon, c in value.frac.denom.terms())
     coeffs = [ctx.zero] * (level + 1)
-    for mon, coef in value.frac.numer.terms():
-        e = mon[tpos]
+    for e, c in ctx.split(value.num, tpos).items():
         if e <= level:
-            coeffs[e] = coeffs[e] + ctx.from_terms([(mon[:tpos], coef)]) / den
+            coeffs[e] = c / dens[0]
     return TruncElem(ctx, level, coeffs)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm
 from .scalars import FieldElem
-from .trunc import TruncElem
+from .trunc import TruncElem, log_t
 
 
 def _divisors(j):
@@ -146,22 +146,19 @@ def gamma(a: WittVector) -> TruncElem:
     return result
 
 
+def log_ghost(u: TruncElem) -> GhostTuple:
+    """The ghost tuple of gamma_inv(u), read off l = log u: from
+    -t u'/u = sum_j g_j t^j follows g_j = -j l_j, one O(m^2) recurrence
+    with no inverse and no product."""
+    ell = log_t(u).coeffs
+    return GhostTuple(u.ctx, u.level, [ell[j].scale(-j) for j in range(1, u.level + 1)])
+
+
 def gamma_inv(u: TruncElem) -> WittVector:
-    """Inverse of gamma: peel off the factors (1 - a_i t^i) degree by
-    degree, reading a_i from the lowest remaining t-coefficient."""
+    """Inverse of gamma, as the unghost of log_ghost(u)."""
     if not u.is_principal():
         raise BadConstantTerm("gamma_inv needs constant term 1")
-    m = u.level
-    coords = []
-    v = u
-    for i in range(1, m + 1):
-        ai = -v.coeffs[i]
-        coords.append(ai)
-        if not ai.is_zero():
-            factor = [u.ctx.one] + [u.ctx.zero] * m
-            factor[i] = -ai
-            v = v * TruncElem(u.ctx, m, factor).inv()
-    return WittVector(u.ctx, m, coords)
+    return unghost(log_ghost(u))
 
 
 def teichmuller(a: FieldElem, level: int) -> WittVector:

@@ -1,0 +1,231 @@
+"""The u-line algorithms read FieldElem's integer num/den directly.
+
+Each direct read is checked here against the route it replaced, written
+out below: convert to sympy's FracField with ``frac``, take the terms of
+``numer``/``denom`` and rebuild them with ``Context.from_terms``.  The
+last test pins that only ``scalars`` knows that bridge."""
+
+import random
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from wittcycles.addchow import (ParamCurve, _factor_multiplicity,
+                                _ord_at_factor, boundary, modulus_check_curve)
+from wittcycles.errors import DivisionByZero, NonRationalBoundary, ParseError
+from wittcycles.milnorfield import (FieldSymbol, UPoly, Valuation,
+                                    base_context, gersten_boundary, lift_elem)
+from wittcycles.scalars import Context, parse_elem
+from wittcycles.trunc import TruncElem, parse_trunc
+
+# -- the FracField route, as it was ------------------------------------------
+
+
+def old_lift(ctx, a, upos):
+    # one change to the old code: the tail is cut at a.ctx.r.  Uncut, the
+    # unused generator of a base without variables made every monomial one
+    # too wide, and from_terms raised ParseError.
+    def up(terms):
+        return [(mon[:upos] + (0,) + mon[upos:a.ctx.r], coef) for mon, coef in terms]
+    return (ctx.from_terms(up(a.frac.numer.terms()))
+            / ctx.from_terms(up(a.frac.denom.terms())))
+
+
+def old_split(base, poly, upos):
+    buckets = {}
+    for mon, coef in poly.terms():
+        buckets.setdefault(mon[upos], []).append((mon[:upos] + mon[upos + 1:], coef))
+    return {e: base.from_terms(ts) for e, ts in buckets.items()}
+
+
+def old_ord_residue(v, f):
+    num = UPoly(v.base, old_split(v.base, f.frac.numer, v.upos))
+    den = UPoly(v.base, old_split(v.base, f.frac.denom, v.upos))
+    if v.kind == "infinity":
+        zero = v.base.zero
+        return (den.degree() - num.degree(),
+                num.reversed().eval(zero) / den.reversed().eval(zero))
+    a, num = num.root_multiplicity(v.point)
+    b, den = den.root_multiplicity(v.point)
+    return a - b, num.eval(v.point) / den.eval(v.point)
+
+
+def old_parse_trunc(ctx, level, text):
+    inner = Context(ctx.names + ("t",))
+    value = parse_elem(inner, text)
+    tpos = inner.r - 1
+    if any(mon[tpos] for mon, _ in value.frac.denom.terms()):
+        raise ParseError("t may not appear in denominators: %r" % text)
+    den = ctx.from_terms((mon[:tpos], c) for mon, c in value.frac.denom.terms())
+    coeffs = [ctx.zero] * (level + 1)
+    for mon, coef in value.frac.numer.terms():
+        e = mon[tpos]
+        if e <= level:
+            coeffs[e] = coeffs[e] + ctx.from_terms([(mon[:tpos], coef)]) / den
+    return TruncElem(ctx, level, coeffs)
+
+
+def old_ord_at_factor(g, fac):
+    return (_factor_multiplicity(g.frac.numer, fac)
+            - _factor_multiplicity(g.frac.denom, fac))
+
+
+def old_nonrational(values, upos):
+    base = base_context(values[0].ctx, upos)
+    out = []
+    for y in values:
+        for poly in (y.frac.numer, y.frac.denom):
+            for fac, _ in poly.factor_list()[1]:
+                if UPoly(base, old_split(base, fac, upos)).degree() > 1:
+                    out.append(str(fac))
+    return out
+
+
+# -- seeded fraction-tier elements -------------------------------------------
+
+
+def _poly(ctx, rng, terms, maxdeg=2):
+    return ctx.from_terms(
+        [(tuple(rng.randint(0, maxdeg) for _ in range(ctx.r)),
+          Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+         for _ in range(terms)])
+
+
+def _fraction(ctx, rng):
+    """A nonzero element whose denominator is not constant (when ctx has
+    variables) and whose coefficients are not integers."""
+    while True:
+        num, den = _poly(ctx, rng, 3), _poly(ctx, rng, 2)
+        if num and den and (not ctx.r or type((num / den).den) is not int):
+            return num / den
+
+
+BASES = [Context(()), Context(("x",)), Context(("x", "y"))]
+
+
+@pytest.mark.parametrize("base", BASES, ids=repr)
+def test_lift_and_split_match_from_terms(base):
+    rng = random.Random(31 + base.r)
+    for upos in range(base.r + 1):
+        names = base.names[:upos] + ("u",) + base.names[upos:]
+        ctx = Context(names)
+        assert base_context(ctx, upos) == base
+        for _ in range(20):
+            a = _fraction(base, rng)
+            lifted = lift_elem(ctx, a, upos)
+            assert lifted == old_lift(ctx, a, upos)
+            assert type(lifted.den) is type(a.den)
+            f = _fraction(ctx, rng) * lifted
+            for poly, qpoly in ((f.num, f.frac.numer), (f.den_poly(), f.frac.denom)):
+                assert base.split(poly, upos) == old_split(base, qpoly, upos)
+
+
+@pytest.mark.parametrize("base", BASES, ids=repr)
+def test_ord_residue_matches_from_terms(base):
+    rng = random.Random(77 + base.r)
+    upos = base.r
+    ctx = Context(base.names + ("u",))
+    u = ctx.var(upos)
+    points = [base.zero, base.rational(-2)] + [_fraction(base, rng) for _ in range(2)]
+    for c in points:
+        lin = u - lift_elem(ctx, c, upos)
+        for _ in range(8):
+            f = _fraction(ctx, rng) * lin ** rng.randint(-2, 2)
+            for v in (Valuation.finite(ctx, upos, c), Valuation.infinity(ctx, upos)):
+                assert v.ord_residue(f) == old_ord_residue(v, f)
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y")])
+def test_parse_trunc_matches_from_terms(names):
+    ctx = Context(names)
+    rng = random.Random(2718 + len(names))
+    gens = list(names) + ["t"]
+
+    def poly_text(terms, with_t):
+        out = []
+        for _ in range(terms):
+            mon = "*".join("%s^%d" % (g, rng.randint(0, 6 if g == "t" else 2))
+                           for g in gens if with_t or g != "t")
+            out.append("%d/%d*%s" % (rng.randint(-6, 6), rng.randint(1, 4), mon or "1"))
+        return " + ".join(out)
+
+    for _ in range(25):
+        level = rng.randint(1, 4)
+        # t-powers up to 6 run above the level; the denominator is t-free
+        text = "(%s)/(%s)" % (poly_text(4, True), poly_text(2, False) if names else "3/2")
+        try:
+            want = old_parse_trunc(ctx, level, text)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                parse_trunc(ctx, level, text)
+            continue
+        assert parse_trunc(ctx, level, text) == want
+    with pytest.raises(ParseError, match="t may not appear in denominators"):
+        parse_trunc(ctx, 2, "1/(1+t)")
+
+
+@pytest.fixture
+def ectx():
+    return Context(("x", "y", "u"))
+
+
+def test_non_monic_factor_orders(ectx):
+    x, y, u = ectx.gens()
+    upper = (2 * u - x) ** 2 * (u + 3) / (y * u + 1)
+    lower = (u + 3) / ((2 * u - x) ** 2 * (y - u))
+    zfac = (2 * u - x).num
+    (qfac, mult), = [(f, k) for f, k in (u - x / 2).frac.numer.factor_list()[1]]
+    assert mult == 1
+    assert _ord_at_factor(upper, zfac) == old_ord_at_factor(upper, qfac) == 2
+    assert _ord_at_factor(lower, zfac) == old_ord_at_factor(lower, qfac) == -2
+    assert _ord_at_factor(upper / lower, zfac) == 4
+
+
+def test_modulus_check_with_non_monic_factor(ectx):
+    x, y, u = ectx.gens()
+    # g_0 has a double zero on 2u = x and a simple pole at infinity
+    g0 = (2 * u - x) ** 2 / (u + 3)
+    # ord(g_1 - 1) = 6 on 2u = x: the inequality 6 >= 2(m + 1) holds up to m = 2
+    g1 = 1 + (2 * u - x) ** 6 * (u + y) / (3 * u - 1)
+    assert [modulus_check_curve(ParamCurve(ectx, 2, [g0, g1]), m)
+            for m in range(1, 5)] == [True, True, False, False]
+    # the factor in the denominator of g_1 - 1: ord -2, never enough
+    g2 = 1 + (u + y) / (2 * u - x) ** 2
+    assert not modulus_check_curve(ParamCurve(ectx, 2, [g0, g2]), 1)
+    # g_0 with a zero at infinity: the orders there are degree differences
+    h0 = 1 / (2 * u - x)
+    h1 = 1 + 1 / ((2 * u - x) ** 3 * (u + y))
+    assert [modulus_check_curve(ParamCurve(ectx, 2, [h0, h1]), m)
+            for m in range(1, 5)] == [True, True, True, False]
+
+
+def test_nonrational_factor_strings(ectx):
+    x, y, u = ectx.gens()
+    g1 = (2 * u ** 2 - x) * (2 * u - x) ** 2 / ((3 * u ** 2 + y) * (u + 1))
+    g2 = (u ** 3 - y) / (2 * u - x)
+    want = ["-2*u**2 + x", "3*u**2 + y"]
+    assert old_nonrational([g1], 2) == want
+    with pytest.raises(NonRationalBoundary) as err:
+        boundary(ParamCurve(ectx, 2, [(u + 5) / (u + 3), g1]), 2)
+    assert str(err.value) == "cube coordinates vanish outside rational points: %s" % want
+    bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1, g2]), 2)
+    assert nonrational == old_nonrational([g1, g2], 2) == want + ["-u**3 + y"]
+    assert [str(v) for v, _ in bnd] == ["(u = x/2)", "(u = -1)"]
+
+
+# -- the FracField bridge stays in scalars -----------------------------------
+
+BRIDGE = re.compile(r"\.frac\b|\bctx\.field\b|\bfrom_terms\b")
+
+
+def test_only_scalars_uses_the_fracfield_bridge():
+    src = Path(__file__).resolve().parent.parent / "src" / "wittcycles"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    offenders = ["%s:%d: %s" % (path.name, n, line.strip())
+                 for path in modules if path.name != "scalars.py"
+                 for n, line in enumerate(path.read_text().splitlines(), start=1)
+                 if BRIDGE.search(line)]
+    assert not offenders, offenders

@@ -1,5 +1,7 @@
 """Big Witt vectors: ghost coordinates, gamma, V/F, decomposition."""
 
+import random
+
 import pytest
 
 from wittcycles.errors import BadConstantTerm
@@ -13,6 +15,22 @@ from wittcycles.witt import (GhostTuple, WittVector, frobenius, gamma,
 @pytest.fixture
 def ctx():
     return Context(("a", "b"))
+
+
+def peel_gamma_inv(u):
+    """Reference gamma_inv: peel off the factors (1 - a_i t^i) degree by
+    degree, reading a_i from the lowest remaining t-coefficient."""
+    m = u.level
+    coords = []
+    v = u
+    for i in range(1, m + 1):
+        ai = -v.coeffs[i]
+        coords.append(ai)
+        if not ai.is_zero():
+            factor = [u.ctx.one] + [u.ctx.zero] * m
+            factor[i] = -ai
+            v = v * TruncElem(u.ctx, m, factor).inv()
+    return WittVector(u.ctx, m, coords)
 
 
 def test_ghost_values(ctx):
@@ -55,6 +73,20 @@ def test_gamma_homomorphism_instance(ctx):
     b = WittVector(ctx, 4, [ctx.rational(2), ctx.var(1), ctx.one, ctx.zero])
     assert gamma(a + b) == gamma(a) * gamma(b)
     assert gamma_inv(gamma(a)) == a
+
+
+def test_gamma_inv_matches_peeling_on_dense_fraction_units(ctx):
+    # every t-coefficient is a fraction-tier element (p + q a + r b)/(b + k)
+    a, b = ctx.gens()
+    rng = random.Random(5150)
+    for m in range(1, 13):
+        coeffs = [ctx.one]
+        for _ in range(m):
+            num = rng.randint(-3, 3) + rng.choice([1, -1, 2]) * a + rng.randint(-2, 2) * b
+            coeffs.append(num / (b + rng.randint(1, 4)))
+        u = TruncElem(ctx, m, coeffs)
+        assert type(coeffs[1].den) is not int
+        assert gamma_inv(u) == peel_gamma_inv(u)
 
 
 def test_log_derivative_identity(ctx):
