@@ -10,8 +10,7 @@ from .trunc import (TruncElem, exp_t, log_t, parse_trunc, trunc_d, trunc_dlog,
 from .witt import (GhostTuple, WittVector, frobenius, gamma, gamma_inv, ghost,
                    restrict, teichmuller, unghost, verschiebung,
                    witt_decompose)
-from .drw import (DRWForm, drw_F, drw_V, drw_d, drw_mul, drw_restrict,
-                  from_witt, phi, teich_dlog)
+from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from .relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
                         normal_form, restrict_class, theta)
 from .milnorfield import (FieldSymbol, Valuation, collect_terms,

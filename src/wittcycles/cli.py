@@ -107,40 +107,35 @@ def _context(args):
     return Context(names)
 
 
-def _emit(payload, pretty):
-    if pretty:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(json.dumps(payload, default=str))
+def _emit(payload):
+    print(json.dumps(payload, default=str))
 
 
 # -- subcommands --------------------------------------------------------
 
-def cmd_nf(args):
+def _class_output(args, parse, texts, to_class):
+    """Parse the input texts, take their relative Milnor class, check its
+    degree against --n and print it."""
     ctx = _context(args)
-    syms = [parse_symbol(ctx, args.m, text, args.coeff) for text in args.symbol]
-    cls = relmilnor.normal_form(syms)
+    cls = to_class([parse(ctx, args.m, text, args.coeff) for text in texts])
     if args.n is not None and cls.degree != args.n:
         raise ParseError("symbol degree %d does not match --n %d"
                          % (cls.degree, args.n))
     if args.pretty:
         print("degree %d, level %d" % (cls.degree, cls.level))
         print("canon: %s" % (cls.canon,))
-        return 0
-    _emit(cls.to_json(), False)
+    else:
+        _emit(cls.to_json())
     return 0
+
+
+def cmd_nf(args):
+    return _class_output(args, parse_symbol, args.symbol, relmilnor.normal_form)
 
 
 def cmd_cyc(args):
-    ctx = _context(args)
-    gens = [parse_generator(ctx, args.m, text, args.coeff) for text in args.gen]
-    cls = addchow.cyc_milnor(gens, args.m)
-    if args.pretty:
-        print("degree %d, level %d" % (cls.degree, cls.level))
-        print("canon: %s" % (cls.canon,))
-        return 0
-    _emit(cls.to_json(), False)
-    return 0
+    return _class_output(args, parse_generator, args.gen,
+                         lambda gens: addchow.cyc_milnor(gens, args.m))
 
 
 def cmd_witt(args):
@@ -187,7 +182,7 @@ def cmd_witt(args):
     if args.pretty:
         print(text)
     else:
-        _emit(payload, False)
+        _emit(payload)
     return 0
 
 
@@ -212,13 +207,13 @@ def cmd_drw(args):
     elif op == "restrict":
         if args.level is None:
             raise ParseError("restrict needs --level")
-        out = drw.drw_restrict(form, args.level)
+        out = form.restrict(args.level)
     else:
         raise ParseError("unknown drw subop %r" % op)
     if args.pretty:
         print(repr(out))
     else:
-        _emit(out.to_json(), False)
+        _emit(out.to_json())
     return 0
 
 
@@ -231,14 +226,14 @@ def cmd_verify(args):
         for r in reports:
             for p in r["properties"]:
                 status = "PASS" if p["ok"] else "FAIL"
-                line = "%s  %s/%s (%d trials)" % (status, r["suite"],
-                                                  p["name"], p["trials"])
+                line = "%s  %s/%s (%d trials, %.3fs)" % (
+                    status, r["suite"], p["name"], p["trials"], p["elapsed_s"])
                 if p["counterexample"]:
                     line += "  counterexample: %s" % p["counterexample"]
                 print(line)
         print("overall: %s" % ("PASS" if report["ok"] else "FAIL"))
     else:
-        _emit(report, False)
+        _emit(report)
     return 0 if report["ok"] else 1
 
 
@@ -283,9 +278,7 @@ def build_parser():
     p.set_defaults(fn=cmd_drw)
 
     p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", default="all",
-                   choices=("all", "witt", "drw", "relmilnor", "reciprocity",
-                            "cycle-iso", "rewriting"))
+    p.add_argument("--suite", default="all", choices=("all", *verify.SUITES))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vars", default="x,y")

@@ -43,18 +43,10 @@ class DRWForm(FormTuple):
         return "DRW(" + "; ".join(str(w) for w in self.comps) + ")"
 
 
-def drw_mul(a: DRWForm, b: DRWForm) -> DRWForm:
-    return a * b
-
-
 def drw_d(a: DRWForm) -> DRWForm:
     return DRWForm(a.ctx, a.degree + 1, a.level,
                    [w.d().scale(Fraction(1, j))
                     for j, w in enumerate(a.comps, start=1)])
-
-
-def drw_restrict(a: DRWForm, level: int) -> DRWForm:
-    return a.restrict(level)
 
 
 def drw_V(s: int, a: DRWForm, level: int) -> DRWForm:
@@ -106,11 +98,3 @@ def ghost_dlog(g: GhostTuple, bs) -> DRWForm:
     w = dlog_wedge(g.ctx, bs)
     return DRWForm(g.ctx, w.degree, g.level, [w.scale(gj) for gj in g.comps])
 
-
-def drw_V_dlog_identity_check(a: WittVector, bs, s: int, level: int) -> bool:
-    """Whether V_s(a * dlog terms) = V_s(a) * dlog terms; a structural
-    identity of the V-operator, so this must always return true."""
-    from .witt import verschiebung
-    lhs = drw_V(s, phi(a, bs), level)
-    rhs = phi(verschiebung(s, a, level), bs)
-    return lhs == rhs

@@ -34,10 +34,10 @@ def base_context(ctx: Context, upos: int) -> Context:
     return Context(ctx.names[:upos] + ctx.names[upos + 1:])
 
 
-def lift_elem(ctx: Context, a: FieldElem, upos: int) -> FieldElem:
+def lift_elem(ctx: Context, a: FieldElem) -> FieldElem:
     """A base-field element viewed in the extended context; set_ring
-    inserts the designated variable (at upos) with exponent 0, which keeps
-    num and den coprime and the leading coefficient of den."""
+    matches variables by name and gives the designated one exponent 0,
+    which keeps num and den coprime and the leading coefficient of den."""
     den = a.den if type(a.den) is int else a.den.set_ring(ctx.ring)
     return FieldElem(ctx, a.num.set_ring(ctx.ring), den)
 
@@ -394,12 +394,12 @@ def elem_identity_instance(a, b, s, tau):
     return lhs, rhs
 
 
-def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True):
+def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
     """Rewrite a symbol with sum ord_pi(y_i - 1) >= m as a formal sum of
     pairs (w, residual symbol) with ord_pi(w - 1) >= m, following the
-    two-entry identity inductively.  With rational coefficients the
-    residual entries are additionally cleared of pi-powers using
-    {w, pi} = -(1/e){w, -u0} where w = 1 + u0 pi^e.
+    two-entry identity inductively.  The residual entries are then
+    cleared of pi-powers using {w, pi} = -(1/e){w, -u0} where
+    w = 1 + u0 pi^e, which brings in rational coefficients.
 
     Returns a list of (w: FieldElem, residual: FieldSymbol) pairs whose
     coefficients live on the residual symbols; the represented class is
@@ -453,8 +453,6 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int, rational_coeffs=True
     if total < m:
         raise HypothesisViolated("sum of ord(y_i - 1) = %d < %d" % (total, m))
     pairs = recurse(sym.entries, sym.coef)
-    if not rational_coeffs:
-        return pairs
     # clear pi-powers from residual entries: {w, pi} = -(1/e){w, -u0}
     cleaned = []
     stack = list(pairs)

@@ -2,18 +2,29 @@
 
 Each suite checks the algebraic contracts of one layer on randomly
 generated corpora; reports are deterministic given (seed, trials,
-variable list).  Suites return a dict with one entry per property:
-{"name", "trials", "ok", "counterexample"}.
+variable list), apart from their times.  A suite returns
+{"suite", "seed", "elapsed_s", "ok", "properties"}, with one dict per
+property: {"name", "trials", "ok", "counterexample", "elapsed_s"}.
+
+A check is a generator that yields once per completed trial and states
+each sub-property as one `_require(ok, name, *witness)` line; `_check`
+runs it.  A passing property reports its aggregate name, the number of
+completed trials and a null counterexample.  A failing one reports the
+failed sub-property's name, the index of the failing trial (completed
+trials + 1; retried draws that were skipped do not count) and the repr
+of the witness: the single object, or the tuple of several.  Witnesses
+are formatted only on failure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from fractions import Fraction
 
-from . import addchow, drw, milnorfield, relmilnor, trunc, witt
+from . import addchow, drw, milnorfield, relmilnor, witt
 from .errors import DegenerateBranch, WittCyclesError, ZeroEntry
 from .forms import CanonRelForm, DiffForm, FormOnTrunc, dlog, reduce_mod_exact
 from .scalars import Context
@@ -43,9 +54,10 @@ class Sampler:
             if not v.is_zero():
                 return v
 
-    def monomial(self):
-        c = self.ctx.rational(self.rng.choice([1, -1, 2, 3]))
-        if self.rng.random() < 0.6:
+    def monomial(self, coefs=(1, -1, 2, 3), p_var=0.6):
+        """One of coefs, times a random variable with probability p_var."""
+        c = self.ctx.rational(self.rng.choice(coefs))
+        if self.rng.random() < p_var:
             c = c * self.ctx.var(self.rng.randrange(self.ctx.r))
         return c
 
@@ -73,15 +85,9 @@ class Sampler:
 
     def sparse_witt(self, m):
         """A Witt vector with mostly-zero monomial coordinates."""
-        ctx, rng = self.ctx, self.rng
-        coords = [ctx.zero] * m
-        for i in range(m):
-            if rng.random() < 0.5:
-                c = ctx.rational(rng.choice([1, -1, 2]))
-                if rng.random() < 0.5:
-                    c = c * ctx.var(rng.randrange(ctx.r))
-                coords[i] = c
-        return witt.WittVector(ctx, m, coords)
+        return witt.WittVector(self.ctx, m, [
+            self.monomial((1, -1, 2), 0.5) if self.rng.random() < 0.5 else self.ctx.zero
+            for _ in range(m)])
 
     def nilpotent(self, m):
         return TruncElem(self.ctx, m, [self.ctx.zero]
@@ -89,14 +95,10 @@ class Sampler:
 
     def sparse_nilpotent(self, m):
         """A nilpotent with few nonzero coefficients, each one a monomial."""
-        ctx, rng = self.ctx, self.rng
-        coeffs = [ctx.zero] * (m + 1)
-        for _ in range(rng.randint(1, 2)):
-            c = ctx.rational(rng.choice([1, -1, 2, 3]))
-            if rng.random() < 0.5:
-                c = c * ctx.var(rng.randrange(ctx.r))
-            coeffs[rng.randint(1, m)] = c
-        return TruncElem(ctx, m, coeffs)
+        coeffs = [self.ctx.zero] * (m + 1)
+        for _ in range(self.rng.randint(1, 2)):
+            coeffs[self.rng.randint(1, m)] = self.monomial(p_var=0.5)
+        return TruncElem(self.ctx, m, coeffs)
 
     def principal_unit(self, m, light=False):
         if light:
@@ -124,46 +126,94 @@ class Sampler:
             if z.is_admissible():
                 return z
 
+    def v_index(self, m):
+        """The index s of a V_s/F_s pair at level m: 2 or 3, with m // s >= 1."""
+        sv = self.rng.choice([2, 3])
+        return sv if m // sv >= 1 else 2
 
-def _prop(name, trials, failure=None):
-    return {"name": name, "trials": trials, "ok": failure is None,
-            "counterexample": failure}
+
+class _Failure(Exception):
+    """A failed sub-property: its name and its witness objects."""
 
 
-def _report(suite, props, seed, elapsed):
-    return {"suite": suite, "seed": seed, "elapsed_s": round(elapsed, 3),
-            "ok": all(p["ok"] for p in props), "properties": props}
+def _require(ok, name, *witness):
+    if not ok:
+        raise _Failure(name, witness)
+
+
+def _check(name):
+    """Run a check generator and build its property dict; `name` is the
+    aggregate property that a passing run reports."""
+    def wrap(trials_of):
+        @functools.wraps(trials_of)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            prop, trials, failure = name, 0, None
+            try:
+                for _ in trials_of(*args, **kwargs):
+                    trials += 1
+            except _Failure as exc:
+                prop, witness = exc.args
+                trials += 1
+                failure = repr(witness[0] if len(witness) == 1 else witness)
+            return {"name": prop, "trials": trials, "ok": failure is None,
+                    "counterexample": failure,
+                    "elapsed_s": round(time.perf_counter() - t0, 3)}
+        return run
+    return wrap
+
+
+SUITES = {}
+
+
+def _suite(name, default_trials):
+    """Register a suite under `name`.  Its body maps (seed, trials, names)
+    to property dicts, with `trials` defaulting to `default_trials`; the
+    registered function times it and builds the suite report."""
+    def register(props_of):
+        @functools.wraps(props_of)
+        def run(seed=0, trials=None, names=("x", "y")):
+            t0 = time.perf_counter()
+            props = props_of(seed, trials or default_trials, names)
+            return {"suite": name, "seed": seed,
+                    "elapsed_s": round(time.perf_counter() - t0, 3),
+                    "ok": all(p["ok"] for p in props), "properties": props}
+        SUITES[name] = run
+        return run
+    return register
 
 
 # -- witt suite ---------------------------------------------------------
 
+@_check("ghost-gamma-coherence")
 def check_ghost_gamma(ctx, seed, trials):
     """gamma homomorphism, ghost ring homomorphism, log-derivative
     identity, unghost of ghost."""
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(1, 8)
         a, b = s.sparse_witt(m), s.sparse_witt(m)
         ga, gb = witt.ghost(a), witt.ghost(b)
-        if witt.gamma(a + b) != witt.gamma(a) * witt.gamma(b):
-            return _prop("gamma-homomorphism", k + 1, repr((a, b)))
-        if witt.gamma_inv(witt.gamma(a)) != a:
-            return _prop("gamma-inverse", k + 1, repr(a))
-        if witt.ghost(a + b).comps != tuple(p + q for p, q in zip(ga.comps, gb.comps)):
-            return _prop("ghost-additive", k + 1, repr((a, b)))
-        if witt.ghost(a * b).comps != tuple(p * q for p, q in zip(ga.comps, gb.comps)):
-            return _prop("ghost-multiplicative", k + 1, repr((a, b)))
-        if witt.unghost(ga) != a:
-            return _prop("unghost-of-ghost", k + 1, repr(a))
+        _require(witt.gamma(a + b) == witt.gamma(a) * witt.gamma(b),
+                 "gamma-homomorphism", a, b)
+        _require(witt.gamma_inv(witt.gamma(a)) == a, "gamma-inverse", a)
+        _require(witt.ghost(a + b).comps
+                 == tuple(p + q for p, q in zip(ga.comps, gb.comps)),
+                 "ghost-additive", a, b)
+        _require(witt.ghost(a * b).comps
+                 == tuple(p * q for p, q in zip(ga.comps, gb.comps)),
+                 "ghost-multiplicative", a, b)
+        _require(witt.unghost(ga) == a, "unghost-of-ghost", a)
         # -t u'/u = sum g_j t^j for u = gamma(a)
         u = witt.gamma(a)
         minus_t_du = TruncElem(ctx, m, [ctx.zero]
                                + [u.coeffs[i] * (-i) for i in range(1, m + 1)])
-        if minus_t_du * u.inv() != TruncElem(ctx, m, (ctx.zero,) + ga.comps):
-            return _prop("log-derivative-identity", k + 1, repr(a))
-    return _prop("ghost-gamma-coherence", trials)
+        _require(minus_t_du * u.inv() == TruncElem(ctx, m, (ctx.zero,) + ga.comps),
+                 "log-derivative-identity", a)
+        yield
 
 
+@_check("exp-log-isomorphism")
 def check_explog(ctx, seed, trials):
     """exp and log are mutually inverse homomorphisms on (t) and 1+(t)."""
     s = Sampler(ctx, seed)
@@ -171,226 +221,196 @@ def check_explog(ctx, seed, trials):
         m = s.rng.randint(1, 8)
         a = s.sparse_nilpotent(m)
         u = exp_t(a)
-        if log_t(u) != a:
-            return _prop("log-of-exp", k + 1, repr(a))
-        if exp_t(log_t(u)) != u:
-            return _prop("exp-of-log", k + 1, repr(u))
+        _require(log_t(u) == a, "log-of-exp", a)
+        _require(exp_t(log_t(u)) == u, "exp-of-log", u)
         if k % 10 == 0:
             b = s.sparse_nilpotent(m)
-            if exp_t(a + b) != u * exp_t(b):
-                return _prop("exp-additive", k + 1, repr((a, b)))
+            _require(exp_t(a + b) == u * exp_t(b), "exp-additive", a, b)
             w = s.principal_unit(min(m, 4))
-            if log_t(u.restrict(w.level) * w) != a.restrict(w.level) + log_t(w):
-                return _prop("log-multiplicative", k + 1, repr((u, w)))
-    return _prop("exp-log-isomorphism", trials)
+            _require(log_t(u.restrict(w.level) * w) == a.restrict(w.level) + log_t(w),
+                     "log-multiplicative", u, w)
+        yield
 
 
+@_check("verschiebung-frobenius-decompose")
 def check_witt_vf(ctx, seed, trials):
     """F_s V_s = s, ghost formulas for V and F, restriction squares."""
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(2, 8)
-        sv = s.rng.choice([2, 3])
-        if m // sv < 1:
-            sv = 2
+        sv = s.v_index(m)
         a = s.witt(m // sv)
         fv = witt.frobenius(sv, witt.verschiebung(sv, a, m))
         ga = witt.ghost(a)
         s_id = witt.unghost(witt.GhostTuple(ctx, m // sv,
                                             [c * sv for c in ga.comps]))
-        if fv != s_id:
-            return _prop("frobenius-verschiebung", k + 1, repr((sv, a)))
+        _require(fv == s_id, "frobenius-verschiebung", sv, a)
         kk = s.rng.randint(sv, m)
-        if witt.restrict(witt.verschiebung(sv, a, m), kk) != witt.verschiebung(sv, a, kk):
-            return _prop("restrict-verschiebung", k + 1, repr((sv, a, kk)))
+        _require(witt.restrict(witt.verschiebung(sv, a, m), kk)
+                 == witt.verschiebung(sv, a, kk), "restrict-verschiebung", sv, a, kk)
         b = s.witt(m)
         resum = witt.WittVector.zero(ctx, m)
         for i, ai in witt.witt_decompose(b):
             resum = resum + witt.verschiebung(
                 i, witt.teichmuller(ai, max(1, m // i)), m)
-        if resum != b:
-            return _prop("decompose-resum", k + 1, repr(b))
-    return _prop("verschiebung-frobenius-decompose", trials)
+        _require(resum == b, "decompose-resum", b)
+        yield
 
 
-def suite_witt(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
+@_suite("witt", 300)
+def suite_witt(seed, trials, names):
     ctx = Context(names)
-    trials = trials or 300
-    props = [check_ghost_gamma(ctx, seed, trials),
-             check_explog(ctx, seed + 1, max(trials, 500)),
-             check_witt_vf(ctx, seed + 2, max(trials // 3, 100))]
-    return _report("witt", props, seed, time.time() - t0)
+    return [check_ghost_gamma(ctx, seed, trials),
+            check_explog(ctx, seed + 1, max(trials, 500)),
+            check_witt_vf(ctx, seed + 2, max(trials // 3, 100))]
 
 
 # -- drw suite ----------------------------------------------------------
 
+@_check("restricted-witt-complex-relations")
 def check_drw_relations(ctx, seed, trials):
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(2, 6)
-        sv = s.rng.choice([2, 3])
-        if m // sv < 1:
-            sv = 2
+        sv = s.v_index(m)
         n = s.rng.randint(0, max(0, ctx.r - 1))
         al = s.drw(n, m // sv)
         be = s.drw(s.rng.randint(0, ctx.r - 1), m)
         x0 = s.drw(s.rng.randint(0, ctx.r - 1), m // sv)
-        if drw.drw_F(sv, drw.drw_d(drw.drw_V(sv, al, m))) != drw.drw_d(al):
-            return _prop("FdV-is-d", k + 1, repr((sv, al)))
-        if drw.drw_V(sv, drw.drw_mul(x0, drw.drw_F(sv, be)), m) \
-                != drw.drw_mul(drw.drw_V(sv, x0, m), be):
-            return _prop("V-projection-formula", k + 1, repr((sv, x0, be)))
+        _require(drw.drw_F(sv, drw.drw_d(drw.drw_V(sv, al, m))) == drw.drw_d(al),
+                 "FdV-is-d", sv, al)
+        _require(drw.drw_V(sv, x0 * drw.drw_F(sv, be), m) == drw.drw_V(sv, x0, m) * be,
+                 "V-projection-formula", sv, x0, be)
         ga = s.drw(n, m)
-        if not drw.drw_d(drw.drw_d(ga)).is_zero():
-            return _prop("d-squared-zero", k + 1, repr(ga))
-        lhs = drw.drw_d(drw.drw_mul(ga, be))
-        rhs = drw.drw_mul(drw.drw_d(ga), be) \
-            + drw.drw_mul(ga, drw.drw_d(be)).scale((-1) ** n)
-        if lhs != rhs:
-            return _prop("leibniz", k + 1, repr((ga, be)))
+        _require(drw.drw_d(drw.drw_d(ga)).is_zero(), "d-squared-zero", ga)
+        lhs = drw.drw_d(ga * be)
+        rhs = drw.drw_d(ga) * be + (ga * drw.drw_d(be)).scale((-1) ** n)
+        _require(lhs == rhs, "leibniz", ga, be)
         kk = s.rng.randint(1, m)
-        if drw.drw_restrict(drw.drw_d(ga), kk) != drw.drw_d(drw.drw_restrict(ga, kk)):
-            return _prop("restrict-commutes-d", k + 1, repr(ga))
-    return _prop("restricted-witt-complex-relations", trials)
+        _require(drw.drw_d(ga).restrict(kk) == drw.drw_d(ga.restrict(kk)),
+                 "restrict-commutes-d", ga)
+        yield
 
 
+@_check("V-dlog-and-zeta")
 def check_drw_vdlog(ctx, seed, trials):
     """V_s(a dlog-terms) = V_s(a) dlog-terms, and zeta-coherence of phi."""
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(2, 6)
-        sv = s.rng.choice([2, 3])
-        if m // sv < 1:
-            sv = 2
+        sv = s.v_index(m)
         a = s.witt(m // sv)
         bs = [s.nonzero() for _ in range(s.rng.randint(1, max(1, ctx.r - 1)))]
-        if not drw.drw_V_dlog_identity_check(a, bs, sv, m):
-            return _prop("V-dlog-identity", k + 1, repr((sv, a, bs)))
+        _require(drw.drw_V(sv, drw.phi(a, bs), m)
+                 == drw.phi(witt.verschiebung(sv, a, m), bs), "V-dlog-identity", sv, a, bs)
         b = s.witt(m)
         built = drw.from_witt(b)
         for bb in bs:
-            built = drw.drw_mul(built, drw.teich_dlog(bb, m))
-        if built != drw.phi(b, bs):
-            return _prop("zeta-coherence", k + 1, repr((b, bs)))
-    return _prop("V-dlog-and-zeta", trials)
+            built = built * drw.teich_dlog(bb, m)
+        _require(built == drw.phi(b, bs), "zeta-coherence", b, bs)
+        yield
 
 
+@_check("restriction-kernel-is-V-image")
 def check_drw_kernel(ctx, seed, trials):
     """Kernel of restriction m+1 -> m equals the image of V_(m+1)."""
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(1, 5)
         n = s.rng.randint(0, ctx.r)
         v_img = drw.drw_V(m + 1, s.drw(n, 1), m + 1)
-        if not drw.drw_restrict(v_img, m).is_zero():
-            return _prop("V-image-in-kernel", k + 1, repr(v_img))
-        if any(not w.is_zero() for w in v_img.comps[:m]):
-            return _prop("V-image-support", k + 1, repr(v_img))
+        _require(v_img.restrict(m).is_zero(), "V-image-in-kernel", v_img)
+        _require(all(w.is_zero() for w in v_img.comps[:m]), "V-image-support", v_img)
         ker = drw.DRWForm(ctx, n, m + 1,
                           [DiffForm.zero(ctx, n)] * m + [s.form(n)])
-        if not drw.drw_restrict(ker, m).is_zero():
-            return _prop("kernel-support", k + 1, repr(ker))
+        _require(ker.restrict(m).is_zero(), "kernel-support", ker)
         # every kernel element is V_(m+1) of something: solve top component
         top = ker.comps[m].scale(Fraction(1, m + 1))
-        if drw.drw_V(m + 1, drw.DRWForm(ctx, n, 1, [top]), m + 1) != ker:
-            return _prop("kernel-in-V-image", k + 1, repr(ker))
-    return _prop("restriction-kernel-is-V-image", trials)
+        _require(drw.drw_V(m + 1, drw.DRWForm(ctx, n, 1, [top]), m + 1) == ker,
+                 "kernel-in-V-image", ker)
+        yield
 
 
-def suite_drw(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
+@_suite("drw", 100)
+def suite_drw(seed, trials, names):
     ctx = Context(names)
-    trials = trials or 100
-    props = [check_drw_relations(ctx, seed, trials),
-             check_drw_vdlog(ctx, seed + 1, trials),
-             check_drw_kernel(ctx, seed + 2, trials)]
-    return _report("drw", props, seed, time.time() - t0)
+    return [check_drw_relations(ctx, seed, trials),
+            check_drw_vdlog(ctx, seed + 1, trials),
+            check_drw_kernel(ctx, seed + 2, trials)]
 
 
 # -- relmilnor suite ----------------------------------------------------
 
+@_check("reduce-mod-exact-contract")
 def check_reduce_kills_exact(seed, trials_per_cell, r_max=3, m_max=6):
     """reduce_mod_exact kills exactly the exact relative forms; nonzero
     canonical forms have nonzero differential."""
-    total = 0
     for r in range(1, r_max + 1):
         ctx = Context(tuple("xyz"[:r]))
         s = Sampler(ctx, seed + r)
         for n in range(1, r + 2):
             for m in range(1, m_max + 1):
                 for _ in range(trials_per_cell):
-                    total += 1
                     beta = s.form_on_trunc(n - 1, m, relative=True, light=True)
-                    if not reduce_mod_exact(beta.d()).is_zero():
-                        return _prop("reduce-kills-exact", total,
-                                     "n=%d m=%d r=%d" % (n, m, r))
+                    _require(reduce_mod_exact(beta.d()).is_zero(),
+                             "reduce-kills-exact", beta)
+                    yield
                 for _ in range(max(1, trials_per_cell // 4)):
-                    total += 1
                     g = s.canon(n - 1, m)
-                    if reduce_mod_exact(g.embed()) != g:
-                        return _prop("reduce-fixes-canonical", total,
-                                     "n=%d m=%d r=%d" % (n, m, r))
-                    if not g.is_zero() and g.embed().d().is_zero():
-                        return _prop("d-injective-on-canonical", total,
-                                     "n=%d m=%d r=%d" % (n, m, r))
-    return _prop("reduce-mod-exact-contract", total)
+                    _require(reduce_mod_exact(g.embed()) == g, "reduce-fixes-canonical", g)
+                    _require(g.is_zero() or not g.embed().d().is_zero(),
+                             "d-injective-on-canonical", g)
+                    yield
 
 
+@_check("normal-form-well-definedness")
 def check_normal_form_welldef(ctx, seed, trials, m_max=6):
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    nf = relmilnor.normal_form
+    sym = relmilnor.RelSymbol
+    for _ in range(trials):
         m = s.rng.randint(1, m_max)
         u, v = s.principal_unit(m, light=True), s.principal_unit(m, light=True)
         w = s.trunc_unit(m, light=True)
         # two-principal independence, directly as exactness
         f = embed_form(log_t(u)).wedge(trunc_dlog(v)) \
             + embed_form(log_t(v)).wedge(trunc_dlog(u))
-        if not reduce_mod_exact(f).is_zero():
-            return _prop("principal-entry-independence", k + 1, repr((u, v)))
-        nf = relmilnor.normal_form
-        sym = relmilnor.RelSymbol
-        if nf(sym([u, w])) != -nf(sym([w, u])):
-            return _prop("antisymmetry", k + 1, repr((u, w)))
-        if not nf(sym([u, u])).is_zero():
-            return _prop("square-vanishes", k + 1, repr(u))
-        if not nf(sym([u, TruncElem.constant(ctx.rational(-1), m)])).is_zero():
-            return _prop("minus-one-vanishes", k + 1, repr(u))
+        _require(reduce_mod_exact(f).is_zero(), "principal-entry-independence", u, v)
+        _require(nf(sym([u, w])) == -nf(sym([w, u])), "antisymmetry", u, w)
+        _require(nf(sym([u, u])).is_zero(), "square-vanishes", u)
+        _require(nf(sym([u, TruncElem.constant(ctx.rational(-1), m)])).is_zero(),
+                 "minus-one-vanishes", u)
         up = s.principal_unit(m)
-        if nf(sym([u * up, w])) != nf([sym([u, w]), sym([up, w])]):
-            return _prop("bilinearity", k + 1, repr((u, up, w)))
+        _require(nf(sym([u * up, w])) == nf([sym([u, w]), sym([up, w])]),
+                 "bilinearity", u, up, w)
         c = s.nonzero()
         scaled = TruncElem.constant(c, m) * u
-        lhs = nf(sym([scaled, up]))
-        rhs = nf([sym([u, up]), sym([TruncElem.constant(c, m), up])])
-        if lhs != rhs:
-            return _prop("bilinearity-mixed-constant", k + 1, repr((c, u, up)))
-    return _prop("normal-form-well-definedness", trials)
+        _require(nf(sym([scaled, up]))
+                 == nf([sym([u, up]), sym([TruncElem.constant(c, m), up])]),
+                 "bilinearity-mixed-constant", c, u, up)
+        yield
 
 
+@_check("theta-roundtrip")
 def check_theta_roundtrip(ctx, seed, trials_per_cell, m_max=6):
-    total = 0
     s = Sampler(ctx, seed)
     for n in range(1, ctx.r + 2):
         for m in range(1, m_max + 1):
             for _ in range(trials_per_cell):
-                total += 1
                 a = s.nilpotent(m)
                 bs = [s.nonzero() for _ in range(n - 1)]
-                sym = relmilnor.theta(a, bs)
-                got = relmilnor.normal_form(sym)
+                got = relmilnor.normal_form(relmilnor.theta(a, bs))
                 want = embed_form(a)
                 for b in bs:
                     want = want.wedge(FormOnTrunc.from_base(dlog(b), m))
-                if got.canon != reduce_mod_exact(want):
-                    return _prop("theta-roundtrip", total,
-                                 "n=%d m=%d a=%r bs=%r" % (n, m, a, bs))
-    return _prop("theta-roundtrip", total)
+                _require(got.canon == reduce_mod_exact(want), "theta-roundtrip", a, bs)
+                yield
 
 
+@_check("product-and-restriction")
 def check_relmilnor_products(ctx, seed, trials, m_max=5):
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         m = s.rng.randint(1, m_max)
         u = s.principal_unit(m)
         w = s.trunc_unit(m)
@@ -399,24 +419,21 @@ def check_relmilnor_products(ctx, seed, trials, m_max=5):
         via_canon = relmilnor.mult_by_absolute([c], xi)
         via_symbol = relmilnor.normal_form(
             relmilnor.RelSymbol([u, w, TruncElem.constant(c, m)]))
-        if via_canon != via_symbol:
-            return _prop("absolute-product", k + 1, repr((u, w, c)))
+        _require(via_canon == via_symbol, "absolute-product", u, w, c)
         kk = s.rng.randint(1, m)
-        if relmilnor.restrict_class(xi, kk) != relmilnor.normal_form(
-                relmilnor.RelSymbol([u.restrict(kk), w.restrict(kk)])):
-            return _prop("restriction-square", k + 1, repr((u, w, kk)))
-    return _prop("product-and-restriction", trials)
+        _require(relmilnor.restrict_class(xi, kk) == relmilnor.normal_form(
+                     relmilnor.RelSymbol([u.restrict(kk), w.restrict(kk)])),
+                 "restriction-square", u, w, kk)
+        yield
 
 
-def suite_relmilnor(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
+@_suite("relmilnor", 200)
+def suite_relmilnor(seed, trials, names):
     ctx = Context(names)
-    trials = trials or 200
-    props = [check_reduce_kills_exact(seed, max(trials // 10, 10)),
-             check_normal_form_welldef(ctx, seed + 1, trials),
-             check_theta_roundtrip(ctx, seed + 2, max(trials // 4, 25)),
-             check_relmilnor_products(ctx, seed + 3, max(trials // 2, 50))]
-    return _report("relmilnor", props, seed, time.time() - t0)
+    return [check_reduce_kills_exact(seed, max(trials // 10, 10)),
+            check_normal_form_welldef(ctx, seed + 1, trials),
+            check_theta_roundtrip(ctx, seed + 2, max(trials // 4, 25)),
+            check_relmilnor_products(ctx, seed + 3, max(trials // 2, 50))]
 
 
 # -- reciprocity suite --------------------------------------------------
@@ -432,27 +449,28 @@ def _reciprocity_symbol(s: Sampler, upos):
     n = s.rng.randint(1, min(3, 1 + base.r))
     entries = []
     for _ in range(n):
-        e = milnorfield.lift_elem(ctx, s.rng.choice(pool_base), upos)
+        e = milnorfield.lift_elem(ctx, s.rng.choice(pool_base))
         for _ in range(s.rng.randint(0, 2)):
             c = s.rng.choice(pool_base)
-            factor = u - milnorfield.lift_elem(ctx, c, upos)
+            factor = u - milnorfield.lift_elem(ctx, c)
             e = e * factor if s.rng.random() < 0.7 else e / factor
         entries.append(e)
     return milnorfield.FieldSymbol(ctx, entries, s.rng.choice([1, -1, 2]))
 
 
+@_check("weil-reciprocity")
 def check_weil_reciprocity(names, seed, trials):
     ctx = Context(tuple(names) + ("u",))
     upos = ctx.r - 1
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         sym = _reciprocity_symbol(s, upos)
         ok, ev = milnorfield.weil_reciprocity_check([sym], upos)
-        if not ok:
-            return _prop("weil-reciprocity", k + 1, "%r -> %r" % (sym, ev))
-    return _prop("weil-reciprocity", trials)
+        _require(ok, "weil-reciprocity", sym, ev)
+        yield
 
 
+@_check("tame-symbol-basics")
 def check_tame_basics(names, seed, trials):
     """Multilinearity of the tame symbol and vanishing on units."""
     ctx = Context(tuple(names) + ("u",))
@@ -462,7 +480,7 @@ def check_tame_basics(names, seed, trials):
     u = ctx.var(upos)
     for k in range(trials):
         c = Sampler(base, seed + k).nonzero()
-        clift = milnorfield.lift_elem(ctx, c, upos)
+        clift = milnorfield.lift_elem(ctx, c)
         v = milnorfield.Valuation.finite(ctx, upos, base.zero)
         e1 = u ** s.rng.randint(1, 3) * clift
         e2 = clift + u if not (clift + u).is_zero() else clift * 2 + u
@@ -471,54 +489,48 @@ def check_tame_basics(names, seed, trials):
         rhs = milnorfield.collect_terms(
             milnorfield.tame_symbol(v, milnorfield.FieldSymbol(ctx, [e1]))
             + milnorfield.tame_symbol(v, milnorfield.FieldSymbol(ctx, [e2])))
-        if sum(t.coef for t in lhs) != sum(t.coef for t in rhs):
-            return _prop("tame-multilinearity-n1", k + 1, repr((e1, e2)))
+        _require(sum(t.coef for t in lhs) == sum(t.coef for t in rhs),
+                 "tame-multilinearity-n1", e1, e2)
         # units-only symbols die
         unit = clift + u * u if not (clift + u * u).is_zero() else 1 + u * u
         got = milnorfield.tame_symbol(
             v, milnorfield.FieldSymbol(ctx, [1 + u * clift, unit]))
-        if got:
-            return _prop("tame-kills-units", k + 1, repr(unit))
-    return _prop("tame-symbol-basics", trials)
+        _require(not got, "tame-kills-units", unit)
+        yield
 
 
-def suite_reciprocity(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
-    trials = trials or 50
-    props = [check_weil_reciprocity(names, seed, trials),
-             check_tame_basics(names, seed + 1, max(trials // 2, 20))]
-    return _report("reciprocity", props, seed, time.time() - t0)
+@_suite("reciprocity", 50)
+def suite_reciprocity(seed, trials, names):
+    return [check_weil_reciprocity(names, seed, trials),
+            check_tame_basics(names, seed + 1, max(trials // 2, 20))]
 
 
 # -- cycle-iso suite ----------------------------------------------------
 
+@_check("cycle-class-dictionary")
 def check_cycle_dictionary(ctx, seed, trials, m_max=6):
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         n = s.rng.randint(1, ctx.r + 1)
         m = s.rng.randint(1, m_max)
         z = s.cycle_gen(n, m)
         om = addchow.cycle_to_drw(z, m)
         via_drw = addchow.drw_to_milnor_diagonal(om)
-        via_symbol = addchow.cyc_milnor(z, m)
-        if via_drw != via_symbol:
-            return _prop("diagonal-vs-symbol", k + 1, repr(z))
-        if addchow.milnor_to_drw_diagonal(via_drw) != om:
-            return _prop("diagonal-invertible", k + 1, repr(z))
-    return _prop("cycle-class-dictionary", trials)
+        _require(via_drw == addchow.cyc_milnor(z, m), "diagonal-vs-symbol", z)
+        _require(addchow.milnor_to_drw_diagonal(via_drw) == om, "diagonal-invertible", z)
+        yield
 
 
+@_check("tower-compatibility")
 def check_towers(ctx, seed, trials, m_max=6):
     s = Sampler(ctx, seed)
-    for k in range(trials):
+    for _ in range(trials):
         n = s.rng.randint(1, ctx.r + 1)
         m = s.rng.randint(1, m_max - 1)
         mp = s.rng.randint(m + 1, m_max)
         z = s.cycle_gen(n, mp)
-        if not addchow.tower_compat(z, mp, m):
-            return _prop("tower-compatibility", k + 1, repr((z, mp, m)))
-    return _prop("tower-compatibility", trials)
-
+        _require(addchow.tower_compat(z, mp, m), "tower-compatibility", z, mp, m)
+        yield
 
 def _curve_corpus(names, seed, count, m_max=4):
     """Modulus-satisfying parametrized curves with rational boundary.
@@ -529,7 +541,7 @@ def _curve_corpus(names, seed, count, m_max=4):
     base = milnorfield.base_context(ctx, upos)
     u = ctx.var(upos)
     s = Sampler(ctx, seed)
-    lift = lambda c: milnorfield.lift_elem(ctx, c, upos)
+    lift = lambda c: milnorfield.lift_elem(ctx, c)
 
     def ord2(scale):  # ord_0(g - 1) = 2, rational faces at +-1/scale
         return 1 - lift(scale) ** 2 * u ** 2
@@ -591,65 +603,60 @@ def _curve_corpus(names, seed, count, m_max=4):
     return out
 
 
+@_check("boundary-vanishing")
 def check_boundary_vanishing(names, seed, count):
-    corpus = _curve_corpus(names, seed, count)
-    for k, (curve, m) in enumerate(corpus):
+    for curve, m in _curve_corpus(names, seed, count):
         ok, ev = addchow.verify_boundary_vanishing(curve, m)
-        if not ok:
-            return _prop("boundary-vanishing", k + 1, "%r m=%d -> %r" % (curve, m, ev))
-    return _prop("boundary-vanishing", len(corpus))
+        _require(ok, "boundary-vanishing", curve, m, ev)
+        yield
 
 
-def suite_cycle_iso(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
+@_suite("cycle-iso", 300)
+def suite_cycle_iso(seed, trials, names):
     ctx = Context(names)
-    trials = trials or 300
-    props = [check_cycle_dictionary(ctx, seed, trials),
-             check_towers(ctx, seed + 1, max(trials // 3, 100)),
-             check_boundary_vanishing(names, seed + 2, max(trials // 10, 30))]
-    return _report("cycle-iso", props, seed, time.time() - t0)
+    return [check_cycle_dictionary(ctx, seed, trials),
+            check_towers(ctx, seed + 1, max(trials // 3, 100)),
+            check_boundary_vanishing(names, seed + 2, max(trials // 10, 30))]
 
 
 # -- rewriting suite ----------------------------------------------------
 
+@_check("two-entry-identity-both-branches")
 def check_elem_identity(names, seed, trials):
     """The two-entry identity under dlog and boundary realizations,
     both branches."""
     ctx = Context(names)
     s = Sampler(ctx, seed)
-    main = degenerate = 0
-    k = 0
-    while main + degenerate < trials:
-        k += 1
+    done = 0
+    while done < trials:
         a, b = s.nonzero(1), s.nonzero(1)
         sv, tau = s.nonzero(1), s.nonzero(1)
         try:
             lhs, rhs = milnorfield.elem_identity_instance(a, b, sv, tau)
         except (DegenerateBranch, ZeroEntry):
             continue
-        diff = [lhs, rhs.scale(-1)]
-        ok, _ = milnorfield._zero_by_realizations(diff, depth=ctx.r)
-        if not ok:
-            return _prop("two-entry-identity", k, repr((a, b, sv, tau)))
-        main += 1
+        ok, _ = milnorfield._zero_by_realizations([lhs, rhs.scale(-1)], depth=ctx.r)
+        _require(ok, "two-entry-identity", a, b, sv, tau)
+        done += 1
+        yield
         # forced degenerate branch: b t = -1/(as) - 1
-        den = a * sv * tau
-        if den.is_zero():
-            continue
         b2 = (-(a * sv).inv() - 1) / tau
         if b2.is_zero():
             continue
         try:
             milnorfield.elem_identity_instance(a, b2, sv, tau)
-            return _prop("degenerate-branch-detected", k, repr((a, b2, sv, tau)))
         except DegenerateBranch:
-            lhs0 = milnorfield.FieldSymbol(ctx, [1 + a * sv, 1 + b2 * tau])
-            if not milnorfield.dlog_realization([lhs0]).is_zero():
-                return _prop("degenerate-branch-zero", k, repr((a, b2, sv, tau)))
-            degenerate += 1
-    return _prop("two-entry-identity-both-branches", main + degenerate)
+            pass
+        else:
+            _require(False, "degenerate-branch-detected", a, b2, sv, tau)
+        lhs0 = milnorfield.FieldSymbol(ctx, [1 + a * sv, 1 + b2 * tau])
+        _require(milnorfield.dlog_realization([lhs0]).is_zero(),
+                 "degenerate-branch-zero", a, b2, sv, tau)
+        done += 1
+        yield
 
 
+@_check("filtration-rewriting")
 def check_rewrite_filtration(names, seed, trials):
     """Filtration certificates: ord bounds on the leading unit, pi-unit
     residuals, and realization agreement with the input."""
@@ -660,7 +667,7 @@ def check_rewrite_filtration(names, seed, trials):
     v = milnorfield.Valuation.finite(ctx, upos, base.zero)
     s = Sampler(ctx, seed)
     done = 0
-    k = 0
+    k = 0  # attempts, which seed the base-field draws
     while done < trials:
         k += 1
         nentries = s.rng.randint(1, 3)
@@ -670,7 +677,7 @@ def check_rewrite_filtration(names, seed, trials):
         for i in range(nentries):
             mi = s.rng.randint(1, max(1, m - total)) if i < nentries - 1 \
                 else max(1, m - total)
-            ui = milnorfield.lift_elem(ctx, Sampler(base, seed + 31 * k + i).nonzero(1), upos)
+            ui = milnorfield.lift_elem(ctx, Sampler(base, seed + 31 * k + i).nonzero(1))
             if s.rng.random() < 0.3:
                 ui = ui + pi  # a pi-dependent unit of the local ring
             entries.append(1 + ui * pi ** mi)
@@ -682,43 +689,26 @@ def check_rewrite_filtration(names, seed, trials):
             continue
         pairs = milnorfield.rewrite_filtration(sym, m, upos)
         for w, res in pairs:
-            if v.ord(w - 1) < m:
-                return _prop("filtration-ord-bound", k, repr((sym, w)))
-            for e in res.entries:
-                if v.ord(e) != 0:
-                    return _prop("filtration-unit-residuals", k, repr((sym, res)))
+            _require(v.ord(w - 1) >= m, "filtration-ord-bound", sym, w)
+            _require(all(v.ord(e) == 0 for e in res.entries),
+                     "filtration-unit-residuals", sym, res)
         recombined = [milnorfield.FieldSymbol(ctx, (w,) + res.entries, res.coef)
                       for w, res in pairs]
         diff = recombined + [sym.scale(-1)]
-        if not milnorfield.dlog_realization(diff).is_zero():
-            return _prop("filtration-dlog-agreement", k, repr(sym))
-        tdiff = []
-        for t in diff:
-            tdiff.extend(milnorfield.tame_symbol(v, t))
+        _require(milnorfield.dlog_realization(diff).is_zero(),
+                 "filtration-dlog-agreement", sym)
+        tdiff = [term for t in diff for term in milnorfield.tame_symbol(v, t)]
         if tdiff:
             ok, _ = milnorfield._zero_by_realizations(tdiff, depth=base.r)
-            if not ok:
-                return _prop("filtration-tame-agreement", k, repr(sym))
+            _require(ok, "filtration-tame-agreement", sym)
         done += 1
-    return _prop("filtration-rewriting", done)
+        yield
 
 
-def suite_rewriting(seed=0, trials=None, names=("x", "y")):
-    t0 = time.time()
-    trials = trials or 50
-    props = [check_elem_identity(names, seed, trials),
-             check_rewrite_filtration(names, seed + 1, trials)]
-    return _report("rewriting", props, seed, time.time() - t0)
-
-
-SUITES = {
-    "witt": suite_witt,
-    "drw": suite_drw,
-    "relmilnor": suite_relmilnor,
-    "reciprocity": suite_reciprocity,
-    "cycle-iso": suite_cycle_iso,
-    "rewriting": suite_rewriting,
-}
+@_suite("rewriting", 50)
+def suite_rewriting(seed, trials, names):
+    return [check_elem_identity(names, seed, trials),
+            check_rewrite_filtration(names, seed + 1, trials)]
 
 
 def run_suite(name, seed=0, trials=None, names=("x", "y")):

@@ -55,6 +55,17 @@ def test_cyc_generator(capsys):
     assert "(-3/x)*dx" in out and "(-9/(2*x))*dx" in out
 
 
+def test_cyc_checks_the_degree_against_n(capsys):
+    argv = ["cyc", "--m", "2", "--vars", "x", "--gen", "(1-3t; x)"]
+    code, out, err = run(capsys, *argv, "--n", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "symbol degree 2 does not match --n 3"}
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--n", "2")
+    assert code == 0 and out == plain and json.loads(out)["degree"] == 2
+
+
 def test_witt_ops(capsys):
     code, out, _ = run(capsys, "witt", "ghost", "--m", "2", "(3,0)")
     assert code == 0
@@ -90,7 +101,10 @@ def test_verify_is_deterministic(capsys):
     _, out2, _ = run(capsys, "verify", "--suite", "witt", "--trials", "5",
                      "--seed", "9")
     r1, r2 = json.loads(out1), json.loads(out2)
-    r1.pop("elapsed_s"), r2.pop("elapsed_s")
+    for r in (r1, r2):
+        r.pop("elapsed_s")
+        for prop in r["properties"]:
+            assert prop.pop("elapsed_s") >= 0
     assert r1 == r2
 
 

@@ -114,7 +114,7 @@ def test_lift_and_split_match_from_terms(base):
         assert base_context(ctx, upos) == base
         for _ in range(20):
             a = _fraction(base, rng)
-            lifted = lift_elem(ctx, a, upos)
+            lifted = lift_elem(ctx, a)
             assert lifted == old_lift(ctx, a, upos)
             assert type(lifted.den) is type(a.den)
             f = _fraction(ctx, rng) * lifted
@@ -130,7 +130,7 @@ def test_ord_residue_matches_from_terms(base):
     u = ctx.var(upos)
     points = [base.zero, base.rational(-2)] + [_fraction(base, rng) for _ in range(2)]
     for c in points:
-        lin = u - lift_elem(ctx, c, upos)
+        lin = u - lift_elem(ctx, c)
         for _ in range(8):
             f = _fraction(ctx, rng) * lin ** rng.randint(-2, 2)
             for v in (Valuation.finite(ctx, upos, c), Valuation.infinity(ctx, upos)):

@@ -4,9 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittcycles.drw import (DRWForm, drw_F, drw_V, drw_d, drw_mul,
-                            drw_restrict, drw_V_dlog_identity_check,
-                            from_witt, phi, teich_dlog)
+from wittcycles.drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from wittcycles.forms import CanonRelForm, DiffForm, dlog
 from wittcycles.scalars import Context
 from wittcycles.witt import WittVector, teichmuller, verschiebung
@@ -28,13 +26,13 @@ def test_d_of_teichmuller(ctx):
 def test_wedge_square_of_dlog_vanishes(ctx):
     b = ctx.var(0) + 1
     w = teich_dlog(b, 3)
-    assert drw_mul(w, w).is_zero()
+    assert (w * w).is_zero()
 
 
 def test_restrict(ctx):
     comps = [dlog(ctx.var(0)).scale(j) for j in range(1, 5)]
     a = DRWForm(ctx, 1, 4, comps)
-    assert drw_restrict(a, 2).comps == tuple(comps[:2])
+    assert a.restrict(2).comps == tuple(comps[:2])
 
 
 def test_frobenius_of_d_teichmuller(ctx):
@@ -73,9 +71,9 @@ def test_v_dlog_identity_instances(ctx):
     a3 = WittVector(ctx, 2, [ctx.var(1) + 1, ctx.var(0)])
     a4 = WittVector(ctx, 3, [ctx.var(0), ctx.one, ctx.var(1)])
     bs = [ctx.var(0), ctx.var(1) + 3]
-    assert drw_V_dlog_identity_check(a2, bs, 2, 4)
-    assert drw_V_dlog_identity_check(a3, bs[:1], 3, 6)
-    assert drw_V_dlog_identity_check(a4, bs, 2, 6)
+    # V_s(a dlog-terms) = V_s(a) dlog-terms
+    for a, terms, s, level in [(a2, bs, 2, 4), (a3, bs[:1], 3, 6), (a4, bs, 2, 6)]:
+        assert drw_V(s, phi(a, terms), level) == phi(verschiebung(s, a, level), terms)
 
 
 def test_fdv_and_projection(ctx):
@@ -84,15 +82,15 @@ def test_fdv_and_projection(ctx):
     be = DRWForm(ctx, 1, 4, [dlog(y).scale(j) for j in range(1, 5)])
     x0 = DRWForm(ctx, 0, 2, [DiffForm.scalar(x), DiffForm.scalar(y)])
     assert drw_F(2, drw_d(drw_V(2, al, 4))) == drw_d(al)
-    assert drw_V(2, drw_mul(x0, drw_F(2, be)), 4) == drw_mul(drw_V(2, x0, 4), be)
+    assert drw_V(2, x0 * drw_F(2, be), 4) == drw_V(2, x0, 4) * be
 
 
 def test_leibniz_instance(ctx):
     x, y = ctx.gens()
     ga = DRWForm(ctx, 1, 2, [dlog(x), dlog(y)])
     be = DRWForm(ctx, 0, 2, [DiffForm.scalar(x * y), DiffForm.scalar(x + y)])
-    lhs = drw_d(drw_mul(ga, be))
-    rhs = drw_mul(drw_d(ga), be) + drw_mul(ga, drw_d(be)).scale(-1)
+    lhs = drw_d(ga * be)
+    rhs = drw_d(ga) * be + (ga * drw_d(be)).scale(-1)
     assert lhs == rhs
 
 
@@ -102,7 +100,7 @@ def test_restriction_kernel_is_v_image(ctx):
     m = 2
     top = dlog(x)
     ker = DRWForm(ctx, 1, m + 1, [DiffForm.zero(ctx, 1)] * m + [top])
-    assert drw_restrict(ker, m).is_zero()
+    assert ker.restrict(m).is_zero()
     preimage = DRWForm(ctx, 1, 1, [top.scale(Fraction(1, m + 1))])
     assert drw_V(m + 1, preimage, m + 1) == ker
 

@@ -41,7 +41,7 @@ def test_tame_symbol_values(ctx):
     bx, by = base.gens()
     v0 = Valuation.finite(ctx, UPOS, base.zero)
     # uniformizer against a unit: residue survives
-    res = tame_symbol(v0, FieldSymbol(ctx, [u, lift_elem(ctx, bx + by, UPOS)]))
+    res = tame_symbol(v0, FieldSymbol(ctx, [u, lift_elem(ctx, bx + by)]))
     assert len(res) == 1 and res[0].entries == (bx + by,) and res[0].coef == 1
     # two units: nothing
     assert tame_symbol(v0, FieldSymbol(ctx, [1 + u * x, x + u])) == []
@@ -54,7 +54,7 @@ def test_tame_symbol_values(ctx):
     assert len(res) == 1 and res[0].entries == (base.rational(-1),)
     assert res[0].coef == 1
     # degree-1 symbol drops to a bare multiplicity
-    res = tame_symbol(v0, FieldSymbol(ctx, [u * u * lift_elem(ctx, bx, UPOS)]))
+    res = tame_symbol(v0, FieldSymbol(ctx, [u * u * lift_elem(ctx, bx)]))
     assert len(res) == 1 and res[0].entries == () and res[0].coef == 2
 
 
@@ -68,7 +68,7 @@ def test_gersten_boundary(ctx):
     assert totals[("fin", base.zero)] == 1 and totals[("inf",)] == -1
     # {u^2, x}: 2{x} at (u), -2{x} at infinity
     bnd, nonrat = gersten_boundary(
-        FieldSymbol(ctx, [u * u, lift_elem(ctx, bx, UPOS)]), UPOS)
+        FieldSymbol(ctx, [u * u, lift_elem(ctx, bx)]), UPOS)
     per = {v.key(): parts for v, parts in bnd}
     assert sum(t.coef for t in per[("fin", base.zero)] if t.entries == (bx,)) == 2
     assert sum(t.coef for t in per[("inf",)] if t.entries == (bx,)) == -2
@@ -80,7 +80,7 @@ def test_gersten_boundary(ctx):
 def test_weil_reciprocity(ctx):
     x, y, u = ctx.gens()
     base = base_context(ctx, UPOS)
-    c = lift_elem(ctx, base.var(0) + base.var(1), UPOS)
+    c = lift_elem(ctx, base.var(0) + base.var(1))
     ok, ev = weil_reciprocity_check(FieldSymbol(ctx, [u, c]), UPOS)
     assert ok, ev
     ok, ev = weil_reciprocity_check(FieldSymbol(ctx, [u, 1 - u]), UPOS)
