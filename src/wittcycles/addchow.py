@@ -179,13 +179,10 @@ def boundary(curve: ParamCurve, m: int):
     CycleGen, cutting the curve at the rational zeros and poles of each
     cube coordinate with multiplicity ord_c(g_i)."""
     ctx, upos, n = curve.ctx, curve.upos, curve.degree
-    points, include_inf, nonrational = _rational_support(ctx, curve.gs[1:], upos)
+    vals, nonrational = _rational_support(ctx, curve.gs[1:], upos)
     if nonrational:
         raise NonRationalBoundary("cube coordinates vanish outside rational "
                                   "points: %s" % nonrational)
-    vals = [Valuation.finite(ctx, upos, c) for c in points]
-    if include_inf:
-        vals.append(Valuation.infinity(ctx, upos))
     out = []
     one = base_context(ctx, upos).one
     for v in vals:
@@ -215,60 +212,22 @@ def boundary(curve: ParamCurve, m: int):
     return out
 
 
-def _factor_multiplicity(poly, fac):
-    """Multiplicity of the irreducible polynomial fac in poly."""
-    k = 0
-    while poly:
-        q, r = divmod(poly, fac)
-        if r:
-            break
-        k += 1
-        poly = q
-    return k
-
-
-def _ord_at_factor(g: FieldElem, fac) -> int:
-    """ord of g at the closed point cut out by the irreducible fac; exact
-    for any closed point, rational or not, since only factor
-    multiplicities enter."""
-    return (_factor_multiplicity(g.num, fac)
-            - _factor_multiplicity(g.den_poly(), fac))
-
-
-def _ord_at_infinity(g: FieldElem, upos) -> int:
-    """ord of g at u = infinity: deg_u(den) - deg_u(num)."""
-    return g.den_poly().degree(upos) - g.num.degree(upos)
-
-
 def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
     """The modulus inequality at every zero of the t-coordinate (closed
     points of any degree, infinity included):
     sum_i ord_c(g_i - 1) >= (m+1) * ord_c(g_0)."""
     ctx, upos = curve.ctx, curve.upos
-    one = ctx.one
     g0 = curve.gs[0]
-    checks = []
+    diffs = [g - ctx.one for g in curve.gs[1:]]
+    if any(d.is_zero() for d in diffs):
+        return True  # some g_i = 1 identically: ord infinite, holds
     _, factors = g0.num.factor_list()
-    for fac, mult in factors:
-        if fac.degree(upos) == 0:
-            continue
-        # numerator and denominator are coprime, so ord(g_0) here = mult
-        ords = []
-        for g in curve.gs[1:]:
-            diff = g - one
-            ords.append(None if diff.is_zero() else _ord_at_factor(diff, fac))
-        checks.append((mult, ords))
-    d0_inf = _ord_at_infinity(g0, upos)
-    if d0_inf > 0:
-        ords = []
-        for g in curve.gs[1:]:
-            diff = g - one
-            ords.append(None if diff.is_zero() else _ord_at_infinity(diff, upos))
-        checks.append((d0_inf, ords))
-    for d0, ords in checks:
-        if any(o is None for o in ords):
-            continue  # some g_i = 1 identically: ord infinite, holds
-        if sum(ords) < (m + 1) * d0:
+    vals = [Valuation.closed(ctx, upos, fac) for fac, _mult in factors
+            if fac.degree(upos) > 0]
+    vals.append(Valuation.infinity(ctx, upos))
+    for v in vals:
+        d0 = v.ord(g0)
+        if d0 > 0 and sum(v.ord(d) for d in diffs) < (m + 1) * d0:
             return False
     return True
 

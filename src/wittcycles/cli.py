@@ -43,6 +43,8 @@ def _parse_coef(text, ring):
     text = text.strip()
     if "/" in text:
         p, q = text.split("/")
+        if not int(q):
+            raise ParseError("coefficient %s has denominator 0" % text)
         coef = Fraction(int(p), int(q))
     else:
         coef = Fraction(int(text))
@@ -139,13 +141,17 @@ def cmd_cyc(args):
 
 
 def cmd_witt(args):
+    op = args.subop
+    want = 2 if op in ("add", "mul") else 1
+    if len(args.args) != want:
+        raise ParseError("witt %s takes %d tuple%s, got %d"
+                         % (op, want, "s" if want > 1 else "", len(args.args)))
     ctx = _context(args)
     tuples = [parse_tuple(ctx, t) for t in args.args]
-    op = args.subop
 
-    def vec(i=0, level=None):
+    def vec(i=0):
         coords = tuples[i]
-        level = level or args.m or len(coords)
+        level = len(coords) if args.m is None else args.m
         if len(coords) != level:
             raise ParseError("expected %d coordinates, got %d" % (level, len(coords)))
         return witt.WittVector(ctx, level, coords)
@@ -189,7 +195,7 @@ def cmd_witt(args):
 def cmd_drw(args):
     ctx = _context(args)
     coords = parse_tuple(ctx, args.witt)
-    level = args.m or len(coords)
+    level = len(coords) if args.m is None else args.m
     if len(coords) != level:
         raise ParseError("expected %d coordinates, got %d" % (level, len(coords)))
     a = witt.WittVector(ctx, level, coords)
@@ -201,7 +207,8 @@ def cmd_drw(args):
     elif op == "d":
         out = drw.drw_d(form)
     elif op == "v":
-        out = drw.drw_V(args.s, form, args.level or args.s * form.level)
+        level = args.s * form.level if args.level is None else args.level
+        out = drw.drw_V(args.s, form, level)
     elif op == "f":
         out = drw.drw_F(args.s, form)
     elif op == "restrict":
@@ -244,19 +251,22 @@ def build_parser():
     def common(p, m_default=None):
         p.add_argument("--vars", default="x", help="comma-separated variable names")
         p.add_argument("--m", type=int, default=m_default, help="truncation level")
+        p.add_argument("--pretty", action="store_true")
+
+    def class_options(p):
+        common(p, m_default=1)
         p.add_argument("--n", type=int, default=None, help="expected degree")
         p.add_argument("--coeff", choices=("z", "q"), default="q",
                        help="coefficient ring for symbol scalars")
-        p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("nf", help="normal form of a relative symbol sum")
-    common(p, m_default=1)
+    class_options(p)
     p.add_argument("--symbol", action="append", required=True,
                    help='e.g. "{1+t, x}" or "3*{1+t, x}"; repeatable')
     p.set_defaults(fn=cmd_nf)
 
     p = sub.add_parser("cyc", help="Milnor class of 0-cycle generators")
-    common(p, m_default=1)
+    class_options(p)
     p.add_argument("--gen", action="append", required=True,
                    help='e.g. "(1-3t; x)"; repeatable')
     p.set_defaults(fn=cmd_cyc)

@@ -13,8 +13,12 @@ and the filtration rewriting that moves any symbol with
 sum ord(y_i - 1) >= m into (1 + pi^m R) K^M_n(F).
 
 A designated variable of the context plays the role of u (or of the
-uniformizer pi); valuations are the finite rational points u = c, the
-point at infinity, and the pi-adic one (the finite point c = 0).
+uniformizer pi).  A valuation is a closed point of the u-line, cut out by
+an irreducible integer polynomial, or the point at infinity; the pi-adic
+valuation is the rational point c = 0.  Orders are counted by exact
+division by the point's polynomial, at closed points of any degree.
+Residues exist only at the rational points u = c and at infinity, where
+the residue field is F.
 """
 
 from __future__ import annotations
@@ -40,62 +44,6 @@ def lift_elem(ctx: Context, a: FieldElem) -> FieldElem:
     which keeps num and den coprime and the leading coefficient of den."""
     den = a.den if type(a.den) is int else a.den.set_ring(ctx.ring)
     return FieldElem(ctx, a.num.set_ring(ctx.ring), den)
-
-
-class UPoly:
-    """A polynomial in the designated variable with coefficients in the
-    base field, used for exact valuation arithmetic."""
-
-    __slots__ = ("base", "coeffs")
-
-    def __init__(self, base, coeffs):
-        self.base = base
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-
-    @classmethod
-    def from_poly(cls, base, poly, upos):
-        return cls(base, base.split(poly, upos))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else -1
-
-    def eval(self, c: FieldElem) -> FieldElem:
-        total = self.base.zero
-        for e in range(self.degree(), -1, -1):
-            total = total * c + self.coeffs.get(e, self.base.zero)
-        return total
-
-    def div_linear(self, c: FieldElem):
-        """Quotient and remainder on synthetic division by (u - c)."""
-        d = self.degree()
-        if d < 0:
-            return UPoly(self.base, {}), self.base.zero
-        q = {}
-        acc = self.coeffs.get(d, self.base.zero)
-        for e in range(d, 0, -1):
-            q[e - 1] = acc
-            acc = acc * c + self.coeffs.get(e - 1, self.base.zero)
-        return UPoly(self.base, q), acc
-
-    def root_multiplicity(self, c: FieldElem):
-        """(k, stripped) with self = (u-c)^k * stripped, stripped(c) != 0."""
-        k = 0
-        cur = self
-        while not cur.is_zero():
-            q, rem = cur.div_linear(c)
-            if not rem.is_zero():
-                break
-            k += 1
-            cur = q
-        return k, cur
-
-    def reversed(self):
-        """Coefficient reversal by the exact degree: v^deg * self(1/v)."""
-        d = self.degree()
-        return UPoly(self.base, {d - e: c for e, c in self.coeffs.items()})
 
 
 # -- symbols and valuations ---------------------------------------------
@@ -153,60 +101,104 @@ def collect_terms(terms):
 
 
 class Valuation:
-    """A rational discrete valuation of F(u) over F: the finite point
-    u = c (with c = 0 doubling as the pi-adic valuation of the local ring
-    at the designated variable) or the point at infinity."""
+    """A discrete valuation of F(u) trivial on F: a closed point of the
+    u-line, cut out by a primitive irreducible integer polynomial fac,
+    or the point at infinity (fac None).  ord works at closed points of
+    any degree.  The residue exists only where the residue field is F: at
+    infinity and at the rational points u = c, where fac is linear in u
+    with root c, such as q*u - p for c = p/q (c = 0 doubles as the pi-adic
+    valuation of the local ring at the designated variable)."""
 
-    __slots__ = ("ctx", "upos", "kind", "point", "base")
+    __slots__ = ("ctx", "upos", "base", "fac", "point")
 
-    def __init__(self, ctx, upos, kind, point=None):
-        if kind not in ("finite", "infinity"):
-            raise ValueError("unknown valuation kind %r" % kind)
+    def __init__(self, ctx, upos, fac=None, point=None):
         self.ctx = ctx
         self.upos = upos
-        self.kind = kind
         self.base = base_context(ctx, upos)
-        if kind == "finite":
-            point = self.base.elem(point)
-            if not point.ctx == self.base:
-                raise NonRationalPoint("point must lie in the base field")
+        self.fac = fac
         self.point = point
 
     @classmethod
     def finite(cls, ctx, upos, c):
-        return cls(ctx, upos, "finite", c)
+        """The rational point u = c for c in the base field."""
+        c = base_context(ctx, upos).elem(c)
+        ring = ctx.ring
+        fac = c.den_poly().set_ring(ring) * ctx.var(upos).num - c.num.set_ring(ring)
+        return cls(ctx, upos, fac, c)
+
+    @classmethod
+    def closed(cls, ctx, upos, fac):
+        """The closed point cut out by fac, an irreducible primitive
+        polynomial of ctx.ring of positive degree in u."""
+        return cls(ctx, upos, fac)
 
     @classmethod
     def infinity(cls, ctx, upos):
-        return cls(ctx, upos, "infinity")
+        return cls(ctx, upos)
 
     def key(self):
-        return ("inf",) if self.kind == "infinity" else ("fin", self.point)
+        if self.fac is None:
+            return ("inf",)
+        return ("fin", self.fac if self.point is None else self.point)
 
     def __repr__(self):
         u = self.ctx.names[self.upos]
-        if self.kind == "infinity":
+        if self.fac is None:
             return "(%s = infinity)" % u
+        if self.point is None:
+            return "(%s = 0)" % self.fac
         return "(%s = %s)" % (u, self.point)
 
-    def ord_residue(self, f: FieldElem):
-        """(ord(f), residue of the unit part f * uniformizer^(-ord))."""
+    def _strip(self, poly):
+        """(k, poly / fac^k) with fac^k the largest power dividing poly;
+        a polynomial of lower degree in u than fac is not divisible."""
+        k = 0
+        d = self.fac.degree(self.upos)
+        while poly.degree(self.upos) >= d:
+            q, r = divmod(poly, self.fac)
+            if r:
+                break
+            k += 1
+            poly = q
+        return k, poly
+
+    def _parts(self, f):
         self.ctx.check(f.ctx)
         if f.is_zero():
             raise ZeroEntry("valuation of zero")
-        num = UPoly.from_poly(self.base, f.num, self.upos)
-        den = UPoly.from_poly(self.base, f.den_poly(), self.upos)
-        if self.kind == "infinity":
-            ord_ = den.degree() - num.degree()
-            residue = num.reversed().eval(self.base.zero) / den.reversed().eval(self.base.zero)
-            return ord_, residue
-        c = self.point
-        a, num = num.root_multiplicity(c)
-        b, den = den.root_multiplicity(c)
-        return a - b, num.eval(c) / den.eval(c)
+        return f.num, f.den_poly()
 
     def ord(self, f: FieldElem) -> int:
-        return self.ord_residue(f)[0]
+        num, den = self._parts(f)
+        if self.fac is None:
+            return den.degree(self.upos) - num.degree(self.upos)
+        return self._strip(num)[0] - self._strip(den)[0]
+
+    def ord_residue(self, f: FieldElem):
+        """(ord(f), residue of the unit part f * uniformizer^(-ord)), the
+        uniformizer being u - c, or 1/u at infinity."""
+        num, den = self._parts(f)
+        base, upos = self.base, self.upos
+        if self.fac is None:
+            dn, dd = num.degree(upos), den.degree(upos)
+            return dd - dn, base.split(num, upos)[dn] / base.split(den, upos)[dd]
+        if self.point is None:
+            raise NonRationalPoint("no residue at the non-rational point %s" % self)
+        a, num = self._strip(num)
+        b, den = self._strip(den)
+        residue = self._eval(num) / self._eval(den)
+        if a != b:
+            # fac = lead * (u - c), so fac^k contributes lead^k
+            residue = residue * base.split(self.fac, upos)[1] ** (a - b)
+        return a - b, residue
+
+    def _eval(self, poly):
+        """poly at u = c, by Horner's rule over its coefficients in u."""
+        coeffs = self.base.split(poly, self.upos)
+        total = self.base.zero
+        for e in range(max(coeffs), -1, -1):
+            total = total * self.point + coeffs.get(e, self.base.zero)
+        return total
 
 
 def dlog_realization(terms) -> DiffForm:
@@ -262,30 +254,27 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
 
 
 def _rational_support(ctx, values, upos):
-    """The rational points c of the u-line where some value has a zero or
-    a pole, in first-seen order; whether infinity is among them; and the
-    non-rational factors."""
+    """The valuations at the rational points of the u-line where some
+    value has a zero or a pole, in first-seen order, then at infinity if
+    some value has a zero or a pole there; and the non-rational factors."""
     base = base_context(ctx, upos)
     points = {}
     nonrational = []
-    include_inf = False
     for y in values:
-        num, den = y.num, y.den_poly()
-        if num.degree(upos) != den.degree(upos):
-            include_inf = True
-        for poly in (num, den):
+        for poly in (y.num, y.den_poly()):
             _, factors = poly.factor_list()
             for fac, _mult in factors:
-                fu = UPoly.from_poly(base, fac, upos)
-                d = fu.degree()
-                if d == 0:
-                    continue
+                d = fac.degree(upos)
                 if d == 1:
-                    c = -fu.coeffs.get(0, base.zero) / fu.coeffs[1]
-                    points.setdefault(("fin", c), c)
-                else:
+                    coeffs = base.split(fac, upos)
+                    points.setdefault(-coeffs.get(0, base.zero) / coeffs[1], fac)
+                elif d > 1:
                     nonrational.append(str(fac))
-    return list(points.values()), include_inf, nonrational
+    vals = [Valuation(ctx, upos, fac, c) for c, fac in points.items()]
+    inf = Valuation.infinity(ctx, upos)
+    if any(inf.ord(y) for y in values):
+        vals.append(inf)
+    return vals, nonrational
 
 
 def gersten_boundary(terms, upos):
@@ -295,25 +284,16 @@ def gersten_boundary(terms, upos):
     if isinstance(terms, FieldSymbol):
         terms = [terms]
     terms = list(terms)
-    ctx = terms[0].ctx
-    points, include_inf, nonrational = _rational_support(
-        ctx, [y for sym in terms for y in sym.entries], upos)
-    out = []
-    for c in points:
-        v = Valuation.finite(ctx, upos, c)
-        parts = []
-        for sym in terms:
-            parts.extend(tame_symbol(v, sym))
-        if parts:
-            out.append((v, parts))
+    vals, nonrational = _rational_support(
+        terms[0].ctx, [y for sym in terms for y in sym.entries], upos)
     # with non-rational support the point enumeration is incomplete, so
     # only the sound finite rational points are returned and infinity is
     # left out; individual values remain available via tame_symbol
-    if include_inf and not nonrational:
-        v = Valuation.infinity(ctx, upos)
-        parts = []
-        for sym in terms:
-            parts.extend(tame_symbol(v, sym))
+    if nonrational:
+        vals = [v for v in vals if v.fac is not None]
+    out = []
+    for v in vals:
+        parts = [part for sym in terms for part in tame_symbol(v, sym)]
         if parts:
             out.append((v, parts))
     return out, nonrational

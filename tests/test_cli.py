@@ -122,3 +122,48 @@ def test_nesting_100_deep_parses(capsys):
                        "--symbol", "{%s, x}" % nested)
     _, flat, _ = run(capsys, "nf", "--m", "1", "--vars", "x", "--symbol", "{1+t, x}")
     assert code == 0 and out == flat
+
+
+@pytest.mark.parametrize("argv", [
+    ["drw", "phi", "--vars", "x", "--witt", "(3,0)", "--bs", "x", "--n", "5"],
+    ["drw", "phi", "--vars", "x", "--witt", "(3,0)", "--bs", "x", "--coeff", "z"],
+    ["witt", "ghost", "--m", "2", "--n", "1", "(3,0)"],
+    ["witt", "ghost", "--m", "2", "--coeff", "q", "(3,0)"],
+])
+def test_witt_and_drw_take_no_class_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_zero_denominator_coefficient_exits_2(capsys):
+    for argv in (["nf", "--vars", "x", "--symbol", "1/0*{1+t, x}"],
+                 ["cyc", "--vars", "x", "--gen", "1/0*(1-3t; x)"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": "coefficient 1/0 has denominator 0"}
+
+
+@pytest.mark.parametrize("subop, tuples, want", [
+    ("add", ["(1,2)"], "witt add takes 2 tuples, got 1"),
+    ("mul", ["(1,2)", "(3,4)", "(5,6)"], "witt mul takes 2 tuples, got 3"),
+    ("ghost", ["(1,2)", "(3,4)"], "witt ghost takes 1 tuple, got 2"),
+    ("gamma-inv", ["(1,2)", "(3,4)"], "witt gamma-inv takes 1 tuple, got 2"),
+])
+def test_witt_tuple_count(capsys, subop, tuples, want):
+    code, out, err = run(capsys, "witt", subop, *tuples)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": want}
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "ghost", "--m", "0", "(1,2)"],
+    ["drw", "phi", "--m", "0", "--witt", "(3,0)", "--bs", "x"],
+    ["drw", "v", "--level", "0", "--witt", "(3,0)", "--bs", "x"],
+])
+def test_level_zero_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)

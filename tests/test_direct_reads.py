@@ -2,7 +2,10 @@
 
 Each direct read is checked here against the route it replaced, written
 out below: convert to sympy's FracField with ``frac``, take the terms of
-``numer``/``denom`` and rebuild them with ``Context.from_terms``.  The
+``numer``/``denom`` and rebuild them with ``Context.from_terms``.
+Valuations are checked against the two order routes they replaced:
+synthetic division by (u - c) over the base field (``UPoly``) and the
+factor-multiplicity loop on the FracField numerator and denominator.  The
 last test pins that only ``scalars`` knows that bridge."""
 
 import random
@@ -12,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from wittcycles.addchow import (ParamCurve, _factor_multiplicity,
-                                _ord_at_factor, boundary, modulus_check_curve)
-from wittcycles.errors import DivisionByZero, NonRationalBoundary, ParseError
-from wittcycles.milnorfield import (FieldSymbol, UPoly, Valuation,
+from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
+from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
+                               NonRationalPoint, ParseError)
+from wittcycles.milnorfield import (FieldSymbol, Valuation, _rational_support,
                                     base_context, gersten_boundary, lift_elem)
 from wittcycles.scalars import Context, parse_elem
 from wittcycles.trunc import TruncElem, parse_trunc
@@ -40,10 +43,58 @@ def old_split(base, poly, upos):
     return {e: base.from_terms(ts) for e, ts in buckets.items()}
 
 
+class UPoly:
+    """A polynomial in u with base-field coefficients: the synthetic
+    division route that valuations used before they divided by the
+    point's integer polynomial."""
+
+    def __init__(self, base, coeffs):
+        self.base = base
+        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+
+    def degree(self):
+        return max(self.coeffs) if self.coeffs else -1
+
+    def eval(self, c):
+        total = self.base.zero
+        for e in range(self.degree(), -1, -1):
+            total = total * c + self.coeffs.get(e, self.base.zero)
+        return total
+
+    def div_linear(self, c):
+        """Quotient and remainder on synthetic division by (u - c)."""
+        d = self.degree()
+        if d < 0:
+            return UPoly(self.base, {}), self.base.zero
+        q = {}
+        acc = self.coeffs.get(d, self.base.zero)
+        for e in range(d, 0, -1):
+            q[e - 1] = acc
+            acc = acc * c + self.coeffs.get(e - 1, self.base.zero)
+        return UPoly(self.base, q), acc
+
+    def root_multiplicity(self, c):
+        """(k, stripped) with self = (u-c)^k * stripped, stripped(c) != 0."""
+        k = 0
+        cur = self
+        while cur.coeffs:
+            q, rem = cur.div_linear(c)
+            if not rem.is_zero():
+                break
+            k += 1
+            cur = q
+        return k, cur
+
+    def reversed(self):
+        """Coefficient reversal by the exact degree: v^deg * self(1/v)."""
+        d = self.degree()
+        return UPoly(self.base, {d - e: c for e, c in self.coeffs.items()})
+
+
 def old_ord_residue(v, f):
     num = UPoly(v.base, old_split(v.base, f.frac.numer, v.upos))
     den = UPoly(v.base, old_split(v.base, f.frac.denom, v.upos))
-    if v.kind == "infinity":
+    if v.fac is None:
         zero = v.base.zero
         return (den.degree() - num.degree(),
                 num.reversed().eval(zero) / den.reversed().eval(zero))
@@ -65,6 +116,18 @@ def old_parse_trunc(ctx, level, text):
         if e <= level:
             coeffs[e] = coeffs[e] + ctx.from_terms([(mon[:tpos], coef)]) / den
     return TruncElem(ctx, level, coeffs)
+
+
+def _factor_multiplicity(poly, fac):
+    """Multiplicity of the irreducible polynomial fac in poly."""
+    k = 0
+    while poly:
+        q, r = divmod(poly, fac)
+        if r:
+            break
+        k += 1
+        poly = q
+    return k
 
 
 def old_ord_at_factor(g, fac):
@@ -137,6 +200,55 @@ def test_ord_residue_matches_from_terms(base):
                 assert v.ord_residue(f) == old_ord_residue(v, f)
 
 
+@pytest.mark.parametrize("base", BASES[1:], ids=repr)
+def test_valuation_matches_synthetic_division(base):
+    """ord and ord_residue divide by the point's integer polynomial; the
+    reference strips (u - c) by synthetic division over the base field.
+    Points with a denominator (x/2 and the fraction tier) need the q^ord
+    factor of the residue, and multiplicities from -3 to 3 put repeated
+    factors in the numerator and in the denominator."""
+    rng = random.Random(4242 + base.r)
+    upos = 1
+    ctx = Context(base.names[:1] + ("u",) + base.names[1:])
+    u, x = ctx.var(upos), ctx.var(0)
+    bx = base.var(0)
+    points = [base.zero, base.rational(-2), bx / 2, _fraction(base, rng)]
+    inf = Valuation.infinity(ctx, upos)
+    for c in points:
+        v = Valuation.finite(ctx, upos, c)
+        lin = u - lift_elem(ctx, c)
+        for k in (-3, -2, 2, 3, rng.randint(-1, 1)):
+            for _ in range(3):
+                g = _fraction(ctx, rng)
+                f = g * lin ** k
+                want = old_ord_residue(v, f)
+                assert want[0] == k + old_ord_residue(v, g)[0]
+                assert v.ord_residue(f) == want and v.ord(f) == want[0]
+                assert inf.ord_residue(f) == old_ord_residue(inf, f)
+                assert inf.ord(f) == inf.ord_residue(f)[0]
+    # the support's valuations carry the factor as sympy returns it, here
+    # with a negative or non-unit coefficient of u; the residue takes that
+    # coefficient to the power ord
+    lines = [x - 2 * u, 3 * u + x * x, 1 - u]
+    vals, _ = _rational_support(ctx, [lines[0] ** 3 / (lines[1] * lines[2]) ** 2], upos)
+    assert len(vals) == 4 and vals[-1].fac is None
+    for v in vals:
+        for k in (-2, -1, 1, 2):
+            f = _fraction(ctx, rng) * lines[k % 3] ** k
+            assert v.ord_residue(f) == old_ord_residue(v, f)
+    # a closed point of degree 2: ord only, counted against the reference
+    # multiplicity loop on the FracField numerator and denominator
+    quad = 2 * u ** 2 - x
+    v = Valuation.closed(ctx, upos, quad.num)
+    (qfac, _), = quad.frac.numer.factor_list()[1]
+    for k in (-3, -2, 2, 3):
+        g = _fraction(ctx, rng)
+        f = g * quad ** k
+        assert v.ord(f) == old_ord_at_factor(f, qfac) == k + old_ord_at_factor(g, qfac)
+    with pytest.raises(NonRationalPoint):
+        v.ord_residue(quad)
+
+
 @pytest.mark.parametrize("names", [(), ("x",), ("x", "y")])
 def test_parse_trunc_matches_from_terms(names):
     ctx = Context(names)
@@ -178,9 +290,11 @@ def test_non_monic_factor_orders(ectx):
     zfac = (2 * u - x).num
     (qfac, mult), = [(f, k) for f, k in (u - x / 2).frac.numer.factor_list()[1]]
     assert mult == 1
-    assert _ord_at_factor(upper, zfac) == old_ord_at_factor(upper, qfac) == 2
-    assert _ord_at_factor(lower, zfac) == old_ord_at_factor(lower, qfac) == -2
-    assert _ord_at_factor(upper / lower, zfac) == 4
+    v = Valuation.closed(ectx, 2, zfac)
+    assert v.ord(upper) == old_ord_at_factor(upper, qfac) == 2
+    assert v.ord(lower) == old_ord_at_factor(lower, qfac) == -2
+    assert v.ord(upper / lower) == 4
+    assert Valuation.finite(ectx, 2, base_context(ectx, 2).var(0) / 2).ord(upper) == 2
 
 
 def test_modulus_check_with_non_monic_factor(ectx):
