@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
-from .milnorfield import Valuation, _rational_support, base_context
+from .milnorfield import Valuation, _rational_support
 from .relmilnor import RelMilnorClass, RelSymbol, normal_form, restrict_class
-from .scalars import FieldElem
+from .scalars import FieldElem, fraction_text, parse_fraction
 from .trunc import TruncElem
 from .witt import log_ghost
 from .drw import DRWForm, ghost_dlog
@@ -84,14 +84,13 @@ class CycleGen:
     def to_json(self):
         return {"f": [c.to_json() for c in self.f],
                 "bs": [b.to_json() for b in self.bs],
-                "coef": "%s/%s" % (self.coef.numerator, self.coef.denominator)}
+                "coef": fraction_text(self.coef)}
 
     @classmethod
     def from_json(cls, ctx, data):
-        p, q = data["coef"].split("/")
         return cls([FieldElem.from_json(ctx, c) for c in data["f"]],
                    [FieldElem.from_json(ctx, b) for b in data["bs"]],
-                   Fraction(int(p), int(q)))
+                   parse_fraction(data["coef"]))
 
 
 def _as_sum(zs):
@@ -184,7 +183,7 @@ def boundary(curve: ParamCurve, m: int):
         raise NonRationalBoundary("cube coordinates vanish outside rational "
                                   "points: %s" % nonrational)
     out = []
-    one = base_context(ctx, upos).one
+    one = ctx.drop(upos).one
     for v in vals:
         data = [v.ord_residue(g) for g in curve.gs]
         hot = [i for i in range(1, n + 1) if data[i][0] != 0]
@@ -222,7 +221,7 @@ def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
     if any(d.is_zero() for d in diffs):
         return True  # some g_i = 1 identically: ord infinite, holds
     _, factors = g0.num.factor_list()
-    vals = [Valuation.closed(ctx, upos, fac) for fac, _mult in factors
+    vals = [Valuation(ctx, upos, fac) for fac, _mult in factors
             if fac.degree(upos) > 0]
     vals.append(Valuation.infinity(ctx, upos))
     for v in vals:

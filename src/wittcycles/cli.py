@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import addchow, drw, relmilnor, verify, witt
 from .errors import ParseError, WittCyclesError
-from .scalars import Context, parse_elem
+from .scalars import Context, parse_elem, parse_fraction
 from .trunc import TruncElem, parse_trunc
 
 
@@ -40,14 +40,7 @@ def _split_top(text, sep):
 
 
 def _parse_coef(text, ring):
-    text = text.strip()
-    if "/" in text:
-        p, q = text.split("/")
-        if not int(q):
-            raise ParseError("coefficient %s has denominator 0" % text)
-        coef = Fraction(int(p), int(q))
-    else:
-        coef = Fraction(int(text))
+    coef = parse_fraction(text)
     if ring == "z" and coef.denominator != 1:
         raise ParseError("coefficient %s is not an integer (--coeff z)" % coef)
     return coef
@@ -109,6 +102,15 @@ def _context(args):
     return Context(names)
 
 
+def _coordinate_tuples(ctx, texts, m, extra=0):
+    """The parsed tuples; with m given, each must have m + extra entries."""
+    tuples = [parse_tuple(ctx, text) for text in texts]
+    for coords in tuples:
+        if m is not None and len(coords) != m + extra:
+            raise ParseError("expected %d coordinates, got %d" % (m + extra, len(coords)))
+    return tuples
+
+
 def _emit(payload):
     print(json.dumps(payload, default=str))
 
@@ -147,44 +149,34 @@ def cmd_witt(args):
         raise ParseError("witt %s takes %d tuple%s, got %d"
                          % (op, want, "s" if want > 1 else "", len(args.args)))
     ctx = _context(args)
-    tuples = [parse_tuple(ctx, t) for t in args.args]
+    # gamma-inv reads the m + 1 coefficients of a truncated polynomial
+    tuples = _coordinate_tuples(ctx, args.args, args.m, 1 if op == "gamma-inv" else 0)
 
     def vec(i=0):
-        coords = tuples[i]
-        level = len(coords) if args.m is None else args.m
-        if len(coords) != level:
-            raise ParseError("expected %d coordinates, got %d" % (level, len(coords)))
-        return witt.WittVector(ctx, level, coords)
+        return witt.WittVector(ctx, len(tuples[i]), tuples[i])
 
-    if op in ("add", "mul"):
-        a, b = vec(0), vec(1)
-        out = a + b if op == "add" else a * b
-        payload = out.to_json()
-        text = repr(out)
-    elif op == "ghost":
+    coords = tuples[0]
+    if op == "ghost":
         g = witt.ghost(vec())
-        payload = {"ghost": [c.to_json() for c in g.comps]}
-        text = repr(g)
-    elif op == "unghost":
-        coords = tuples[0]
-        out = witt.unghost(witt.GhostTuple(ctx, len(coords), coords))
-        payload = out.to_json()
-        text = repr(out)
-    elif op == "gamma":
-        out = witt.gamma(vec())
-        payload = out.to_json()
-        text = repr(out)
-    elif op == "gamma-inv":
-        coeffs = tuples[0]
-        out = witt.gamma_inv(TruncElem(ctx, len(coeffs) - 1, coeffs))
-        payload = out.to_json()
-        text = repr(out)
+        payload, text = {"ghost": [c.to_json() for c in g.comps]}, repr(g)
     elif op == "decompose":
         pairs = witt.witt_decompose(vec())
         payload = [[i, a.to_json()] for i, a in pairs]
         text = ", ".join("V_%d[%s]" % (i, a) for i, a in pairs) or "0"
     else:
-        raise ParseError("unknown witt subop %r" % op)
+        if op == "add":
+            out = vec(0) + vec(1)
+        elif op == "mul":
+            out = vec(0) * vec(1)
+        elif op == "unghost":
+            out = witt.unghost(witt.GhostTuple(ctx, len(coords), coords))
+        elif op == "gamma":
+            out = witt.gamma(vec())
+        elif op == "gamma-inv":
+            out = witt.gamma_inv(TruncElem(ctx, len(coords) - 1, coords))
+        else:
+            raise ParseError("unknown witt subop %r" % op)
+        payload, text = out.to_json(), repr(out)
     if args.pretty:
         print(text)
     else:
@@ -194,11 +186,8 @@ def cmd_witt(args):
 
 def cmd_drw(args):
     ctx = _context(args)
-    coords = parse_tuple(ctx, args.witt)
-    level = len(coords) if args.m is None else args.m
-    if len(coords) != level:
-        raise ParseError("expected %d coordinates, got %d" % (level, len(coords)))
-    a = witt.WittVector(ctx, level, coords)
+    coords, = _coordinate_tuples(ctx, [args.witt], args.m)
+    a = witt.WittVector(ctx, len(coords), coords)
     bs = [parse_elem(ctx, b) for b in _split_top(args.bs, ",")] if args.bs else []
     form = drw.phi(a, bs)
     op = args.subop
@@ -225,9 +214,8 @@ def cmd_drw(args):
 
 
 def cmd_verify(args):
-    names = tuple(n.strip() for n in args.vars.split(",") if n.strip())
     report = verify.run_suite(args.suite, seed=args.seed, trials=args.trials,
-                              names=names)
+                              names=_context(args).names)
     if args.pretty:
         reports = report.get("reports", [report])
         for r in reports:

@@ -200,14 +200,6 @@ class FormOnTrunc:
             if w.degree != degree - 1:
                 raise ValueError("degree mismatch in dt parts")
 
-    @classmethod
-    def zero(cls, ctx, degree, level):
-        return cls(ctx, degree, level)
-
-    @classmethod
-    def from_base(cls, base: DiffForm, level):
-        return cls(base.ctx, base.degree, level, base=base)
-
     def is_zero(self):
         return (self.base.is_zero() and all(w.is_zero() for w in self.poly)
                 and all(w.is_zero() for w in self.dt))
@@ -293,12 +285,7 @@ class FormOnTrunc:
         m = self.level
         base = self.base.d()
         poly = [w.d() for w in self.poly]
-        dt = []
-        for i in range(m):
-            term = -self.dt[i].d()
-            if i + 1 <= m:
-                term = term + self.poly[i].scale(i + 1)
-            dt.append(term)
+        dt = [-self.dt[i].d() + self.poly[i].scale(i + 1) for i in range(m)]
         return FormOnTrunc(self.ctx, self.degree + 1, m, base, poly, dt)
 
     def restrict(self, level):

@@ -28,22 +28,7 @@ from fractions import Fraction
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NoUnitEntry, ZeroEntry)
 from .forms import DiffForm, dlog_wedge
-from .scalars import Context, FieldElem
-
-
-# -- contexts with a designated variable -------------------------------
-
-def base_context(ctx: Context, upos: int) -> Context:
-    """The context with the designated variable removed."""
-    return Context(ctx.names[:upos] + ctx.names[upos + 1:])
-
-
-def lift_elem(ctx: Context, a: FieldElem) -> FieldElem:
-    """A base-field element viewed in the extended context; set_ring
-    matches variables by name and gives the designated one exponent 0,
-    which keeps num and den coprime and the leading coefficient of den."""
-    den = a.den if type(a.den) is int else a.den.set_ring(ctx.ring)
-    return FieldElem(ctx, a.num.set_ring(ctx.ring), den)
+from .scalars import FieldElem, fraction_text, parse_fraction
 
 
 # -- symbols and valuations ---------------------------------------------
@@ -75,14 +60,13 @@ class FieldSymbol:
         return "%s*{%s}" % (self.coef, ", ".join(str(y) for y in self.entries))
 
     def to_json(self):
-        return {"coef": "%s/%s" % (self.coef.numerator, self.coef.denominator),
+        return {"coef": fraction_text(self.coef),
                 "entries": [y.to_json() for y in self.entries]}
 
     @classmethod
     def from_json(cls, ctx, data):
-        p, q = data["coef"].split("/")
         return cls(ctx, [FieldElem.from_json(ctx, y) for y in data["entries"]],
-                   Fraction(int(p), int(q)))
+                   parse_fraction(data["coef"]))
 
 
 def collect_terms(terms):
@@ -101,45 +85,35 @@ def collect_terms(terms):
 
 
 class Valuation:
-    """A discrete valuation of F(u) trivial on F: a closed point of the
-    u-line, cut out by a primitive irreducible integer polynomial fac,
-    or the point at infinity (fac None).  ord works at closed points of
-    any degree.  The residue exists only where the residue field is F: at
+    """A discrete valuation of F(u) trivial on F: Valuation(ctx, upos, fac)
+    is the closed point of the u-line cut out by fac, a primitive
+    irreducible polynomial of ctx.ring of positive degree in u, and fac
+    None is the point at infinity.  ord works at closed points of any
+    degree.  The residue exists only where the residue field is F: at
     infinity and at the rational points u = c, where fac is linear in u
-    with root c, such as q*u - p for c = p/q (c = 0 doubles as the pi-adic
-    valuation of the local ring at the designated variable)."""
+    with root c = point, such as q*u - p for c = p/q (c = 0 doubles as the
+    pi-adic valuation of the local ring at the designated variable)."""
 
     __slots__ = ("ctx", "upos", "base", "fac", "point")
 
     def __init__(self, ctx, upos, fac=None, point=None):
         self.ctx = ctx
         self.upos = upos
-        self.base = base_context(ctx, upos)
+        self.base = ctx.drop(upos)
         self.fac = fac
         self.point = point
 
     @classmethod
     def finite(cls, ctx, upos, c):
         """The rational point u = c for c in the base field."""
-        c = base_context(ctx, upos).elem(c)
-        ring = ctx.ring
-        fac = c.den_poly().set_ring(ring) * ctx.var(upos).num - c.num.set_ring(ring)
+        c = ctx.drop(upos).elem(c)
+        lifted = ctx.lift(c)
+        fac = lifted.den_poly() * ctx.var(upos).num - lifted.num
         return cls(ctx, upos, fac, c)
-
-    @classmethod
-    def closed(cls, ctx, upos, fac):
-        """The closed point cut out by fac, an irreducible primitive
-        polynomial of ctx.ring of positive degree in u."""
-        return cls(ctx, upos, fac)
 
     @classmethod
     def infinity(cls, ctx, upos):
         return cls(ctx, upos)
-
-    def key(self):
-        if self.fac is None:
-            return ("inf",)
-        return ("fin", self.fac if self.point is None else self.point)
 
     def __repr__(self):
         u = self.ctx.names[self.upos]
@@ -257,7 +231,7 @@ def _rational_support(ctx, values, upos):
     """The valuations at the rational points of the u-line where some
     value has a zero or a pole, in first-seen order, then at infinity if
     some value has a zero or a pole there; and the non-rational factors."""
-    base = base_context(ctx, upos)
+    base = ctx.drop(upos)
     points = {}
     nonrational = []
     for y in values:
@@ -386,7 +360,7 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
     sum coef * {w, residual entries...}."""
     ctx = sym.ctx
     pi = ctx.var(upos)
-    v = Valuation.finite(ctx, upos, base_context(ctx, upos).zero)
+    v = Valuation.finite(ctx, upos, ctx.drop(upos).zero)
 
     def recurse(entries, coef):
         entries = list(entries)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
 from .forms import CanonRelForm, dlog_wedge, reduce_mod_exact
+from .scalars import fraction_text, parse_fraction
 from .trunc import TruncElem, embed_form, exp_t, log_t, trunc_dlog
 
 
@@ -57,14 +58,13 @@ class RelSymbol:
         return "%s*{%s}" % (self.coef, ", ".join(str(u) for u in self.entries))
 
     def to_json(self):
-        return {"coef": "%s/%s" % (self.coef.numerator, self.coef.denominator),
+        return {"coef": fraction_text(self.coef),
                 "entries": [u.to_json() for u in self.entries]}
 
     @classmethod
     def from_json(cls, ctx, data):
-        p, q = data["coef"].split("/")
         return cls([TruncElem.from_json(ctx, u) for u in data["entries"]],
-                   Fraction(int(p), int(q)))
+                   parse_fraction(data["coef"]))
 
 
 class RelMilnorClass:

@@ -1,6 +1,7 @@
 """Exact base-field arithmetic: Q and the rational function field F = Q(x1..xr).
 
 A :class:`Context` fixes the ordered variable list for one computation.
+There is one context per tuple of names, compared by identity and never freed.
 A field element is a fraction num/den of sparse multivariate polynomials
 with integer coefficients (backed by sympy's sparse ring Z[x1..xr] under
 graded-lexicographic term order).  The form is canonical, so equality is
@@ -24,17 +25,18 @@ Elements live in one of two tiers of that form:
   enters it only on division by a non-constant, and results there are
   cancelled by sympy's polynomial gcd.
 
-The algorithms read ``num`` and ``den_poly()`` directly.  Polynomials
-move between contexts with sympy's ``PolyElement.set_ring``, which
-inserts or drops a variable by name when its exponent is 0, and
-``Context.split`` cuts a polynomial of a context with one more variable
-into its coefficients by powers of that variable.  Each coefficient is an
-integer polynomial over 1, which is already canonical.
+The algorithms read ``num`` and ``den_poly()`` directly.  Only this
+module moves elements between a context with a designated variable u at
+position pos (the u-line) and its base ``drop(pos)``: ``lift`` views a
+base element on the u-line (sympy's ``set_ring`` inserts u by name, with
+exponent 0), and ``split`` cuts a polynomial of the u-line into its
+coefficients by powers of u, integer polynomials over 1 and so canonical.
 
 The ``frac`` property gives the same value as an element of sympy's
 ``FracField`` over QQ.  It is the bridge for printing and for the
 differential tests only; ``from_terms`` rebuilds a polynomial from terms
-for JSON input and for those tests.
+for JSON input and for those tests.  Rational coefficients are written
+"p/q" by ``fraction_text`` and read back by ``parse_fraction``.
 """
 
 from __future__ import annotations
@@ -50,14 +52,20 @@ from .errors import ContextMismatch, DivisionByZero, ParseError
 
 
 class Context:
-    """An ordered list of variable names; owns the polynomial ring Z[x1..xr]."""
+    """An ordered list of variable names; owns the polynomial ring Z[x1..xr].
+    Interned: one instance per tuple of names."""
 
     __slots__ = ("names", "ring", "zero", "one", "_gens", "_field")
 
-    def __init__(self, names):
+    _interned = {}
+
+    def __new__(cls, names):
         names = tuple(names)
+        if names in cls._interned:
+            return cls._interned[names]
         if len(set(names)) != len(names):
             raise ParseError("duplicate variable names: %r" % (names,))
+        self = super().__new__(cls)
         self.names = names
         # sympy needs at least one generator; a context without variables
         # carries an unused dummy one
@@ -67,6 +75,7 @@ class Context:
         self.zero = FieldElem(self, self.ring.dtype({}))
         self.one = self._constant(1, 1)
         self._field = None
+        return cls._interned.setdefault(names, self)
 
     @property
     def r(self):
@@ -78,12 +87,6 @@ class Context:
         if self._field is None:
             self._field = _sympy_field(self.ring.symbols, QQ, grlex)[0]
         return self._field
-
-    def __eq__(self, other):
-        return isinstance(other, Context) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.names)
@@ -125,6 +128,19 @@ class Context:
                for mon, c in acc.items() if c}
         return FieldElem(self, *_coprime(self.ring.dtype(num), den))
 
+    # -- the u-line over a base context -------------------------------
+
+    def drop(self, pos):
+        """The base context: this one without the variable at pos."""
+        return Context(self.names[:pos] + self.names[pos + 1:])
+
+    def lift(self, a):
+        """The element a of a base context viewed in this context.  set_ring
+        matches variables by name and gives the new one exponent 0, which
+        keeps num and den coprime and the leading coefficient of den."""
+        den = a.den if type(a.den) is int else a.den.set_ring(self.ring)
+        return FieldElem(self, a.num.set_ring(self.ring), den)
+
     def split(self, poly, pos):
         """The integer polynomial poly of a context with one more variable,
         inserted at position pos, as {e: coefficient of that variable^e}
@@ -138,7 +154,7 @@ class Context:
     def elem(self, value):
         """Coerce an int, Fraction, string or FieldElem into this context."""
         if isinstance(value, FieldElem):
-            if value.ctx != self:
+            if value.ctx is not self:
                 raise ContextMismatch("element of %r used in %r" % (value.ctx, self))
             return value
         if isinstance(value, (int, Fraction)):
@@ -148,7 +164,7 @@ class Context:
         raise ParseError("cannot coerce %r" % (value,))
 
     def check(self, other):
-        if self != other:
+        if self is not other:
             raise ContextMismatch("mixed contexts %r and %r" % (self, other))
 
 
@@ -318,7 +334,7 @@ class FieldElem:
         if not isinstance(other, FieldElem):
             return NotImplemented
         return (self.den == other.den and self.num == other.num
-                and self.ctx == other.ctx)
+                and self.ctx is other.ctx)
 
     def __hash__(self):
         return hash((self.ctx, self.num, self.den))
@@ -328,16 +344,6 @@ class FieldElem:
 
     def is_zero(self):
         return not self.num
-
-    def is_rational(self):
-        """True iff the element lies in the prime field Q."""
-        return type(self.den) is int and self.num.is_ground
-
-    def as_fraction(self):
-        """The value as a Fraction; only valid when is_rational()."""
-        if not self.is_rational():
-            raise ValueError("%s is not a rational constant" % self)
-        return Fraction(self.num.get(self.ctx.ring.zero_monom, 0), self.den)
 
     def diff(self, i):
         """Partial derivative with respect to the i-th variable (0-based)."""
@@ -373,32 +379,30 @@ class FieldElem:
         return num / den
 
 
+def fraction_text(c):
+    """A rational number as the text "p/q", q >= 1 included."""
+    return "%s/%s" % (c.numerator, c.denominator)
+
+
+def parse_fraction(text):
+    """The rational number written "p/q" or "p" with integers p and q."""
+    text = text.strip()
+    p, slash, q = text.partition("/")
+    try:
+        p, q = int(p), int(q) if slash else 1
+    except ValueError:
+        raise ParseError("malformed coefficient %r" % text) from None
+    if not q:
+        raise ParseError("coefficient %s has denominator 0" % text)
+    return Fraction(p, q)
+
+
 def _poly_to_json(poly):
-    out = []
-    for mon, coef in sorted(poly.terms()):
-        out.append([list(mon), "%s/%s" % (coef.numerator, coef.denominator)])
-    return out
+    return [[list(mon), fraction_text(coef)] for mon, coef in sorted(poly.terms())]
 
 
 def _poly_from_json(ctx, data):
-    terms = []
-    for mon, coef in data:
-        p, q = (coef.split("/") + ["1"])[:2]
-        terms.append((mon, Fraction(int(p), int(q))))
-    return ctx.from_terms(terms)
-
-
-def split_unit(a: FieldElem):
-    """Write a = u1 + u2 with u1 a nonzero rational and u2 a nonzero
-    field element, scanning u1 = 1, -1, 2, -2, ... (at most two steps
-    succeed over a field with more than two elements)."""
-    k = 1
-    while True:
-        for u1 in (k, -k):
-            u2 = a - u1
-            if not u2.is_zero():
-                return Fraction(u1), u2
-        k += 1
+    return ctx.from_terms([(mon, parse_fraction(coef)) for mon, coef in data])
 
 
 # -- text syntax ------------------------------------------------------

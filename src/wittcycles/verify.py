@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import addchow, drw, milnorfield, relmilnor, witt
-from .errors import DegenerateBranch, WittCyclesError, ZeroEntry
+from .errors import DegenerateBranch, ParseError, WittCyclesError, ZeroEntry
 from .forms import CanonRelForm, DiffForm, FormOnTrunc, dlog, reduce_mod_exact
 from .scalars import Context
 from .trunc import TruncElem, exp_t, log_t, trunc_dlog, embed_form
@@ -168,13 +168,17 @@ SUITES = {}
 
 def _suite(name, default_trials):
     """Register a suite under `name`.  Its body maps (seed, trials, names)
-    to property dicts, with `trials` defaulting to `default_trials`; the
-    registered function times it and builds the suite report."""
+    to property dicts; `trials` is at least 1, or None for `default_trials`.
+    The registered function times it and builds the suite report."""
     def register(props_of):
         @functools.wraps(props_of)
         def run(seed=0, trials=None, names=("x", "y")):
+            if trials is None:
+                trials = default_trials
+            elif trials < 1:
+                raise ParseError("trials must be at least 1, got %d" % trials)
             t0 = time.perf_counter()
-            props = props_of(seed, trials or default_trials, names)
+            props = props_of(seed, trials, names)
             return {"suite": name, "seed": seed,
                     "elapsed_s": round(time.perf_counter() - t0, 3),
                     "ok": all(p["ok"] for p in props), "properties": props}
@@ -402,7 +406,7 @@ def check_theta_roundtrip(ctx, seed, trials_per_cell, m_max=6):
                 got = relmilnor.normal_form(relmilnor.theta(a, bs))
                 want = embed_form(a)
                 for b in bs:
-                    want = want.wedge(FormOnTrunc.from_base(dlog(b), m))
+                    want = want.wedge(FormOnTrunc(ctx, 1, m, base=dlog(b)))
                 _require(got.canon == reduce_mod_exact(want), "theta-roundtrip", a, bs)
                 yield
 
@@ -443,16 +447,16 @@ def _reciprocity_symbol(s: Sampler, upos):
     scaled products of linear factors (u - c) with c in the base field."""
     ctx = s.ctx
     u = ctx.var(upos)
-    base = milnorfield.base_context(ctx, upos)
+    base = ctx.drop(upos)
     pool_base = [base.one, base.rational(2), base.rational(-1)] \
         + [base.var(i) for i in range(base.r)]
     n = s.rng.randint(1, min(3, 1 + base.r))
     entries = []
     for _ in range(n):
-        e = milnorfield.lift_elem(ctx, s.rng.choice(pool_base))
+        e = ctx.lift(s.rng.choice(pool_base))
         for _ in range(s.rng.randint(0, 2)):
             c = s.rng.choice(pool_base)
-            factor = u - milnorfield.lift_elem(ctx, c)
+            factor = u - ctx.lift(c)
             e = e * factor if s.rng.random() < 0.7 else e / factor
         entries.append(e)
     return milnorfield.FieldSymbol(ctx, entries, s.rng.choice([1, -1, 2]))
@@ -475,12 +479,12 @@ def check_tame_basics(names, seed, trials):
     """Multilinearity of the tame symbol and vanishing on units."""
     ctx = Context(tuple(names) + ("u",))
     upos = ctx.r - 1
-    base = milnorfield.base_context(ctx, upos)
+    base = ctx.drop(upos)
     s = Sampler(ctx, seed)
     u = ctx.var(upos)
     for k in range(trials):
         c = Sampler(base, seed + k).nonzero()
-        clift = milnorfield.lift_elem(ctx, c)
+        clift = ctx.lift(c)
         v = milnorfield.Valuation.finite(ctx, upos, base.zero)
         e1 = u ** s.rng.randint(1, 3) * clift
         e2 = clift + u if not (clift + u).is_zero() else clift * 2 + u
@@ -538,10 +542,10 @@ def _curve_corpus(names, seed, count, m_max=4):
     with 1 at the zero of the t-coordinate."""
     ctx = Context(tuple(names) + ("u",))
     upos = ctx.r - 1
-    base = milnorfield.base_context(ctx, upos)
+    base = ctx.drop(upos)
     u = ctx.var(upos)
     s = Sampler(ctx, seed)
-    lift = lambda c: milnorfield.lift_elem(ctx, c)
+    lift = ctx.lift
 
     def ord2(scale):  # ord_0(g - 1) = 2, rational faces at +-1/scale
         return 1 - lift(scale) ** 2 * u ** 2
@@ -662,7 +666,7 @@ def check_rewrite_filtration(names, seed, trials):
     residuals, and realization agreement with the input."""
     ctx = Context(tuple(names) + ("pi",))
     upos = ctx.r - 1
-    base = milnorfield.base_context(ctx, upos)
+    base = ctx.drop(upos)
     pi = ctx.var(upos)
     v = milnorfield.Valuation.finite(ctx, upos, base.zero)
     s = Sampler(ctx, seed)
@@ -677,7 +681,7 @@ def check_rewrite_filtration(names, seed, trials):
         for i in range(nentries):
             mi = s.rng.randint(1, max(1, m - total)) if i < nentries - 1 \
                 else max(1, m - total)
-            ui = milnorfield.lift_elem(ctx, Sampler(base, seed + 31 * k + i).nonzero(1))
+            ui = ctx.lift(Sampler(base, seed + 31 * k + i).nonzero(1))
             if s.rng.random() < 0.3:
                 ui = ui + pi  # a pi-dependent unit of the local ring
             entries.append(1 + ui * pi ** mi)

@@ -167,3 +167,42 @@ def test_level_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_trials_below_one_exits_2(capsys, trials):
+    code, out, err = run(capsys, "verify", "--suite", "drw", "--trials", trials)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "trials must be at least 1, got %s" % trials}
+
+
+def test_verify_empty_variable_list_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "drw", "--trials", "1",
+                         "--vars", " , ")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "empty variable list"}
+
+
+@pytest.mark.parametrize("subop, m, tuple_, want", [
+    ("unghost", "3", "(1,2)", 3),
+    ("gamma-inv", "3", "(1,2)", 4),
+    ("gamma-inv", "2", "(1,2)", 3),
+])
+def test_witt_m_checks_every_subop(capsys, subop, m, tuple_, want):
+    code, out, err = run(capsys, "witt", subop, "--m", m, tuple_)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "expected %d coordinates, got 2" % want}
+
+
+@pytest.mark.parametrize("subop, m, tuple_, want", [
+    ("unghost", "2", "(1,2)", "W(1, 1/2)"),
+    ("gamma-inv", "1", "(1,2)", "W(-2)"),
+    ("gamma-inv", "2", "(1,2,3)", "W(-2, -3)"),
+])
+def test_witt_without_m_reads_the_tuple_length(capsys, subop, m, tuple_, want):
+    code, out, _ = run(capsys, "witt", subop, tuple_, "--pretty")
+    assert code == 0 and out.strip() == want
+    assert run(capsys, "witt", subop, "--m", m, tuple_, "--pretty")[:2] == (0, out)

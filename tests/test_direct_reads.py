@@ -6,7 +6,8 @@ out below: convert to sympy's FracField with ``frac``, take the terms of
 Valuations are checked against the two order routes they replaced:
 synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
-last test pins that only ``scalars`` knows that bridge."""
+last two tests pin that only ``scalars`` knows that bridge, moves
+polynomials between contexts and writes the "p/q" coefficient text."""
 
 import random
 import re
@@ -19,7 +20,7 @@ from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
 from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
                                NonRationalPoint, ParseError)
 from wittcycles.milnorfield import (FieldSymbol, Valuation, _rational_support,
-                                    base_context, gersten_boundary, lift_elem)
+                                    gersten_boundary)
 from wittcycles.scalars import Context, parse_elem
 from wittcycles.trunc import TruncElem, parse_trunc
 
@@ -136,7 +137,7 @@ def old_ord_at_factor(g, fac):
 
 
 def old_nonrational(values, upos):
-    base = base_context(values[0].ctx, upos)
+    base = values[0].ctx.drop(upos)
     out = []
     for y in values:
         for poly in (y.frac.numer, y.frac.denom):
@@ -174,10 +175,10 @@ def test_lift_and_split_match_from_terms(base):
     for upos in range(base.r + 1):
         names = base.names[:upos] + ("u",) + base.names[upos:]
         ctx = Context(names)
-        assert base_context(ctx, upos) == base
+        assert ctx.drop(upos) is base
         for _ in range(20):
             a = _fraction(base, rng)
-            lifted = lift_elem(ctx, a)
+            lifted = ctx.lift(a)
             assert lifted == old_lift(ctx, a, upos)
             assert type(lifted.den) is type(a.den)
             f = _fraction(ctx, rng) * lifted
@@ -193,7 +194,7 @@ def test_ord_residue_matches_from_terms(base):
     u = ctx.var(upos)
     points = [base.zero, base.rational(-2)] + [_fraction(base, rng) for _ in range(2)]
     for c in points:
-        lin = u - lift_elem(ctx, c)
+        lin = u - ctx.lift(c)
         for _ in range(8):
             f = _fraction(ctx, rng) * lin ** rng.randint(-2, 2)
             for v in (Valuation.finite(ctx, upos, c), Valuation.infinity(ctx, upos)):
@@ -216,7 +217,7 @@ def test_valuation_matches_synthetic_division(base):
     inf = Valuation.infinity(ctx, upos)
     for c in points:
         v = Valuation.finite(ctx, upos, c)
-        lin = u - lift_elem(ctx, c)
+        lin = u - ctx.lift(c)
         for k in (-3, -2, 2, 3, rng.randint(-1, 1)):
             for _ in range(3):
                 g = _fraction(ctx, rng)
@@ -239,7 +240,7 @@ def test_valuation_matches_synthetic_division(base):
     # a closed point of degree 2: ord only, counted against the reference
     # multiplicity loop on the FracField numerator and denominator
     quad = 2 * u ** 2 - x
-    v = Valuation.closed(ctx, upos, quad.num)
+    v = Valuation(ctx, upos, quad.num)
     (qfac, _), = quad.frac.numer.factor_list()[1]
     for k in (-3, -2, 2, 3):
         g = _fraction(ctx, rng)
@@ -290,11 +291,11 @@ def test_non_monic_factor_orders(ectx):
     zfac = (2 * u - x).num
     (qfac, mult), = [(f, k) for f, k in (u - x / 2).frac.numer.factor_list()[1]]
     assert mult == 1
-    v = Valuation.closed(ectx, 2, zfac)
+    v = Valuation(ectx, 2, zfac)
     assert v.ord(upper) == old_ord_at_factor(upper, qfac) == 2
     assert v.ord(lower) == old_ord_at_factor(lower, qfac) == -2
     assert v.ord(upper / lower) == 4
-    assert Valuation.finite(ectx, 2, base_context(ectx, 2).var(0) / 2).ord(upper) == 2
+    assert Valuation.finite(ectx, 2, ectx.drop(2).var(0) / 2).ord(upper) == 2
 
 
 def test_modulus_check_with_non_monic_factor(ectx):
@@ -329,17 +330,29 @@ def test_nonrational_factor_strings(ectx):
     assert [str(v) for v, _ in bnd] == ["(u = x/2)", "(u = -1)"]
 
 
-# -- the FracField bridge stays in scalars -----------------------------------
+# -- the FracField bridge and the u-line moves stay in scalars ---------------
 
 BRIDGE = re.compile(r"\.frac\b|\bctx\.field\b|\bfrom_terms\b")
+# set_ring moves polynomials between contexts (Context.lift); "%s/%s" is
+# the coefficient text (fraction_text)
+MOVES = re.compile(r'\bset_ring\b|"%s/%s"')
 
 
-def test_only_scalars_uses_the_fracfield_bridge():
+def _offenders(pattern):
     src = Path(__file__).resolve().parent.parent / "src" / "wittcycles"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 5
-    offenders = ["%s:%d: %s" % (path.name, n, line.strip())
-                 for path in modules if path.name != "scalars.py"
-                 for n, line in enumerate(path.read_text().splitlines(), start=1)
-                 if BRIDGE.search(line)]
+    return ["%s:%d: %s" % (path.name, n, line.strip())
+            for path in modules if path.name != "scalars.py"
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)]
+
+
+def test_only_scalars_uses_the_fracfield_bridge():
+    offenders = _offenders(BRIDGE)
+    assert not offenders, offenders
+
+
+def test_only_scalars_moves_elements_and_writes_coefficients():
+    offenders = _offenders(MOVES)
     assert not offenders, offenders

@@ -6,11 +6,10 @@ import pytest
 from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
                                NonRationalSupport)
 from wittcycles.forms import dlog
-from wittcycles.milnorfield import (FieldSymbol, Valuation, base_context,
-                                    collect_terms, dlog_realization,
-                                    elem_identity_instance, gersten_boundary,
-                                    lift_elem, rewrite_filtration, tame_symbol,
-                                    weil_reciprocity_check)
+from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
+                                    dlog_realization, elem_identity_instance,
+                                    gersten_boundary, rewrite_filtration,
+                                    tame_symbol, weil_reciprocity_check)
 from wittcycles.scalars import Context
 
 
@@ -24,7 +23,7 @@ UPOS = 2
 
 def test_valuation_ord_residue(ctx):
     x, y, u = ctx.gens()
-    base = base_context(ctx, UPOS)
+    base = ctx.drop(UPOS)
     bx, by = base.gens()
     f = (u - x) ** 2 * (u + 1) / (u - 2)
     o, r = Valuation.finite(ctx, UPOS, bx).ord_residue(f)
@@ -37,11 +36,11 @@ def test_valuation_ord_residue(ctx):
 
 def test_tame_symbol_values(ctx):
     x, y, u = ctx.gens()
-    base = base_context(ctx, UPOS)
+    base = ctx.drop(UPOS)
     bx, by = base.gens()
     v0 = Valuation.finite(ctx, UPOS, base.zero)
     # uniformizer against a unit: residue survives
-    res = tame_symbol(v0, FieldSymbol(ctx, [u, lift_elem(ctx, bx + by)]))
+    res = tame_symbol(v0, FieldSymbol(ctx, [u, ctx.lift(bx + by)]))
     assert len(res) == 1 and res[0].entries == (bx + by,) and res[0].coef == 1
     # two units: nothing
     assert tame_symbol(v0, FieldSymbol(ctx, [1 + u * x, x + u])) == []
@@ -54,24 +53,24 @@ def test_tame_symbol_values(ctx):
     assert len(res) == 1 and res[0].entries == (base.rational(-1),)
     assert res[0].coef == 1
     # degree-1 symbol drops to a bare multiplicity
-    res = tame_symbol(v0, FieldSymbol(ctx, [u * u * lift_elem(ctx, bx)]))
+    res = tame_symbol(v0, FieldSymbol(ctx, [u * u * ctx.lift(bx)]))
     assert len(res) == 1 and res[0].entries == () and res[0].coef == 2
 
 
 def test_gersten_boundary(ctx):
     x, y, u = ctx.gens()
-    base = base_context(ctx, UPOS)
+    base = ctx.drop(UPOS)
     bx = base.var(0)
     bnd, nonrat = gersten_boundary(FieldSymbol(ctx, [u]), UPOS)
     assert not nonrat
-    totals = {v.key(): sum(s.coef for s in parts) for v, parts in bnd}
-    assert totals[("fin", base.zero)] == 1 and totals[("inf",)] == -1
+    totals = {repr(v): sum(s.coef for s in parts) for v, parts in bnd}
+    assert totals == {"(u = 0)": 1, "(u = infinity)": -1}
     # {u^2, x}: 2{x} at (u), -2{x} at infinity
     bnd, nonrat = gersten_boundary(
-        FieldSymbol(ctx, [u * u, lift_elem(ctx, bx)]), UPOS)
-    per = {v.key(): parts for v, parts in bnd}
-    assert sum(t.coef for t in per[("fin", base.zero)] if t.entries == (bx,)) == 2
-    assert sum(t.coef for t in per[("inf",)] if t.entries == (bx,)) == -2
+        FieldSymbol(ctx, [u * u, ctx.lift(bx)]), UPOS)
+    per = {repr(v): parts for v, parts in bnd}
+    assert sum(t.coef for t in per["(u = 0)"] if t.entries == (bx,)) == 2
+    assert sum(t.coef for t in per["(u = infinity)"] if t.entries == (bx,)) == -2
     # no rational roots: empty boundary plus a report
     bnd, nonrat = gersten_boundary(FieldSymbol(ctx, [u * u + 1]), UPOS)
     assert nonrat and not bnd
@@ -79,8 +78,8 @@ def test_gersten_boundary(ctx):
 
 def test_weil_reciprocity(ctx):
     x, y, u = ctx.gens()
-    base = base_context(ctx, UPOS)
-    c = lift_elem(ctx, base.var(0) + base.var(1))
+    base = ctx.drop(UPOS)
+    c = ctx.lift(base.var(0) + base.var(1))
     ok, ev = weil_reciprocity_check(FieldSymbol(ctx, [u, c]), UPOS)
     assert ok, ev
     ok, ev = weil_reciprocity_check(FieldSymbol(ctx, [u, 1 - u]), UPOS)
@@ -126,7 +125,7 @@ def pctx():
 
 def test_filtration_base_case(pctx):
     px, pi = pctx.gens()
-    v = Valuation.finite(pctx, 1, base_context(pctx, 1).zero)
+    v = Valuation.finite(pctx, 1, pctx.drop(1).zero)
     m = 3
     out = rewrite_filtration(FieldSymbol(pctx, [1 + px * pi ** m]), m, 1)
     assert len(out) == 1 and out[0][1].entries == ()
@@ -135,7 +134,7 @@ def test_filtration_base_case(pctx):
 
 def test_filtration_two_entries(pctx):
     px, pi = pctx.gens()
-    v = Valuation.finite(pctx, 1, base_context(pctx, 1).zero)
+    v = Valuation.finite(pctx, 1, pctx.drop(1).zero)
     sym = FieldSymbol(pctx, [1 + pi, 1 + pi ** 2 * px])
     out = rewrite_filtration(sym, 3, 1)
     for w, res in out:

@@ -1,5 +1,7 @@
-"""Base-field arithmetic: canonical fractions, derivatives, parsing."""
+"""Base-field arithmetic: canonical fractions, derivatives, parsing,
+interned contexts and the moves to and from the u-line."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import example, given, seed, settings, strategies as st
 from sympy import QQ
 
 from wittcycles.errors import ContextMismatch, DivisionByZero, ParseError
-from wittcycles.scalars import Context, FieldElem, parse_elem, split_unit
+from wittcycles.addchow import CycleGen
+from wittcycles.milnorfield import FieldSymbol
+from wittcycles.relmilnor import RelSymbol
+from wittcycles.scalars import (Context, FieldElem, fraction_text, parse_elem,
+                                parse_fraction)
+from wittcycles.trunc import TruncElem
 
 
 @pytest.fixture
@@ -38,16 +45,6 @@ def test_derivatives(ctx):
     assert ((x + y) / (x - y)).diff(1) == 2 * x / (x - y) ** 2
 
 
-def test_split_unit(ctx):
-    x = ctx.var(0)
-    assert split_unit(ctx.zero) == (Fraction(1), ctx.rational(-1))
-    assert split_unit(x) == (Fraction(1), x - 1)
-    assert split_unit(ctx.rational(5)) == (Fraction(1), ctx.rational(4))
-    for a in (ctx.rational(1), ctx.rational(-1), x + 2):
-        u1, u2 = split_unit(a)
-        assert not u2.is_zero() and ctx.rational(u1) + u2 == a
-
-
 def test_parse_grammar(ctx):
     x, y = ctx.gens()
     assert parse_elem(ctx, "x^2*y - 3") == x ** 2 * y - 3
@@ -73,12 +70,101 @@ def test_context_mismatch(ctx):
     other = Context(("x",))
     with pytest.raises(ContextMismatch):
         ctx.var(0) + other.var(0)
+    with pytest.raises(ContextMismatch):
+        ctx.elem(other.var(0))
+    with pytest.raises(ContextMismatch):
+        Context(("y", "x")).check(ctx)
+    assert ctx.var(0) != other.var(0)
 
 
-def test_rational_detection(ctx):
-    assert ctx.rational(3, 4).is_rational()
-    assert ctx.rational(3, 4).as_fraction() == Fraction(3, 4)
-    assert not ctx.var(0).is_rational()
+def test_contexts_are_interned(ctx):
+    assert Context(("x", "y")) is Context(["x", "y"]) is ctx
+    assert Context(()) is Context([])
+    assert Context(("y", "x")) is not ctx
+    assert ctx.drop(1) is Context(("x",)) and ctx.drop(0).names == ("y",)
+    with pytest.raises(ParseError):
+        Context(("x", "x"))
+
+
+def _seeded_fraction(ctx, rng):
+    """A nonzero element with rational coefficients; over a context with
+    variables its denominator is not constant."""
+    def poly(terms):
+        total = ctx.zero
+        for _ in range(terms):
+            term = ctx.rational(rng.randint(-6, 6), rng.randint(1, 4))
+            for x in ctx.gens():
+                term = term * x ** rng.randint(0, 2)
+            total = total + term
+        return total
+    while True:
+        num, den = poly(3), poly(2)
+        if num and den and (not ctx.r or type((num / den).den) is not int):
+            return num / den
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y")])
+def test_drop_lift_split_round_trip(names):
+    """lift puts a base element into the u-line, split takes the
+    coefficients of u back out, and drop names their context; u is tried
+    at every position."""
+    base = Context(names)
+    rng = random.Random(91 + base.r)
+    for pos in range(base.r + 1):
+        line = Context(names[:pos] + ("u",) + names[pos:])
+        assert line.drop(pos) is base
+        u = line.var(pos)
+        for _ in range(10):
+            a = _seeded_fraction(base, rng)
+            lifted = line.lift(a)
+            assert lifted.ctx is line and type(lifted.den) is type(a.den)
+            assert base.split(lifted.num, pos) == {0: FieldElem(base, a.num)}
+            assert base.split(lifted.den_poly(), pos) == {0: FieldElem(base, a.den_poly())}
+            # a polynomial in u with base coefficients: split undoes lift
+            coeffs = {e: _seeded_fraction(base, rng) for e in (0, 1, 3)}
+            f = sum((line.lift(c) * u ** e for e, c in coeffs.items()), line.zero)
+            parts = base.split(f.num, pos)
+            den = base.split(f.den_poly(), pos)
+            assert list(den) == [0]
+            assert {e: c / den[0] for e, c in parts.items()} == coeffs
+            assert sum((line.lift(c) * u ** e for e, c in parts.items()),
+                       line.zero) == FieldElem(line, f.num)
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(3), "3/1"), (Fraction(-3, 4), "-3/4"), (Fraction(0), "0/1"),
+    (Fraction(10 ** 30 + 1, 7), "%d/7" % (10 ** 30 + 1))])
+def test_fraction_text_round_trip(value, text):
+    assert fraction_text(value) == text
+    assert parse_fraction(text) == value
+
+
+def test_parse_fraction():
+    assert parse_fraction("3") == 3 and parse_fraction(" -3/4 ") == Fraction(-3, 4)
+    assert parse_fraction("6/-4") == Fraction(-3, 2)
+    assert fraction_text(parse_fraction("6/4")) == "3/2"
+    for text in ("1/2/3", "x", "", "1/", "/2", "1.5"):
+        with pytest.raises(ParseError, match="malformed coefficient"):
+            parse_fraction(text)
+    with pytest.raises(ParseError, match="coefficient 1/0 has denominator 0"):
+        parse_fraction("1/0")
+
+
+def test_symbols_read_slash_free_coefficients(ctx):
+    x, y = ctx.gens()
+    sym = FieldSymbol(ctx, [x, 1 + y], Fraction(-3, 2))
+    data = sym.to_json()
+    assert data["coef"] == "-3/2"
+    for cls, obj in ((FieldSymbol, sym),
+                     (RelSymbol, RelSymbol([TruncElem.one(ctx, 2)], 5)),
+                     (CycleGen, CycleGen([ctx.one, x], [y], 4))):
+        data = obj.to_json()
+        assert cls.from_json(ctx, data).coef == obj.coef
+        data["coef"] = "3"
+        assert cls.from_json(ctx, data).coef == 3
+        data["coef"] = "1/2/3"
+        with pytest.raises(ParseError):
+            cls.from_json(ctx, data)
 
 
 def test_json_roundtrip(ctx):
