@@ -8,11 +8,10 @@ from .forms import (CanonRelForm, DiffForm, FormOnTrunc, dlog, dlog_wedge,
 from .trunc import (TruncElem, exp_t, log_t, parse_trunc, trunc_d, trunc_dlog,
                     embed_form)
 from .witt import (GhostTuple, WittVector, frobenius, gamma, gamma_inv, ghost,
-                   restrict, teichmuller, unghost, verschiebung,
-                   witt_decompose)
+                   teichmuller, unghost, verschiebung, witt_decompose)
 from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from .relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
-                        normal_form, restrict_class, theta)
+                        normal_form, theta)
 from .milnorfield import (FieldSymbol, Valuation, collect_terms,
                           dlog_realization, elem_identity_instance,
                           gersten_boundary, rewrite_filtration, tame_symbol,

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
-from .milnorfield import Valuation, _rational_support
-from .relmilnor import RelMilnorClass, RelSymbol, normal_form, restrict_class
+from .milnorfield import Valuation, _rational_support, u_factors
+from .relmilnor import RelMilnorClass, RelSymbol, normal_form
 from .scalars import FieldElem, fraction_text, parse_fraction
 from .trunc import TruncElem
 from .witt import log_ghost
@@ -143,7 +143,7 @@ def tower_compat(zs, m_big: int, m_small: int) -> bool:
     class; true for every admissible sum."""
     if m_small > m_big:
         raise ValueError("levels out of order")
-    return (restrict_class(cyc_milnor(zs, m_big), m_small)
+    return (cyc_milnor(zs, m_big).restrict(m_small)
             == cyc_milnor(zs, m_small))
 
 
@@ -220,9 +220,7 @@ def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
     diffs = [g - ctx.one for g in curve.gs[1:]]
     if any(d.is_zero() for d in diffs):
         return True  # some g_i = 1 identically: ord infinite, holds
-    _, factors = g0.num.factor_list()
-    vals = [Valuation(ctx, upos, fac) for fac, _mult in factors
-            if fac.degree(upos) > 0]
+    vals = [Valuation(ctx, upos, fac) for fac in u_factors(g0.num, upos)]
     vals.append(Valuation.infinity(ctx, upos))
     for v in vals:
         d0 = v.ord(g0)

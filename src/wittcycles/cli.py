@@ -20,22 +20,18 @@ from .scalars import Context, parse_elem, parse_fraction
 from .trunc import TruncElem, parse_trunc
 
 
-def _split_top(text, sep):
-    """Split on sep outside parentheses."""
-    parts = []
-    depth = 0
-    cur = []
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
+def _entries(body, text):
+    """The comma-separated entries of body, split outside parentheses;
+    an empty entry is a ParseError that names the whole input text."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(body):
+        depth += (c == "(") - (c == ")")
+        if c == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    if not all(p.strip() for p in parts):
+        raise ParseError("empty entry in %r" % text)
     return parts
 
 
@@ -62,7 +58,7 @@ def parse_symbol(ctx, m, text, ring="q"):
     if not body.rstrip().endswith("}"):
         raise ParseError("unterminated symbol %r" % text)
     body = body.rstrip()[:-1]
-    entries = [parse_trunc(ctx, m, part) for part in _split_top(body, ",")]
+    entries = [parse_trunc(ctx, m, part) for part in _entries(body, text)]
     return relmilnor.RelSymbol(entries, coef)
 
 
@@ -70,21 +66,20 @@ def parse_generator(ctx, m, text, ring="q"):
     """`c*(f(t); b_1, ..., b_(n-1))`; without a semicolon the generator
     has no cube coordinates."""
     text = text.strip()
-    coef = Fraction(1)
+    coef, gen = Fraction(1), text
     if "*(" in text and not text.startswith("("):
-        head, text = text.split("(", 1)
-        text = "(" + text
+        head, rest = text.split("(", 1)
+        gen = "(" + rest
         coef = _parse_coef(head.rstrip("*"), ring)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("generator must be parenthesized: %r" % text)
-    body = text[1:-1]
-    parts = body.split(";")
+    if not (gen.startswith("(") and gen.endswith(")")):
+        raise ParseError("generator must be parenthesized: %r" % gen)
+    parts = gen[1:-1].split(";")
     if len(parts) > 2:
-        raise ParseError("too many ';' in generator %r" % text)
+        raise ParseError("too many ';' in generator %r" % gen)
     fpoly = parse_trunc(ctx, m, parts[0])
     bs = []
     if len(parts) == 2 and parts[1].strip():
-        bs = [parse_elem(ctx, p) for p in _split_top(parts[1], ",")]
+        bs = [parse_elem(ctx, p) for p in _entries(parts[1], text)]
     return addchow.CycleGen(list(fpoly.coeffs), bs, coef)
 
 
@@ -92,7 +87,7 @@ def parse_tuple(ctx, text):
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError("tuple must be parenthesized: %r" % text)
-    return [parse_elem(ctx, p) for p in _split_top(text[1:-1], ",")]
+    return [parse_elem(ctx, p) for p in _entries(text[1:-1], text)]
 
 
 def _context(args):
@@ -188,7 +183,7 @@ def cmd_drw(args):
     ctx = _context(args)
     coords, = _coordinate_tuples(ctx, [args.witt], args.m)
     a = witt.WittVector(ctx, len(coords), coords)
-    bs = [parse_elem(ctx, b) for b in _split_top(args.bs, ",")] if args.bs else []
+    bs = [parse_elem(ctx, b) for b in _entries(args.bs, args.bs)] if args.bs else []
     form = drw.phi(a, bs)
     op = args.subop
     if op == "phi":
@@ -289,12 +284,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WittCyclesError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        error = {"error": {"type": "ValueError", "message": str(exc)}}
+    except (WittCyclesError, ValueError) as exc:
+        name = type(exc).__name__ if isinstance(exc, WittCyclesError) else "ValueError"
+        error = {"error": {"type": name, "message": str(exc)}}
         print(json.dumps(error), file=sys.stderr)
         return 2
 

@@ -4,11 +4,13 @@ A differential n-form is a sparse association from strictly increasing
 index subsets S of the variable list (|S| = n) to field coefficients of
 dx_S.  Forms over F_m = F[t]/(t^(m+1)) are kept in the split shape
 
-    base  +  sum_i t^i (x) omega_i  +  sum_i t^i dt ^ eta_i ,
+    sum_(i=0..m) t^i (x) omega_i  +  sum_(i<m) t^i dt ^ eta_i ,
 
-with t^(m+1) = 0 and t^m dt = 0 enforced by the index ranges.  dt is kept
+with t^(m+1) = 0 and t^m dt = 0 enforced by the index ranges; omega_i is
+indexed like the coefficients of a ring element of F_m.  dt is kept
 leftmost in dt-terms; wedging a p-form past dt from the left contributes
-the sign (-1)^p.
+the sign (-1)^p.  Ring elements and both kinds of parts multiply by one
+truncated product, `series_product`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,20 @@ from fractions import Fraction
 
 from .errors import NotRelative, ZeroArgument
 from .scalars import FieldElem
+
+
+def series_product(xs, ys, n, zero):
+    """The first n coefficients of (sum_i xs_i t^i)(sum_j ys_j t^j), with
+    products a * b of ring elements or wedges of forms; zero coefficients
+    are skipped."""
+    out = [zero] * n
+    for i, a in enumerate(xs[:n]):
+        if not a:
+            continue
+        for j, b in enumerate(ys[:n - i]):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return out
 
 
 def _merge_sign(s, t):
@@ -109,7 +125,7 @@ class DiffForm:
         self.ctx.check(other.ctx)
         degree = self.degree + other.degree
         if self.degree < 0 or other.degree < 0 or degree > self.ctx.r:
-            return DiffForm(self.ctx, max(degree, -1) if degree < 0 else degree)
+            return DiffForm(self.ctx, max(degree, -1))
         coeffs = {}
         for s, a in self.coeffs.items():
             for t, b in other.coeffs.items():
@@ -119,6 +135,8 @@ class DiffForm:
                 term = a * b if sign == 1 else -(a * b)
                 coeffs[merged] = coeffs.get(merged, self.ctx.zero) + term
         return DiffForm(self.ctx, degree, coeffs)
+
+    __mul__ = wedge
 
     def d(self):
         """Exterior differential."""
@@ -176,60 +194,55 @@ def dlog_wedge(ctx, values) -> DiffForm:
 
 
 class FormOnTrunc:
-    """A k-form over F_m in the split t-power representation. Immutable."""
+    """A k-form over F_m in the split shape: tparts[i] is the coefficient
+    of t^i (x) -, i = 0..m, and dt[i] that of t^i dt ^ -, i < m.
+    Immutable."""
 
-    __slots__ = ("ctx", "degree", "level", "base", "poly", "dt")
+    __slots__ = ("ctx", "degree", "level", "tparts", "dt")
 
-    def __init__(self, ctx, degree, level, base=None, poly=None, dt=None):
+    def __init__(self, ctx, degree, level, tparts=None, dt=None):
         if level < 1:
             raise ValueError("level must be >= 1")
         self.ctx = ctx
         self.degree = degree
         self.level = level
-        zero_k = DiffForm.zero(ctx, degree)
-        zero_k1 = DiffForm.zero(ctx, degree - 1)
-        self.base = base if base is not None else zero_k
-        self.poly = tuple(poly) if poly is not None else (zero_k,) * level
-        self.dt = tuple(dt) if dt is not None else (zero_k1,) * level
-        if len(self.poly) != level or len(self.dt) != level:
-            raise ValueError("component count must equal the level")
-        for w in (self.base,) + self.poly:
-            if w.degree != degree:
-                raise ValueError("degree mismatch in t-power parts")
-        for w in self.dt:
-            if w.degree != degree - 1:
-                raise ValueError("degree mismatch in dt parts")
+        self.tparts = (tuple(tparts) if tparts is not None
+                       else (DiffForm.zero(ctx, degree),) * (level + 1))
+        self.dt = tuple(dt) if dt is not None else (DiffForm.zero(ctx, degree - 1),) * level
+        if len(self.tparts) != level + 1 or len(self.dt) != level:
+            raise ValueError("need level + 1 t-power parts and level dt parts")
+        if (any(w.degree != degree for w in self.tparts)
+                or any(w.degree != degree - 1 for w in self.dt)):
+            raise ValueError("degree mismatch in t-power or dt parts")
 
     def is_zero(self):
-        return (self.base.is_zero() and all(w.is_zero() for w in self.poly)
+        return (all(w.is_zero() for w in self.tparts)
                 and all(w.is_zero() for w in self.dt))
 
     def is_relative(self):
-        return self.base.is_zero()
+        return self.tparts[0].is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, FormOnTrunc) and self.ctx == other.ctx
                 and self.degree == other.degree and self.level == other.level
-                and self.base == other.base and self.poly == other.poly
-                and self.dt == other.dt)
+                and self.tparts == other.tparts and self.dt == other.dt)
 
     def __add__(self, other):
         self._check(other)
         return FormOnTrunc(self.ctx, self.degree, self.level,
-                           self.base + other.base,
-                           [a + b for a, b in zip(self.poly, other.poly)],
+                           [a + b for a, b in zip(self.tparts, other.tparts)],
                            [a + b for a, b in zip(self.dt, other.dt)])
 
     def __neg__(self):
-        return FormOnTrunc(self.ctx, self.degree, self.level, -self.base,
-                           [-w for w in self.poly], [-w for w in self.dt])
+        return FormOnTrunc(self.ctx, self.degree, self.level,
+                           [-w for w in self.tparts], [-w for w in self.dt])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return FormOnTrunc(self.ctx, self.degree, self.level, self.base.scale(c),
-                           [w.scale(c) for w in self.poly],
+        return FormOnTrunc(self.ctx, self.degree, self.level,
+                           [w.scale(c) for w in self.tparts],
                            [w.scale(c) for w in self.dt])
 
     def _check(self, other):
@@ -239,68 +252,42 @@ class FormOnTrunc:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
 
-    def _tpart(self, i):
-        """Coefficient of t^i (x) -, i = 0..m."""
-        return self.base if i == 0 else self.poly[i - 1]
-
     def wedge(self, other):
+        """(omega + dt ^ eta) ^ (omega' + dt ^ eta') with
+        omega ^ dt ^ eta' = (-1)^p dt ^ omega ^ eta' for a p-form omega."""
         self.ctx.check(other.ctx)
         if self.level != other.level:
             raise ValueError("level mismatch")
         m = self.level
-        p, q = self.degree, other.degree
-        degree = p + q
-        zero_k = DiffForm.zero(self.ctx, degree)
+        degree = self.degree + other.degree
         zero_k1 = DiffForm.zero(self.ctx, degree - 1)
-        tparts = [zero_k for _ in range(m + 1)]
-        dtparts = [zero_k1 for _ in range(m)]
-        for i in range(m + 1):
-            a = self._tpart(i)
-            if a.is_zero():
-                continue
-            for j in range(m + 1 - i):
-                b = other._tpart(j)
-                if not b.is_zero():
-                    tparts[i + j] = tparts[i + j] + a.wedge(b)
-            # t^i (x) a  ^  t^j dt ^ eta  =  (-1)^p t^(i+j) dt ^ (a ^ eta)
-            for j in range(m - i):
-                eta = other.dt[j]
-                if not eta.is_zero():
-                    term = a.wedge(eta)
-                    if p % 2:
-                        term = -term
-                    dtparts[i + j] = dtparts[i + j] + term
-        for i in range(m):
-            eta = self.dt[i]
-            if eta.is_zero():
-                continue
-            for j in range(m - i):
-                b = other._tpart(j)
-                if not b.is_zero():
-                    dtparts[i + j] = dtparts[i + j] + eta.wedge(b)
-        return FormOnTrunc(self.ctx, degree, m, tparts[0], tparts[1:], dtparts)
+        tparts = series_product(self.tparts, other.tparts, m + 1,
+                                DiffForm.zero(self.ctx, degree))
+        left = series_product(self.tparts, other.dt, m, zero_k1)
+        if self.degree % 2:
+            left = [-w for w in left]
+        right = series_product(self.dt, other.tparts, m, zero_k1)
+        return FormOnTrunc(self.ctx, degree, m, tparts,
+                           [a + b for a, b in zip(left, right)])
 
     def d(self):
         """Differential with d(t^i) = i t^(i-1) dt and t^m dt = 0."""
-        m = self.level
-        base = self.base.d()
-        poly = [w.d() for w in self.poly]
-        dt = [-self.dt[i].d() + self.poly[i].scale(i + 1) for i in range(m)]
-        return FormOnTrunc(self.ctx, self.degree + 1, m, base, poly, dt)
+        parts = self.tparts
+        dt = [-eta.d() + parts[i + 1].scale(i + 1) for i, eta in enumerate(self.dt)]
+        return FormOnTrunc(self.ctx, self.degree + 1, self.level,
+                           [w.d() for w in parts], dt)
 
     def restrict(self, level):
         if level > self.level:
             raise ValueError("cannot restrict upward")
-        return FormOnTrunc(self.ctx, self.degree, level, self.base,
-                           self.poly[:level], self.dt[:level])
+        return FormOnTrunc(self.ctx, self.degree, level, self.tparts[:level + 1],
+                           self.dt[:level])
 
     def __repr__(self):
         parts = []
-        if not self.base.is_zero():
-            parts.append("[%s]" % self.base)
-        for i, w in enumerate(self.poly, start=1):
+        for i, w in enumerate(self.tparts):
             if not w.is_zero():
-                parts.append("t^%d(x)[%s]" % (i, w))
+                parts.append("t^%d(x)[%s]" % (i, w) if i else "[%s]" % w)
         for i, w in enumerate(self.dt):
             if not w.is_zero():
                 parts.append("t^%d dt^[%s]" % (i, w))
@@ -308,16 +295,14 @@ class FormOnTrunc:
 
     def to_json(self):
         return {"degree": self.degree, "level": self.level,
-                "base": self.base.to_json(),
-                "poly": [w.to_json() for w in self.poly],
+                "tparts": [w.to_json() for w in self.tparts],
                 "dt": [w.to_json() for w in self.dt]}
 
     @classmethod
     def from_json(cls, ctx, data):
         n, m = data["degree"], data["level"]
         return cls(ctx, n, m,
-                   DiffForm.from_json(ctx, n, data["base"]),
-                   [DiffForm.from_json(ctx, n, w) for w in data["poly"]],
+                   [DiffForm.from_json(ctx, n, w) for w in data["tparts"]],
                    [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
 
 
@@ -405,7 +390,8 @@ class CanonRelForm(FormTuple):
 
     def embed(self) -> FormOnTrunc:
         """The representative sum_i t^i (x) c_i as a relative form on F_m."""
-        return FormOnTrunc(self.ctx, self.degree, self.level, poly=self.comps)
+        return FormOnTrunc(self.ctx, self.degree, self.level,
+                           (DiffForm.zero(self.ctx, self.degree),) + self.comps)
 
 
 def reduce_mod_exact(alpha: FormOnTrunc) -> CanonRelForm:
@@ -418,7 +404,6 @@ def reduce_mod_exact(alpha: FormOnTrunc) -> CanonRelForm:
     space (characteristic zero only)."""
     if not alpha.is_relative():
         raise NotRelative("form has a nonzero t^0 part")
-    comps = []
-    for i in range(1, alpha.level + 1):
-        comps.append(alpha.poly[i - 1] - alpha.dt[i - 1].d().scale(Fraction(1, i)))
+    comps = [alpha.tparts[i] - alpha.dt[i - 1].d().scale(Fraction(1, i))
+             for i in range(1, alpha.level + 1)]
     return CanonRelForm(alpha.ctx, alpha.degree, alpha.level, comps)

@@ -227,6 +227,14 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
     return out
 
 
+def u_factors(poly, upos):
+    """The irreducible factors of an integer polynomial that involve u,
+    without multiplicities; a polynomial free of u is not factored."""
+    if poly.degree(upos) <= 0:
+        return []
+    return [fac for fac, _mult in poly.factor_list()[1] if fac.degree(upos) > 0]
+
+
 def _rational_support(ctx, values, upos):
     """The valuations at the rational points of the u-line where some
     value has a zero or a pole, in first-seen order, then at infinity if
@@ -236,8 +244,7 @@ def _rational_support(ctx, values, upos):
     nonrational = []
     for y in values:
         for poly in (y.num, y.den_poly()):
-            _, factors = poly.factor_list()
-            for fac, _mult in factors:
+            for fac in u_factors(poly, upos):
                 d = fac.degree(upos)
                 if d == 1:
                     coeffs = base.split(fac, upos)

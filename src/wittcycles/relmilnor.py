@@ -105,6 +105,9 @@ class RelMilnorClass:
     def scale(self, c):
         return RelMilnorClass(self.degree, self.canon.scale(c))
 
+    def restrict(self, level):
+        return RelMilnorClass(self.degree, self.canon.restrict(level))
+
     def __repr__(self):
         return "RelMilnorClass(n=%d, %s)" % (self.degree, self.canon)
 
@@ -168,7 +171,3 @@ def mult_by_absolute(cs, xi: RelMilnorClass) -> RelMilnorClass:
     return RelMilnorClass(xi.degree + w.degree,
                           CanonRelForm(xi.ctx, xi.canon.degree + w.degree,
                                        xi.level, comps))
-
-
-def restrict_class(xi: RelMilnorClass, level: int) -> RelMilnorClass:
-    return RelMilnorClass(xi.degree, xi.canon.restrict(level))

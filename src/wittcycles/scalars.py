@@ -533,6 +533,8 @@ class _Parser:
             return value
         if isinstance(tok, str) and tok in self.ctx.names:
             return self.ctx.var(self.ctx.names.index(tok))
+        if tok is None:
+            raise ParseError("unexpected end of input in %r" % self.text)
         raise ParseError("unknown token %r in %r" % (tok, self.text))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadConstantTerm, NotAUnit, ParseError
-from .forms import DiffForm, FormOnTrunc
+from .forms import DiffForm, FormOnTrunc, series_product
 from .scalars import Context, FieldElem, _Parser, _tokenize
 
 
@@ -111,15 +111,8 @@ class TruncElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = [self.ctx.zero] * (self.level + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.level + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncElem(self.ctx, self.level, out)
+        return TruncElem(self.ctx, self.level, series_product(
+            self.coeffs, other.coeffs, self.level + 1, self.ctx.zero))
 
     __rmul__ = __mul__
 
@@ -215,11 +208,7 @@ def log_t(u: TruncElem) -> TruncElem:
 def trunc_d(a: TruncElem) -> FormOnTrunc:
     """Differential of a ring element, as a 1-form over F_m:
     sum_i t^i (x) d(c_i) + sum_i (i+1) c_(i+1) t^i dt."""
-    ctx, m = a.ctx, a.level
-    base = DiffForm.scalar(a.coeffs[0]).d()
-    poly = [DiffForm.scalar(c).d() for c in a.coeffs[1:]]
-    dt = [DiffForm.scalar(a.coeffs[i + 1] * (i + 1)) for i in range(m)]
-    return FormOnTrunc(ctx, 1, m, base, poly, dt)
+    return embed_form(a).d()
 
 
 def trunc_dlog(u: TruncElem) -> FormOnTrunc:
@@ -231,10 +220,7 @@ def trunc_dlog(u: TruncElem) -> FormOnTrunc:
 
 def embed_form(a: TruncElem) -> FormOnTrunc:
     """View a ring element as a degree-0 form over F_m."""
-    return FormOnTrunc(a.ctx, 0, a.level,
-                       DiffForm.scalar(a.coeffs[0]),
-                       [DiffForm.scalar(c) for c in a.coeffs[1:]],
-                       [DiffForm.zero(a.ctx, -1)] * a.level)
+    return FormOnTrunc(a.ctx, 0, a.level, [DiffForm.scalar(c) for c in a.coeffs])
 
 
 def parse_trunc(ctx: Context, level: int, text: str) -> TruncElem:

@@ -73,8 +73,8 @@ class Sampler:
 
     def form_on_trunc(self, k, m, relative=False, light=False):
         base = DiffForm.zero(self.ctx, k) if relative else self.form(k, light)
-        return FormOnTrunc(self.ctx, k, m, base,
-                           [self.form(k, light) for _ in range(m)],
+        return FormOnTrunc(self.ctx, k, m,
+                           [base] + [self.form(k, light) for _ in range(m)],
                            [self.form(k - 1, light) for _ in range(m)])
 
     def canon(self, n, m):
@@ -250,7 +250,7 @@ def check_witt_vf(ctx, seed, trials):
                                             [c * sv for c in ga.comps]))
         _require(fv == s_id, "frobenius-verschiebung", sv, a)
         kk = s.rng.randint(sv, m)
-        _require(witt.restrict(witt.verschiebung(sv, a, m), kk)
+        _require(witt.verschiebung(sv, a, m).restrict(kk)
                  == witt.verschiebung(sv, a, kk), "restrict-verschiebung", sv, a, kk)
         b = s.witt(m)
         resum = witt.WittVector.zero(ctx, m)
@@ -406,7 +406,8 @@ def check_theta_roundtrip(ctx, seed, trials_per_cell, m_max=6):
                 got = relmilnor.normal_form(relmilnor.theta(a, bs))
                 want = embed_form(a)
                 for b in bs:
-                    want = want.wedge(FormOnTrunc(ctx, 1, m, base=dlog(b)))
+                    want = want.wedge(FormOnTrunc(
+                        ctx, 1, m, (dlog(b),) + (DiffForm.zero(ctx, 1),) * m))
                 _require(got.canon == reduce_mod_exact(want), "theta-roundtrip", a, bs)
                 yield
 
@@ -425,7 +426,7 @@ def check_relmilnor_products(ctx, seed, trials, m_max=5):
             relmilnor.RelSymbol([u, w, TruncElem.constant(c, m)]))
         _require(via_canon == via_symbol, "absolute-product", u, w, c)
         kk = s.rng.randint(1, m)
-        _require(relmilnor.restrict_class(xi, kk) == relmilnor.normal_form(
+        _require(xi.restrict(kk) == relmilnor.normal_form(
                      relmilnor.RelSymbol([u.restrict(kk), w.restrict(kk)])),
                  "restriction-square", u, w, kk)
         yield

@@ -76,6 +76,11 @@ class WittVector:
         return unghost(GhostTuple(self.ctx, self.level,
                                   [a * b for a, b in zip(g.comps, h.comps)]))
 
+    def restrict(self, level):
+        if level > self.level:
+            raise ValueError("cannot restrict upward")
+        return WittVector(self.ctx, level, self.coords[:level])
+
     def __repr__(self):
         return "W(" + ", ".join(str(a) for a in self.coords) + ")"
 
@@ -188,12 +193,6 @@ def frobenius(s: int, a: WittVector) -> WittVector:
         raise ValueError("F_%d empties a level-%d vector" % (s, a.level))
     g = ghost(a)
     return unghost(GhostTuple(a.ctx, level, [g.comps[s * j - 1] for j in range(1, level + 1)]))
-
-
-def restrict(a: WittVector, level: int) -> WittVector:
-    if level > a.level:
-        raise ValueError("cannot restrict upward")
-    return WittVector(a.ctx, level, a.coords[:level])
 
 
 def witt_decompose(a: WittVector):

@@ -206,3 +206,32 @@ def test_witt_without_m_reads_the_tuple_length(capsys, subop, m, tuple_, want):
     code, out, _ = run(capsys, "witt", subop, tuple_, "--pretty")
     assert code == 0 and out.strip() == want
     assert run(capsys, "witt", subop, "--m", m, tuple_, "--pretty")[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["witt", "ghost", "(1,,2)"], "(1,,2)"),
+    (["witt", "ghost", "(1,2,)"], "(1,2,)"),
+    (["witt", "ghost", "()"], "()"),
+    (["nf", "--vars", "x", "--symbol", "{1+t,,x}"], "{1+t,,x}"),
+    (["nf", "--symbol", "{}"], "{}"),
+    (["cyc", "--vars", "x", "--gen", "(1-t; x,)"], "(1-t; x,)"),
+    (["cyc", "--vars", "x", "--gen", "2*(1-t; ,x)"], "2*(1-t; ,x)"),
+    (["drw", "phi", "--vars", "x,y", "--witt", "(3,0)", "--bs", "x,,y"], "x,,y"),
+])
+def test_empty_entry_names_the_input(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "empty entry in %r" % text}
+
+
+def test_generator_without_cube_coordinates(capsys):
+    code, out, _ = run(capsys, "cyc", "--vars", "x", "--gen", "(1-t;)")
+    assert code == 0 and json.loads(out)["degree"] == 1
+
+
+def test_unexpected_end_of_input(capsys):
+    code, out, err = run(capsys, "witt", "ghost", "(1+)")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "unexpected end of input in '1+'"}

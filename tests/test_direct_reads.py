@@ -6,12 +6,15 @@ out below: convert to sympy's FracField with ``frac``, take the terms of
 Valuations are checked against the two order routes they replaced:
 synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
-last two tests pin that only ``scalars`` knows that bridge, moves
-polynomials between contexts and writes the "p/q" coefficient text."""
+wedge of forms over F_m is checked against the three truncated loops it
+replaced.  The last two tests pin that only ``scalars`` knows that
+bridge, moves polynomials between contexts and writes the "p/q"
+coefficient text."""
 
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
 from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
                                NonRationalPoint, ParseError)
+from wittcycles.forms import DiffForm, FormOnTrunc
 from wittcycles.milnorfield import (FieldSymbol, Valuation, _rational_support,
                                     gersten_boundary)
 from wittcycles.scalars import Context, parse_elem
@@ -328,6 +332,77 @@ def test_nonrational_factor_strings(ectx):
     bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1, g2]), 2)
     assert nonrational == old_nonrational([g1, g2], 2) == want + ["-u**3 + y"]
     assert [str(v) for v, _ in bnd] == ["(u = x/2)", "(u = -1)"]
+
+
+# -- the wedge over F_m, as three truncated loops ----------------------------
+
+
+def old_wedge(f, g):
+    """FormOnTrunc.wedge as it was: one loop for the t-part and two for
+    the dt-part, with the sign (-1)^p of moving dt left past a p-form."""
+    m, p = f.level, f.degree
+    degree = p + g.degree
+    tparts = [DiffForm.zero(f.ctx, degree)] * (m + 1)
+    dtparts = [DiffForm.zero(f.ctx, degree - 1)] * m
+    for i in range(m + 1):
+        a = f.tparts[i]
+        if a.is_zero():
+            continue
+        for j in range(m + 1 - i):
+            b = g.tparts[j]
+            if not b.is_zero():
+                tparts[i + j] = tparts[i + j] + a.wedge(b)
+        # t^i (x) a  ^  t^j dt ^ eta  =  (-1)^p t^(i+j) dt ^ (a ^ eta)
+        for j in range(m - i):
+            eta = g.dt[j]
+            if not eta.is_zero():
+                term = a.wedge(eta)
+                if p % 2:
+                    term = -term
+                dtparts[i + j] = dtparts[i + j] + term
+    for i in range(m):
+        eta = f.dt[i]
+        if eta.is_zero():
+            continue
+        for j in range(m - i):
+            b = g.tparts[j]
+            if not b.is_zero():
+                dtparts[i + j] = dtparts[i + j] + eta.wedge(b)
+    return FormOnTrunc(f.ctx, degree, m, tparts, dtparts)
+
+
+def _form(ctx, rng, k):
+    if k < 0:
+        return DiffForm.zero(ctx, k)
+    return DiffForm(ctx, k, {s: _poly(ctx, rng, 2, maxdeg=1)
+                             for s in combinations(range(ctx.r), k)
+                             if rng.random() < 0.6})
+
+
+def _form_on_trunc(ctx, rng, k, m):
+    """A k-form over F_m whose dt-part is nonzero when k >= 1."""
+    while True:
+        f = FormOnTrunc(ctx, k, m, [_form(ctx, rng, k) for _ in range(m + 1)],
+                        [_form(ctx, rng, k - 1) for _ in range(m)])
+        if k == 0 or any(f.dt):
+            return f
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_wedge_matches_three_loops(m):
+    ctx = Context(("x", "y", "z"))
+    rng = random.Random(71 + m)
+    signed = 0
+    for p in range(3):
+        for q in range(3):
+            f = _form_on_trunc(ctx, rng, p, m)
+            g = _form_on_trunc(ctx, rng, q, m)
+            want = old_wedge(f, g)
+            assert f.wedge(g) == want, (f, g)
+            if p % 2 and any(want.dt):
+                signed += 1
+    # the sign (-1)^p is exercised, not only carried along
+    assert signed
 
 
 # -- the FracField bridge and the u-line moves stay in scalars ---------------

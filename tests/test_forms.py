@@ -42,19 +42,20 @@ def test_trunc_d_with_dt_term(ctx):
     m = 3
     # d(t^2 (x) x) = t^2 (x) dx + 2 t dt ^ x
     alpha = FormOnTrunc(ctx, 0, m,
-                        poly=[DiffForm.zero(ctx, 0), DiffForm.scalar(x),
-                              DiffForm.zero(ctx, 0)])
+                        tparts=[DiffForm.zero(ctx, 0), DiffForm.zero(ctx, 0),
+                                DiffForm.scalar(x), DiffForm.zero(ctx, 0)])
     got = alpha.d()
-    assert got.poly[1] == DiffForm(ctx, 1, {(0,): ctx.one})
+    assert got.tparts[2] == DiffForm(ctx, 1, {(0,): ctx.one})
     assert got.dt[1] == DiffForm.scalar(x).scale(2)
-    assert got.base.is_zero() and got.poly[0].is_zero() and got.poly[2].is_zero()
+    assert all(got.tparts[i].is_zero() for i in (0, 1, 3))
 
 
 def test_trunc_wedge_truncates(ctx):
     m = 2
     dx = dlog(ctx.var(0)).scale(ctx.var(0))
-    a = FormOnTrunc(ctx, 1, m, poly=[dx, DiffForm.zero(ctx, 1)])
-    b = FormOnTrunc(ctx, 1, m, poly=[DiffForm.zero(ctx, 1), dlog(ctx.var(1))])
+    zero = DiffForm.zero(ctx, 1)
+    a = FormOnTrunc(ctx, 1, m, tparts=[zero, dx, zero])
+    b = FormOnTrunc(ctx, 1, m, tparts=[zero, zero, dlog(ctx.var(1))])
     # t * t^m = 0
     assert a.wedge(b).is_zero()
 
@@ -81,21 +82,22 @@ def test_reduce_kills_exact(ctx):
     x, y = ctx.gens()
     m = 3
     omega = DiffForm(ctx, 1, {(0,): y ** 2, (1,): x})
-    alpha = FormOnTrunc(ctx, 1, m,
-                        poly=[DiffForm.zero(ctx, 1), omega, DiffForm.zero(ctx, 1)])
+    zero = DiffForm.zero(ctx, 1)
+    alpha = FormOnTrunc(ctx, 1, m, tparts=[zero, zero, omega, zero])
     assert reduce_mod_exact(alpha.d()).is_zero()
 
 
 def test_reduce_fixes_canonical(ctx):
     closed = dlog(ctx.var(0))  # closed 1-form
     m = 2
-    alpha = FormOnTrunc(ctx, 1, m, poly=[closed, DiffForm.zero(ctx, 1)])
+    zero = DiffForm.zero(ctx, 1)
+    alpha = FormOnTrunc(ctx, 1, m, tparts=[zero, closed, zero])
     got = reduce_mod_exact(alpha)
     assert got.comps == (closed, DiffForm.zero(ctx, 1))
 
 
 def test_reduce_rejects_absolute_part(ctx):
-    alpha = FormOnTrunc(ctx, 0, 1, base=DiffForm.scalar(ctx.one))
+    alpha = FormOnTrunc(ctx, 0, 1, tparts=[DiffForm.scalar(ctx.one), DiffForm.zero(ctx, 0)])
     with pytest.raises(NotRelative):
         reduce_mod_exact(alpha)
 
@@ -110,7 +112,6 @@ def test_canon_embed_restrict_roundtrip(ctx):
 def test_form_json_roundtrip(ctx):
     x, y = ctx.gens()
     f = FormOnTrunc(ctx, 1, 2,
-                    base=dlog(x),
-                    poly=[dlog(y), DiffForm.zero(ctx, 1)],
+                    tparts=[dlog(x), dlog(y), DiffForm.zero(ctx, 1)],
                     dt=[DiffForm.scalar(x * y), DiffForm.zero(ctx, 0)])
     assert FormOnTrunc.from_json(ctx, f.to_json()) == f

@@ -9,7 +9,8 @@ from wittcycles.forms import dlog
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_realization, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
-                                    tame_symbol, weil_reciprocity_check)
+                                    tame_symbol, u_factors,
+                                    weil_reciprocity_check)
 from wittcycles.scalars import Context
 
 
@@ -32,6 +33,21 @@ def test_valuation_ord_residue(ctx):
     assert o == -2 and r == base.one
     o, r = Valuation.infinity(ctx, UPOS).ord_residue(5 / u)
     assert o == 1 and r == base.rational(5)
+
+
+def test_u_factors_skip_polynomials_free_of_u(ctx, monkeypatch):
+    x, y, u = ctx.gens()
+    f = (2 * x * (u - x) ** 2 * (u * u + y) / (3 * (x + 1))).num
+    # the factors 2 and x are dropped, and so is the multiplicity of x - u
+    assert [str(g) for g in u_factors(f, UPOS)] == ["u**2 + y", "x - u"]
+    calls = []
+    original = type(f).factor_list
+    monkeypatch.setattr(type(f), "factor_list",
+                        lambda self: calls.append(self) or original(self))
+    for g in (ctx.rational(5), x * y + 1, 6 * x):
+        assert u_factors(g.num, UPOS) == []
+    assert not calls
+    assert len(u_factors((u * x - 1).num, UPOS)) == 1 and len(calls) == 1
 
 
 def test_tame_symbol_values(ctx):

@@ -7,7 +7,7 @@ import pytest
 from wittcycles.errors import NoPrincipalEntry, NotAUnit
 from wittcycles.forms import CanonRelForm, dlog
 from wittcycles.relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
-                                  normal_form, restrict_class, theta)
+                                  normal_form, theta)
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, parse_trunc
 
@@ -97,9 +97,21 @@ def test_restrict_class(ctx):
     x = ctx.var(0)
     xi = normal_form(RelSymbol([principal(ctx, 2, "1-3t"),
                                 TruncElem.constant(x, 2)]))
-    got = restrict_class(xi, 1)
+    got = xi.restrict(1)
     assert got.canon.comps == (dlog(x).scale(-3),)
-    assert restrict_class(xi, 2) == xi
+    assert xi.restrict(2) == xi
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_antisymmetry_in_the_last_two_entries(ctx, m):
+    # v and w have nonzero t^0 differentials and nonzero dt parts, so the
+    # sign of moving a 1-form past dt decides the answer
+    u = principal(ctx, m, "1 + x*t + y*t^2")
+    v = parse_trunc(ctx, m, "x + (1+y)*t")
+    w = parse_trunc(ctx, m, "1 + y + x*t - t^2")
+    xi = normal_form(RelSymbol([u, v, w]))
+    assert not xi.is_zero()
+    assert xi == -normal_form(RelSymbol([u, w, v]))
 
 
 def test_class_group_operations(ctx):

@@ -58,14 +58,14 @@ def test_exp_log_preconditions(ctx):
 def test_trunc_dlog_constant_entry(ctx):
     x = ctx.var(0)
     f = trunc_dlog(TruncElem.constant(x, 2))
-    assert f.base == DiffForm(ctx, 1, {(0,): 1 / x})
-    assert all(w.is_zero() for w in f.poly) and all(w.is_zero() for w in f.dt)
+    assert f.tparts[0] == DiffForm(ctx, 1, {(0,): 1 / x})
+    assert all(w.is_zero() for w in f.tparts[1:]) and all(w.is_zero() for w in f.dt)
 
 
 def test_trunc_dlog_principal_unit(ctx):
     # dlog(1+t) at m=2 is (1 - t) dt
     f = trunc_dlog(TruncElem.one(ctx, 2) + TruncElem.t(ctx, 2))
-    assert f.base.is_zero() and all(w.is_zero() for w in f.poly)
+    assert all(w.is_zero() for w in f.tparts)
     assert f.dt[0] == DiffForm.scalar(ctx.one)
     assert f.dt[1] == DiffForm.scalar(ctx.rational(-1))
 

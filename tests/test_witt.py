@@ -8,7 +8,7 @@ from wittcycles.errors import BadConstantTerm
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem
 from wittcycles.witt import (GhostTuple, WittVector, frobenius, gamma,
-                             gamma_inv, ghost, restrict, teichmuller, unghost,
+                             gamma_inv, ghost, teichmuller, unghost,
                              verschiebung, witt_decompose)
 
 
@@ -115,7 +115,7 @@ def test_frobenius_verschiebung_is_multiplication_by_s(ctx):
 
 def test_restrict(ctx):
     a = WittVector(ctx, 3, [ctx.var(0), ctx.var(1), ctx.one])
-    assert restrict(a, 2) == WittVector(ctx, 2, [ctx.var(0), ctx.var(1)])
+    assert a.restrict(2) == WittVector(ctx, 2, [ctx.var(0), ctx.var(1)])
 
 
 def test_decompose(ctx):
