@@ -99,6 +99,8 @@ def _context(args):
 
 def _coordinate_tuples(ctx, texts, m, extra=0):
     """The parsed tuples; with m given, each must have m + extra entries."""
+    if m is not None and m < 1:
+        raise ValueError("level must be >= 1")
     tuples = [parse_tuple(ctx, text) for text in texts]
     for coords in tuples:
         if m is not None and len(coords) != m + extra:

@@ -22,8 +22,13 @@ Elements live in one of two tiers of that form:
   derivatives of such elements stay in this tier and need only ring
   operations plus integer gcds against den;
 - the fraction tier, where den is a non-constant polynomial.  An element
-  enters it only on division by a non-constant, and results there are
-  cancelled by sympy's polynomial gcd.
+  enters it only on division by a non-constant.  Products cancel each
+  numerator against the other factor's denominator, and sums of distinct
+  denominators a and b cancel by Henrici's rule: with g = gcd(a, b), only
+  a factor of g can divide the numerator over a*b/g.  Every polynomial
+  gcd first tries a mod-p coprimality certificate (``_cofactors``), which
+  settles most of them with integer gcds alone, and falls back to
+  sympy's polynomial gcd when the certificate fails.
 
 The algorithms read ``num`` and ``den_poly()`` directly.  Only this
 module moves elements between a context with a designated variable u at
@@ -180,6 +185,58 @@ def _scaled(poly, k, g):
     return poly.new([(m, c // g * k) for m, c in poly.items()])
 
 
+# The coprimality certificate.  Most polynomial gcds the fraction tier
+# takes are 1, and _cofactors proves that one variable x_j at a time: it
+# sends every other variable x_i to _BASE**(i + 1) modulo the prime _P and
+# takes the gcd of the two images as polynomials in x_j over Z/_P.  The gcd
+# h of f and g divides g, so the x_j-leading coefficient of h divides that
+# of g.  When g keeps its x_j-degree under the map, so does h, and h's
+# image divides both images; a gcd of 1 there proves that h is free of x_j.
+# Any failure falls back to sympy, so the point decides speed only.
+_P = 2 ** 61 - 1
+_BASE = 0x5DEECE66D
+
+
+def _image(poly, j, degree):
+    """The x_j-coefficients of poly's image modulo _P, lowest degree first."""
+    out = [0] * (degree + 1)
+    for mon, c in poly.items():
+        for i, e in enumerate(mon):
+            if e and i != j:
+                c = c * pow(_BASE, (i + 1) * e, _P)
+        out[mon[j]] += c
+    return [c % _P for c in out]
+
+
+def _unit_gcd(a, b):
+    """Whether images a and b have gcd 1 over Z/_P and b keeps its degree."""
+    if not b[-1]:
+        return False
+    while len(b) > 1:  # Euclid, with b[-1] nonzero
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            q, k = a[-1] * inv % _P, len(a) - len(b)
+            a[k:] = [(x - q * y) % _P for x, y in zip(a[k:], b)]
+            a.pop()
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _cofactors(f, g):
+    """(h, f/h, g/h) for h = gcd(f, g), as sympy's cofactors gives them up
+    to sign.  When the certificate holds for every variable of both f and
+    g, h is the gcd of their integer contents; otherwise sympy computes."""
+    if f and g and all(_unit_gcd(_image(f, j, d), _image(g, j, e)) for j, (d, e)
+                       in enumerate(zip(f.degrees(), g.degrees())) if d and e):
+        h = gcd(*f.values(), *g.values())
+        return f.ring(h), _scaled(f, 1, h), _scaled(g, 1, h)
+    return f.cofactors(g)
+
+
 def _coprime(num, den):
     """num and den divided by their gcd, for den a positive int or a
     polynomial with positive leading coefficient."""
@@ -188,7 +245,7 @@ def _coprime(num, den):
             return num, den
         g = gcd(den, *num.values())
         return _scaled(num, 1, g), den // g
-    return num.cofactors(den)[1:]
+    return _cofactors(num, den)[1:]
 
 
 def _settled(ctx, num, den):
@@ -251,7 +308,11 @@ class FieldElem:
             return FieldElem(ctx, _scaled(num, 1, g), _scaled(den, 1, g))
         if a == b:
             return _settled(ctx, *_coprime(self.num + other.num, a))
-        return _settled(ctx, *_coprime(self.num * b + other.num * a, a * b))
+        # Henrici: with g = gcd(a, b), no factor of a/g or b/g divides the
+        # numerator below, so only a factor of g can cancel
+        g, a1, b1 = _cofactors(a, b)
+        _, num, g1 = _cofactors(self.num * b1 + other.num * a1, g)
+        return _settled(ctx, num, a1 * b1 * g1)
 
     __radd__ = __add__
 

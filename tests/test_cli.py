@@ -162,11 +162,18 @@ def test_witt_tuple_count(capsys, subop, tuples, want):
     ["witt", "ghost", "--m", "0", "(1,2)"],
     ["drw", "phi", "--m", "0", "--witt", "(3,0)", "--bs", "x"],
     ["drw", "v", "--level", "0", "--witt", "(3,0)", "--bs", "x"],
+    ["witt", "ghost", "--m", "-1", "(1,2)"],
+    ["witt", "gamma-inv", "--m", "0", "(1)"],
+    ["drw", "d", "--m", "0", "--witt", "(3,0)"],
+    ["nf", "--m", "0", "--symbol", "{1+t}"],
+    ["cyc", "--m", "-1", "--gen", "(1-3t)"],
 ])
 def test_level_zero_exits_2(capsys, argv):
+    """Every subcommand refuses a level below 1 with one message."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "error" in json.loads(err)
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "level must be >= 1"}
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -7,9 +7,10 @@ Valuations are checked against the two order routes they replaced:
 synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
-replaced.  The last two tests pin that only ``scalars`` knows that
-bridge, moves polynomials between contexts and writes the "p/q"
-coefficient text."""
+replaced, and Henrici's sum against the gcd over the whole product of the
+denominators.  The last three tests pin that only ``scalars`` knows that
+bridge, moves polynomials between contexts, writes the "p/q" coefficient
+text and calls sympy's polynomial gcd."""
 
 import random
 import re
@@ -405,6 +406,61 @@ def test_wedge_matches_three_loops(m):
     assert signed
 
 
+# -- Henrici's sum against the whole-product gcd -----------------------------
+
+
+def old_sum(p, q):
+    """p + q cancelled by one gcd against the whole product of the
+    denominators, as FieldElem.__add__ did before Henrici's rule."""
+    a, b = p.den_poly(), q.den_poly()
+    num, den = (p.num * b + q.num * a).cofactors(a * b)[1:]
+    return (-num, -den) if den.LC < 0 else (num, den)
+
+
+def _assert_sum_matches(p, q):
+    total = p + q
+    num, den = old_sum(p, q)
+    assert (total.num, total.den_poly()) == (num, den), (p, q)
+    assert (type(total.den) is int) == den.is_ground
+    return total
+
+
+def test_henrici_sum_named_cases():
+    ctx = Context(("x", "y"))
+    x, y = ctx.gens()
+    common = 3 * x - 2 * y + 1
+    # a common non-monic factor, once and repeated
+    _assert_sum_matches((x + y) / (common * (y + 1)), x / (common ** 2 * (x - 2)))
+    # coprime denominators with integer content 2 and 3, and a content gcd
+    # of 2 that cancels from the numerator: 1/(2x) + 1/(2x + 4)
+    _assert_sum_matches(x / (4 * x + 6), y / (6 * y + 3))
+    assert str(_assert_sum_matches(1 / (2 * x), 1 / (2 * x + 4))) == "(x + 1)/(x**2 + 2*x)"
+    # a = 2b: the sum drops to the polynomial tier
+    assert _assert_sum_matches((x + 3) / (2 * x + 2), x / (x + 1)) == ctx.rational(3, 2)
+    # equal denominators, cancelling to 0; distinct canonical denominators
+    # never sum to 0
+    p = (x * y - 1) / common
+    assert _assert_sum_matches(p, -p).is_zero()
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_henrici_sum_matches_whole_product(names):
+    ctx = Context(names)
+    rng = random.Random(1956 + ctx.r)
+    x, y = ctx.var(0), ctx.var(1)
+    shared = [ctx.one, 3 * x - 2 * y + 1, (2 * y + 5) ** 2, ctx.rational(6)]
+    for _ in range(30):
+        s = rng.choice(shared)
+        p = _poly(ctx, rng, 3) / (s * _poly(ctx, rng, 2) or ctx.one)
+        q = _poly(ctx, rng, 3) / (s * _poly(ctx, rng, 2) or ctx.one)
+        _assert_sum_matches(p, q)
+        _assert_sum_matches(p, -p)
+        # a summand over (often) twice p's denominator, with a sum in the
+        # polynomial tier
+        t = _poly(ctx, rng, 2)
+        assert _assert_sum_matches(t / 2 - p, p) == t / 2
+
+
 # -- the FracField bridge and the u-line moves stay in scalars ---------------
 
 BRIDGE = re.compile(r"\.frac\b|\bctx\.field\b|\bfrom_terms\b")
@@ -431,3 +487,13 @@ def test_only_scalars_uses_the_fracfield_bridge():
 def test_only_scalars_moves_elements_and_writes_coefficients():
     offenders = _offenders(MOVES)
     assert not offenders, offenders
+
+
+def test_only_cofactors_calls_the_polynomial_gcd():
+    """sympy's polynomial gcd is reached through scalars._cofactors alone,
+    behind the coprimality certificate."""
+    gcd = re.compile(r"\.cofactors\(|\.gcd\(|\bcancel\(")
+    assert not _offenders(gcd)
+    scalars = Path(__file__).resolve().parent.parent / "src" / "wittcycles" / "scalars.py"
+    calls = [line.strip() for line in scalars.read_text().splitlines() if gcd.search(line)]
+    assert calls == ["return f.cofactors(g)"]

@@ -12,8 +12,8 @@ from wittcycles.errors import ContextMismatch, DivisionByZero, ParseError
 from wittcycles.addchow import CycleGen
 from wittcycles.milnorfield import FieldSymbol
 from wittcycles.relmilnor import RelSymbol
-from wittcycles.scalars import (Context, FieldElem, fraction_text, parse_elem,
-                                parse_fraction)
+from wittcycles.scalars import (_BASE, _P, Context, FieldElem, _cofactors,
+                                fraction_text, parse_elem, parse_fraction)
 from wittcycles.trunc import TruncElem
 
 
@@ -268,3 +268,88 @@ def test_rational_scaling_matches_sympy(ra, c):
     _assert_canonical(a * c.numerator, fa * c.numerator)
     if c:
         _assert_canonical(a / c, fa / fc)
+
+
+# -- differential test: the coprimality certificate against sympy's gcd -------
+#
+# f = s*p and g = s*q share the factor s of one kind.  _cofactors must give
+# sympy's (gcd, f/gcd, g/gcd) up to one common sign, both when the mod-p
+# certificate settles the gcd and when it falls back.
+
+_CERT_RINGS = [Context(names).ring for names in (("x",), ("x", "y"), ("x", "y", "z"))]
+_cert_terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                                 st.integers(-6, 6)), max_size=4)
+_SHARED = ("none", "factor", "content", "repeated", "vanishing", "zero")
+
+
+def _cert_poly(ring, terms):
+    return sum((c * ring.from_dict({mon[:ring.ngens]: 1}) for mon, c in terms),
+               ring.zero)
+
+
+def _vanishing(ring, at_point):
+    """A factor every x_j-leading coefficient of which vanishes at the
+    certificate's point modulo _P, so that g loses degree there: either
+    _P*x1*...*xr + 1, or (x1 - c1)*...*(xr - cr) + 1 at the point c when
+    there are two variables or more."""
+    if not at_point or ring.ngens == 1:
+        return _P * ring.from_dict({(1,) * ring.ngens: 1}) + 1
+    prod = ring.one
+    for i, x in enumerate(ring.gens):
+        prod *= x - pow(_BASE, i + 1, _P)
+    return prod + 1
+
+
+def _signed(triple):
+    h, cff, cfg = triple
+    return (-h, -cff, -cfg) if h and h.LC < 0 else triple
+
+
+_NON_MONIC = [((1, 0, 0), 3), ((0, 1, 0), 2)]     # 3x + 2y
+_X_PLUS_1 = [((1, 0, 0), 1), ((0, 0, 0), 1)]
+_Y = [((0, 1, 0), 1)]
+_Z_PLUS_2 = [((0, 0, 1), 1), ((0, 0, 0), 2)]
+
+
+@seed(1909)
+@_settings
+@given(st.integers(1, 3), _cert_terms, _cert_terms, _cert_terms,
+       st.sampled_from(_SHARED), st.integers(2, 30))
+@example(2, _X_PLUS_1, _Y, _NON_MONIC, "factor", 2)
+@example(2, _X_PLUS_1, _Y, _NON_MONIC, "repeated", 3)
+@example(3, _X_PLUS_1, _Z_PLUS_2, [], "content", 6)
+@example(1, _X_PLUS_1, [((0, 0, 0), 1)], [((1, 0, 0), 2), ((0, 0, 0), 1)], "repeated", 2)
+@example(1, _X_PLUS_1, [((2, 0, 0), 1)], [], "vanishing", 2)
+@example(2, _X_PLUS_1, _Y, [], "vanishing", 3)
+@example(3, _X_PLUS_1, _Z_PLUS_2, [], "vanishing", 2)
+@example(2, _X_PLUS_1, _Y, [], "vanishing", 5)
+@example(2, [], _NON_MONIC, [], "zero", 2)
+def test_cofactors_match_sympy(r, p_terms, q_terms, s_terms, kind, k):
+    ring = _CERT_RINGS[r - 1]
+    p, q, s = (_cert_poly(ring, ts) for ts in (p_terms, q_terms, s_terms))
+    s = s or ring(k)
+    shared = {"none": ring.one, "factor": s, "content": ring(k),
+              "repeated": s ** (k % 3 + 2) * k, "zero": ring.one,
+              "vanishing": _vanishing(ring, k % 2) * s}[kind]
+    f = ring.zero if kind == "zero" else shared * p
+    g = shared * q
+    assert _signed(_cofactors(f, g)) == _signed(f.cofactors(g))
+    assert _signed(_cofactors(g, f)) == _signed(g.cofactors(f))
+
+
+def test_coprime_fractions_take_no_polynomial_gcd(ctx, monkeypatch):
+    """A fraction-tier product and sum whose cross gcds are 1 are settled by
+    the certificate; a shared factor still cancels to the canonical form."""
+    x, y = ctx.gens()
+    a, b = (x + 1) / (y + 2), (3 * y - x) / (2 * x + 5)
+    c, d = 1 / (x + y), x / (y + 3)
+    calls = []
+    original = type(x.num).cofactors
+    monkeypatch.setattr(type(x.num), "cofactors",
+                        lambda f, g: calls.append((f, g)) or original(f, g))
+    assert str(a * b) == "(-x**2 + 3*x*y - x + 3*y)/(2*x*y + 4*x + 5*y + 10)"
+    assert str(c + d) == "(x**2 + x*y + y + 3)/(x*y + y**2 + 3*x + 3*y)"
+    assert not calls
+    product = a * ((y + 2) / (x - 3))
+    assert (product.num, product.den) == ((x + 1).num, (x - 3).num)
+    assert calls
