@@ -19,6 +19,12 @@ from .errors import ParseError, WittCyclesError
 from .scalars import Context, parse_elem, parse_fraction
 from .trunc import TruncElem, parse_trunc
 
+# The highest level any subcommand accepts.  A level m allocates lists of
+# m + 1 coefficients or m ghost components before any other check, so
+# without a bound one call could exhaust memory.  The benchmark reaches
+# m = 32 and the acceptance checks m = 8.
+MAX_LEVEL = 256
+
 
 def _entries(body, text):
     """The comma-separated entries of body, split outside parentheses;
@@ -95,6 +101,11 @@ def _context(args):
     if not names:
         raise ParseError("empty variable list")
     return Context(names)
+
+
+def _check_level(level):
+    if level is not None and level > MAX_LEVEL:
+        raise ParseError("level %d is above the limit %d" % (level, MAX_LEVEL))
 
 
 def _coordinate_tuples(ctx, texts, m, extra=0):
@@ -194,6 +205,7 @@ def cmd_drw(args):
         out = drw.drw_d(form)
     elif op == "v":
         level = args.s * form.level if args.level is None else args.level
+        _check_level(level)
         out = drw.drw_V(args.s, form, level)
     elif op == "f":
         out = drw.drw_F(args.s, form)
@@ -285,6 +297,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # before any input is read; cmd_drw checks the level s*m of drw v
+        _check_level(getattr(args, "m", None))
+        _check_level(getattr(args, "level", None))
         return args.fn(args)
     except (WittCyclesError, ValueError) as exc:
         name = type(exc).__name__ if isinstance(exc, WittCyclesError) else "ValueError"

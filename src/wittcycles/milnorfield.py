@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NoUnitEntry, ZeroEntry)
 from .forms import DiffForm, dlog_wedge
-from .scalars import FieldElem, fraction_text, parse_fraction
+from .scalars import FieldElem, factors, fraction_text, parse_fraction
 
 
 # -- symbols and valuations ---------------------------------------------
@@ -229,10 +229,11 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
 
 def u_factors(poly, upos):
     """The irreducible factors of an integer polynomial that involve u,
-    without multiplicities; a polynomial free of u is not factored."""
+    without multiplicities; a polynomial free of u is not factored, and
+    ``scalars.factors`` memoises the rest by (ring, poly), the last 256."""
     if poly.degree(upos) <= 0:
         return []
-    return [fac for fac, _mult in poly.factor_list()[1] if fac.degree(upos) > 0]
+    return [fac for fac in factors(poly) if fac.degree(upos) > 0]
 
 
 def _rational_support(ctx, values, upos):

@@ -36,6 +36,8 @@ position pos (the u-line) and its base ``drop(pos)``: ``lift`` views a
 base element on the u-line (sympy's ``set_ring`` inserts u by name, with
 exponent 0), and ``split`` cuts a polynomial of the u-line into its
 coefficients by powers of u, integer polynomials over 1 and so canonical.
+``factors``, the one route to sympy's ``factor_list``, memoises the distinct
+irreducible factors of a polynomial by (ring, poly), for the last 256.
 
 The ``frac`` property gives the same value as an element of sympy's
 ``FracField`` over QQ.  It is the bridge for printing and for the
@@ -47,6 +49,7 @@ for JSON input and for those tests.  Rational coefficients are written
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from sympy import QQ, ZZ, grlex
@@ -246,6 +249,22 @@ def _coprime(num, den):
         g = gcd(den, *num.values())
         return _scaled(num, 1, g), den // g
     return _cofactors(num, den)[1:]
+
+
+# Sized by peak memory: on criteria 9 and 10, 256 entries keep most repeats
+# for about 0.5 MB, and 1,024 factor 15% fewer polynomials for 2.1 MB.
+FACTOR_CACHE_SIZE = 256
+
+
+def factors(poly):
+    """The distinct irreducible factors of an integer polynomial, memoised
+    by (ring, poly); callers must not mutate them."""
+    return _factors(poly.ring, poly)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factors(ring, poly):
+    return tuple(fac for fac, _mult in poly.factor_list()[1])
 
 
 def _settled(ctx, num, den):

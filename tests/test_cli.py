@@ -176,6 +176,30 @@ def test_level_zero_exits_2(capsys, argv):
         "type": "ValueError", "message": "level must be >= 1"}
 
 
+@pytest.mark.parametrize("argv, level", [
+    (["nf", "--m", "1000000000", "--symbol", "{1+t, x}"], 1000000000),
+    (["cyc", "--m", "257", "--gen", "(1-3t; x)"], 257),
+    (["witt", "ghost", "--m", "257", "(1,2)"], 257),
+    (["witt", "gamma-inv", "--m", "1000", "(1,2)"], 1000),
+    (["drw", "d", "--m", "300", "--witt", "(3,0)"], 300),
+    (["drw", "restrict", "--level", "257", "--witt", "(3,0)"], 257),
+    (["drw", "v", "--level", "1000000000", "--witt", "(x)"], 1000000000),
+    # drw v without --level reaches level s*m
+    (["drw", "v", "--m", "1", "--witt", "(x)", "--s", "1000000000"], 1000000000),
+    (["drw", "v", "--witt", "(x,1)", "--s", "129"], 258),
+])
+def test_level_above_the_limit_exits_2(capsys, argv, level):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "level %d is above the limit 256" % level}
+
+
+def test_level_at_the_limit_runs(capsys):
+    code, out, _ = run(capsys, "drw", "v", "--m", "1", "--witt", "(x)", "--s", "256")
+    assert code == 0 and json.loads(out)["level"] == 256
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_trials_below_one_exits_2(capsys, trials):
     code, out, err = run(capsys, "verify", "--suite", "drw", "--trials", trials)

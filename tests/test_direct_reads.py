@@ -497,3 +497,15 @@ def test_only_cofactors_calls_the_polynomial_gcd():
     scalars = Path(__file__).resolve().parent.parent / "src" / "wittcycles" / "scalars.py"
     calls = [line.strip() for line in scalars.read_text().splitlines() if gcd.search(line)]
     assert calls == ["return f.cofactors(g)"]
+
+
+def test_only_scalars_factors_calls_factor_list():
+    """sympy's factoring is reached through the memoised scalars.factors
+    alone."""
+    factor = re.compile(r"\.factor_list\(")
+    offenders = _offenders(factor)
+    assert not offenders, offenders
+    scalars = Path(__file__).resolve().parent.parent / "src" / "wittcycles" / "scalars.py"
+    calls = [line.strip() for line in scalars.read_text().splitlines()
+             if factor.search(line)]
+    assert calls == ["return tuple(fac for fac, _mult in poly.factor_list()[1])"]

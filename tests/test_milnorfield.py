@@ -1,6 +1,8 @@
 """Symbol calculus over F(u): valuations, tame symbols, reciprocity,
 and the two rewriting procedures."""
 
+from math import prod
+
 import pytest
 
 from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
@@ -11,7 +13,7 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     gersten_boundary, rewrite_filtration,
                                     tame_symbol, u_factors,
                                     weil_reciprocity_check)
-from wittcycles.scalars import Context
+from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, _factors, factors
 
 
 @pytest.fixture
@@ -35,19 +37,68 @@ def test_valuation_ord_residue(ctx):
     assert o == 1 and r == base.rational(5)
 
 
+def _factor_list_calls(monkeypatch, poly):
+    """The polynomials factor_list is called on from now on."""
+    calls = []
+    original = type(poly).factor_list
+    monkeypatch.setattr(type(poly), "factor_list",
+                        lambda self: calls.append(self) or original(self))
+    return calls
+
+
 def test_u_factors_skip_polynomials_free_of_u(ctx, monkeypatch):
+    # an earlier test may have factored x*u - 1 already
+    _factors.cache_clear()
     x, y, u = ctx.gens()
     f = (2 * x * (u - x) ** 2 * (u * u + y) / (3 * (x + 1))).num
     # the factors 2 and x are dropped, and so is the multiplicity of x - u
     assert [str(g) for g in u_factors(f, UPOS)] == ["u**2 + y", "x - u"]
-    calls = []
-    original = type(f).factor_list
-    monkeypatch.setattr(type(f), "factor_list",
-                        lambda self: calls.append(self) or original(self))
+    calls = _factor_list_calls(monkeypatch, f)
     for g in (ctx.rational(5), x * y + 1, 6 * x):
         assert u_factors(g.num, UPOS) == []
     assert not calls
     assert len(u_factors((u * x - 1).num, UPOS)) == 1 and len(calls) == 1
+
+
+def test_u_factors_factor_each_polynomial_once(ctx, monkeypatch):
+    x, y, u = ctx.gens()
+    f = ((u - x) * (x * y + u) * (y - 2)).num
+    _factors.cache_clear()
+    calls = _factor_list_calls(monkeypatch, f)
+    at_u = {str(g) for g in u_factors(f, UPOS)}
+    assert at_u == {"x - u", "x*y + u"}
+    assert {str(g) for g in u_factors(f, UPOS)} == at_u
+    # the same factoring serves the u-line of x and of y
+    assert {str(g) for g in u_factors(f, 0)} == {"x - u", "x*y + u"}
+    assert {str(g) for g in u_factors(f, 1)} == {"x*y + u", "y - 2"}
+    assert calls == [f]
+
+
+def test_factors_keep_the_ring_of_each_context():
+    a, b = Context(("x", "u")), Context(("y", "u"))
+    fa = (a.var(0) * a.var(1) - 1).num
+    fb = (b.var(0) * b.var(1) - 1).num
+    assert dict(fa) == dict(fb) and fa.ring is not fb.ring
+    for poly, ctx in ((fa, a), (fb, b), (fa, a), (fb, b)):
+        got, = factors(poly)
+        assert got.ring is ctx.ring and got == poly
+
+
+def test_factor_cache_is_bounded(ctx, monkeypatch):
+    x, y, u = ctx.gens()
+    products = [((u - k * x) * (u + y) * (x - k)).num for k in (1, 2, 3)]
+    _factors.cache_clear()
+    for f in products:
+        factors(f)
+    for k in range(1, FACTOR_CACHE_SIZE + 10):
+        factors((x * u - k).num)
+    assert _factors.cache_info().currsize <= FACTOR_CACHE_SIZE
+    # the products were evicted: they are factored again, and correctly
+    calls = _factor_list_calls(monkeypatch, products[0])
+    for f in products:
+        got = factors(f)
+        assert len(got) == 3 and prod(got) in (f, -f)
+    assert calls == products
 
 
 def test_tame_symbol_values(ctx):
