@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
-from .milnorfield import Valuation, _rational_support, u_factors
+from .milnorfield import Valuation, _rational_support
 from .relmilnor import RelMilnorClass, RelSymbol, normal_form
 from .scalars import FieldElem, fraction_text, parse_fraction
 from .trunc import TruncElem
@@ -220,7 +220,7 @@ def modulus_check_curve(curve: ParamCurve, m: int) -> bool:
     diffs = [g - ctx.one for g in curve.gs[1:]]
     if any(d.is_zero() for d in diffs):
         return True  # some g_i = 1 identically: ord infinite, holds
-    vals = [Valuation(ctx, upos, fac) for fac in u_factors(g0.num, upos)]
+    vals = [Valuation(ctx, upos, fac) for fac in ctx.u_factors(g0.num, upos)]
     vals.append(Valuation.infinity(ctx, upos))
     for v in vals:
         d0 = v.ord(g0)

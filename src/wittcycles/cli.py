@@ -123,6 +123,16 @@ def _emit(payload):
     print(json.dumps(payload, default=str))
 
 
+def _output(args, text, payload):
+    """Print text() under --pretty and the JSON of payload() otherwise;
+    only the one printed is built."""
+    if args.pretty:
+        print(text())
+    else:
+        _emit(payload())
+    return 0
+
+
 # -- subcommands --------------------------------------------------------
 
 def _class_output(args, parse, texts, to_class):
@@ -133,12 +143,8 @@ def _class_output(args, parse, texts, to_class):
     if args.n is not None and cls.degree != args.n:
         raise ParseError("symbol degree %d does not match --n %d"
                          % (cls.degree, args.n))
-    if args.pretty:
-        print("degree %d, level %d" % (cls.degree, cls.level))
-        print("canon: %s" % (cls.canon,))
-    else:
-        _emit(cls.to_json())
-    return 0
+    return _output(args, lambda: "degree %d, level %d\ncanon: %s"
+                   % (cls.degree, cls.level, cls.canon), cls.to_json)
 
 
 def cmd_nf(args):
@@ -166,30 +172,26 @@ def cmd_witt(args):
     coords = tuples[0]
     if op == "ghost":
         g = witt.ghost(vec())
-        payload, text = {"ghost": [c.to_json() for c in g.comps]}, repr(g)
-    elif op == "decompose":
+        return _output(args, lambda: repr(g),
+                       lambda: {"ghost": [c.to_json() for c in g.comps]})
+    if op == "decompose":
         pairs = witt.witt_decompose(vec())
-        payload = [[i, a.to_json()] for i, a in pairs]
-        text = ", ".join("V_%d[%s]" % (i, a) for i, a in pairs) or "0"
+        return _output(args,
+                       lambda: ", ".join("V_%d[%s]" % (i, a) for i, a in pairs) or "0",
+                       lambda: [[i, a.to_json()] for i, a in pairs])
+    if op == "add":
+        out = vec(0) + vec(1)
+    elif op == "mul":
+        out = vec(0) * vec(1)
+    elif op == "unghost":
+        out = witt.unghost(witt.GhostTuple(ctx, len(coords), coords))
+    elif op == "gamma":
+        out = witt.gamma(vec())
+    elif op == "gamma-inv":
+        out = witt.gamma_inv(TruncElem(ctx, len(coords) - 1, coords))
     else:
-        if op == "add":
-            out = vec(0) + vec(1)
-        elif op == "mul":
-            out = vec(0) * vec(1)
-        elif op == "unghost":
-            out = witt.unghost(witt.GhostTuple(ctx, len(coords), coords))
-        elif op == "gamma":
-            out = witt.gamma(vec())
-        elif op == "gamma-inv":
-            out = witt.gamma_inv(TruncElem(ctx, len(coords) - 1, coords))
-        else:
-            raise ParseError("unknown witt subop %r" % op)
-        payload, text = out.to_json(), repr(out)
-    if args.pretty:
-        print(text)
-    else:
-        _emit(payload)
-    return 0
+        raise ParseError("unknown witt subop %r" % op)
+    return _output(args, lambda: repr(out), out.to_json)
 
 
 def cmd_drw(args):
@@ -215,11 +217,7 @@ def cmd_drw(args):
         out = form.restrict(args.level)
     else:
         raise ParseError("unknown drw subop %r" % op)
-    if args.pretty:
-        print(repr(out))
-    else:
-        _emit(out.to_json())
-    return 0
+    return _output(args, lambda: repr(out), out.to_json)
 
 
 def cmd_verify(args):

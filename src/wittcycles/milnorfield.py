@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
-                     NoUnitEntry, ZeroEntry)
+                     NonRationalSupport, NoUnitEntry, ZeroEntry)
 from .forms import DiffForm, dlog_wedge
-from .scalars import FieldElem, factors, fraction_text, parse_fraction
+from .scalars import FieldElem, fraction_text, parse_fraction
 
 
 # -- symbols and valuations ---------------------------------------------
@@ -107,9 +107,8 @@ class Valuation:
     def finite(cls, ctx, upos, c):
         """The rational point u = c for c in the base field."""
         c = ctx.drop(upos).elem(c)
-        lifted = ctx.lift(c)
-        fac = lifted.den_poly() * ctx.var(upos).num - lifted.num
-        return cls(ctx, upos, fac, c)
+        # for c = p/q in canonical form the numerator of u - c is q*u - p
+        return cls(ctx, upos, (ctx.var(upos) - ctx.lift(c)).num, c)
 
     @classmethod
     def infinity(cls, ctx, upos):
@@ -123,19 +122,6 @@ class Valuation:
             return "(%s = 0)" % self.fac
         return "(%s = %s)" % (u, self.point)
 
-    def _strip(self, poly):
-        """(k, poly / fac^k) with fac^k the largest power dividing poly;
-        a polynomial of lower degree in u than fac is not divisible."""
-        k = 0
-        d = self.fac.degree(self.upos)
-        while poly.degree(self.upos) >= d:
-            q, r = divmod(poly, self.fac)
-            if r:
-                break
-            k += 1
-            poly = q
-        return k, poly
-
     def _parts(self, f):
         self.ctx.check(f.ctx)
         if f.is_zero():
@@ -144,26 +130,27 @@ class Valuation:
 
     def ord(self, f: FieldElem) -> int:
         num, den = self._parts(f)
-        if self.fac is None:
-            return den.degree(self.upos) - num.degree(self.upos)
-        return self._strip(num)[0] - self._strip(den)[0]
+        ctx, fac, upos = self.ctx, self.fac, self.upos
+        if fac is None:
+            return ctx.degree(den, upos) - ctx.degree(num, upos)
+        return ctx.strip(num, fac, upos)[0] - ctx.strip(den, fac, upos)[0]
 
     def ord_residue(self, f: FieldElem):
         """(ord(f), residue of the unit part f * uniformizer^(-ord)), the
         uniformizer being u - c, or 1/u at infinity."""
         num, den = self._parts(f)
-        base, upos = self.base, self.upos
-        if self.fac is None:
-            dn, dd = num.degree(upos), den.degree(upos)
+        ctx, base, fac, upos = self.ctx, self.base, self.fac, self.upos
+        if fac is None:
+            dn, dd = ctx.degree(num, upos), ctx.degree(den, upos)
             return dd - dn, base.split(num, upos)[dn] / base.split(den, upos)[dd]
         if self.point is None:
             raise NonRationalPoint("no residue at the non-rational point %s" % self)
-        a, num = self._strip(num)
-        b, den = self._strip(den)
+        a, num = ctx.strip(num, fac, upos)
+        b, den = ctx.strip(den, fac, upos)
         residue = self._eval(num) / self._eval(den)
         if a != b:
             # fac = lead * (u - c), so fac^k contributes lead^k
-            residue = residue * base.split(self.fac, upos)[1] ** (a - b)
+            residue = residue * base.split(fac, upos)[1] ** (a - b)
         return a - b, residue
 
     def _eval(self, poly):
@@ -227,15 +214,6 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
     return out
 
 
-def u_factors(poly, upos):
-    """The irreducible factors of an integer polynomial that involve u,
-    without multiplicities; a polynomial free of u is not factored, and
-    ``scalars.factors`` memoises the rest by (ring, poly), the last 256."""
-    if poly.degree(upos) <= 0:
-        return []
-    return [fac for fac in factors(poly) if fac.degree(upos) > 0]
-
-
 def _rational_support(ctx, values, upos):
     """The valuations at the rational points of the u-line where some
     value has a zero or a pole, in first-seen order, then at infinity if
@@ -245,8 +223,8 @@ def _rational_support(ctx, values, upos):
     nonrational = []
     for y in values:
         for poly in (y.num, y.den_poly()):
-            for fac in u_factors(poly, upos):
-                d = fac.degree(upos)
+            for fac in ctx.u_factors(poly, upos):
+                d = ctx.degree(fac, upos)
                 if d == 1:
                     coeffs = base.split(fac, upos)
                     points.setdefault(-coeffs.get(0, base.zero) / coeffs[1], fac)
@@ -316,7 +294,6 @@ def weil_reciprocity_check(terms, upos):
     """Sum the Gersten boundary of a symbol sum over F(u) across all
     rational points including infinity and verify the total vanishes
     under the realization oracles.  Requires fully rational support."""
-    from .errors import NonRationalSupport
     if isinstance(terms, FieldSymbol):
         terms = [terms]
     terms = list(terms)

@@ -30,20 +30,23 @@ Elements live in one of two tiers of that form:
   settles most of them with integer gcds alone, and falls back to
   sympy's polynomial gcd when the certificate fails.
 
-The algorithms read ``num`` and ``den_poly()`` directly.  Only this
-module moves elements between a context with a designated variable u at
-position pos (the u-line) and its base ``drop(pos)``: ``lift`` views a
-base element on the u-line (sympy's ``set_ring`` inserts u by name, with
-exponent 0), and ``split`` cuts a polynomial of the u-line into its
-coefficients by powers of u, integer polynomials over 1 and so canonical.
-``factors``, the one route to sympy's ``factor_list``, memoises the distinct
-irreducible factors of a polynomial by (ring, poly), for the last 256.
+The algorithms read ``num`` and ``den_poly()`` directly, and only this
+module calls methods of the polynomials behind them.  It moves elements
+between a context with a designated variable u at position pos (the
+u-line) and its base ``drop(pos)``: ``lift`` views a base element on the
+u-line (sympy's ``set_ring`` inserts u by name, with exponent 0), and
+``split`` cuts a polynomial of the u-line into its coefficients by powers
+of u, integer polynomials over 1 and so canonical.  Three more ``Context``
+methods read polynomials of the u-line: ``degree`` in u, ``strip``, the
+exact division by a closed point's polynomial, and ``u_factors``, the one
+route to sympy's ``factor_list``, which memoises the distinct irreducible
+factors of a polynomial by (ring, poly), for the last 256.
 
-The ``frac`` property gives the same value as an element of sympy's
-``FracField`` over QQ.  It is the bridge for printing and for the
-differential tests only; ``from_terms`` rebuilds a polynomial from terms
-for JSON input and for those tests.  Rational coefficients are written
-"p/q" by ``fraction_text`` and read back by ``parse_fraction``.
+An element prints from ``num`` and ``den`` alone, with the bracketing of
+sympy's printer for its rational function field.  ``from_terms`` rebuilds
+a polynomial from terms for JSON input and for the differential tests.
+Rational coefficients are written "p/q" by ``fraction_text`` and read
+back by ``parse_fraction``.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import QQ, ZZ, grlex
-from sympy.polys.fields import field as _sympy_field
+from sympy import ZZ, grlex
 from sympy.polys.rings import ring as _sympy_ring
 
 from .errors import ContextMismatch, DivisionByZero, ParseError
@@ -63,7 +65,7 @@ class Context:
     """An ordered list of variable names; owns the polynomial ring Z[x1..xr].
     Interned: one instance per tuple of names."""
 
-    __slots__ = ("names", "ring", "zero", "one", "_gens", "_field")
+    __slots__ = ("names", "ring", "zero", "one", "_gens")
 
     _interned = {}
 
@@ -82,19 +84,11 @@ class Context:
         self._gens = tuple(FieldElem(self, g) for g in built[1:]) if names else ()
         self.zero = FieldElem(self, self.ring.dtype({}))
         self.one = self._constant(1, 1)
-        self._field = None
         return cls._interned.setdefault(names, self)
 
     @property
     def r(self):
         return len(self.names)
-
-    @property
-    def field(self):
-        """sympy's rational function field QQ(x1..xr) over the same names."""
-        if self._field is None:
-            self._field = _sympy_field(self.ring.symbols, QQ, grlex)[0]
-        return self._field
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.names)
@@ -158,6 +152,34 @@ class Context:
         for mon, c in poly.items():
             buckets.setdefault(mon[pos], {})[mon[:pos] + mon[pos + 1:] or zero] = c
         return {e: FieldElem(self, self.ring.dtype(ts)) for e, ts in buckets.items()}
+
+    def degree(self, poly, pos):
+        """The degree of a polynomial of this context in the variable at
+        pos; -inf for the zero polynomial."""
+        return poly.degree(pos)
+
+    def strip(self, poly, fac, pos):
+        """(k, poly / fac^k) with fac^k the largest power of the polynomial
+        fac dividing poly; a polynomial of lower degree than fac in the
+        variable at pos is not divisible."""
+        k = 0
+        d = fac.degree(pos)
+        while poly.degree(pos) >= d:
+            q, r = divmod(poly, fac)
+            if r:
+                break
+            k += 1
+            poly = q
+        return k, poly
+
+    def u_factors(self, poly, pos):
+        """The irreducible factors of a polynomial of this context that
+        involve the variable at pos, without multiplicities; a polynomial
+        free of it is not factored.  The factorings are memoised by (ring,
+        poly), the last FACTOR_CACHE_SIZE; callers must not mutate them."""
+        if poly.degree(pos) <= 0:
+            return []
+        return [fac for fac in _factors(self.ring, poly) if fac.degree(pos) > 0]
 
     def elem(self, value):
         """Coerce an int, Fraction, string or FieldElem into this context."""
@@ -254,12 +276,6 @@ def _coprime(num, den):
 # Sized by peak memory: on criteria 9 and 10, 256 entries keep most repeats
 # for about 0.5 MB, and 1,024 factor 15% fewer polynomials for 2.1 MB.
 FACTOR_CACHE_SIZE = 256
-
-
-def factors(poly):
-    """The distinct irreducible factors of an integer polynomial, memoised
-    by (ring, poly); callers must not mutate them."""
-    return _factors(poly.ring, poly)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -436,15 +452,15 @@ class FieldElem:
         return _settled(self.ctx, *_coprime(num.diff(x) * den - num * den.diff(x),
                                            den * den))
 
-    @property
-    def frac(self):
-        """The same value in sympy's FracField QQ(x1..xr)."""
-        field = self.ctx.field
-        qring = field.ring
-        return field.raw_new(self.num.set_ring(qring), self.den_poly().set_ring(qring))
-
     def __repr__(self):
-        return str(self.frac)
+        """num/den as sympy prints its rational functions: the numerator in
+        parentheses unless it is one term, the denominator unless it is an
+        integer or a variable."""
+        num, den = self.num, self.den
+        if den == 1:
+            return str(num)
+        text = "(%s)/" % num if len(num) > 1 else "%s/" % num
+        return text + (str(den) if type(den) is int or den.is_generator else "(%s)" % den)
 
     # -- serialization -------------------------------------------------
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm, NotAUnit, ParseError
 from .forms import DiffForm, FormOnTrunc, series_product
-from .scalars import Context, FieldElem, _Parser, _tokenize
+from .scalars import Context, FieldElem, parse_elem
 
 
 class TruncElem:
@@ -231,7 +231,7 @@ def parse_trunc(ctx: Context, level: int, text: str) -> TruncElem:
     if "t" in ctx.names:
         raise ParseError("variable list may not shadow t")
     inner = Context(ctx.names + ("t",))
-    value = _Parser(inner, _tokenize(text), text).parse()
+    value = parse_elem(inner, text)
     tpos = inner.r - 1
     dens = ctx.split(value.den_poly(), tpos)
     if list(dens) != [0]:

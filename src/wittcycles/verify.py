@@ -537,6 +537,7 @@ def check_towers(ctx, seed, trials, m_max=6):
         _require(addchow.tower_compat(z, mp, m), "tower-compatibility", z, mp, m)
         yield
 
+
 def _curve_corpus(names, seed, count, m_max=4):
     """Modulus-satisfying parametrized curves with rational boundary.
     Cube coordinates are built from pools with prescribed contact order

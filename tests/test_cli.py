@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wittcycles.cli import main
+from wittcycles.scalars import FieldElem
 
 
 def run(capsys, *argv):
@@ -266,3 +267,22 @@ def test_unexpected_end_of_input(capsys):
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {
         "type": "ParseError", "message": "unexpected end of input in '1+'"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ghost", "--m", "3", "(x, 1/(x+1), 2)"],
+    ["gamma", "(x, 1/(x+1), 2)"],
+    ["gamma-inv", "(1, x, 1/(x+1))"],
+    ["decompose", "(x, 0, 1/(x+1))"],
+])
+def test_witt_json_prints_no_element(capsys, monkeypatch, argv):
+    """Without --pretty the output is built from to_json alone: no field
+    element is printed."""
+    want = run(capsys, "witt", *argv)
+    assert want[0] == 0
+
+    def refuse(self):
+        raise AssertionError("printed a field element")
+
+    monkeypatch.setattr(FieldElem, "__repr__", refuse)
+    assert run(capsys, "witt", *argv) == want

@@ -1,16 +1,18 @@
 """The u-line algorithms read FieldElem's integer num/den directly.
 
 Each direct read is checked here against the route it replaced, written
-out below: convert to sympy's FracField with ``frac``, take the terms of
-``numer``/``denom`` and rebuild them with ``Context.from_terms``.
+out below: convert to sympy's FracField with ``to_frac`` (the reference
+route in ``fracfield.py``), take the terms of ``numer``/``denom`` and
+rebuild them with ``Context.from_terms``.
 Valuations are checked against the two order routes they replaced:
 synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
 replaced, and Henrici's sum against the gcd over the whole product of the
-denominators.  The last three tests pin that only ``scalars`` knows that
-bridge, moves polynomials between contexts, writes the "p/q" coefficient
-text and calls sympy's polynomial gcd."""
+denominators.  The last tests pin that no module of the package uses
+sympy's rational function field, and that only ``scalars`` moves
+polynomials between contexts, writes the "p/q" coefficient text, reads
+polynomials on the u-line and calls sympy's polynomial gcd."""
 
 import random
 import re
@@ -29,6 +31,8 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, _rational_support,
 from wittcycles.scalars import Context, parse_elem
 from wittcycles.trunc import TruncElem, parse_trunc
 
+from fracfield import to_frac
+
 # -- the FracField route, as it was ------------------------------------------
 
 
@@ -38,8 +42,8 @@ def old_lift(ctx, a, upos):
     # too wide, and from_terms raised ParseError.
     def up(terms):
         return [(mon[:upos] + (0,) + mon[upos:a.ctx.r], coef) for mon, coef in terms]
-    return (ctx.from_terms(up(a.frac.numer.terms()))
-            / ctx.from_terms(up(a.frac.denom.terms())))
+    return (ctx.from_terms(up(to_frac(a).numer.terms()))
+            / ctx.from_terms(up(to_frac(a).denom.terms())))
 
 
 def old_split(base, poly, upos):
@@ -98,8 +102,8 @@ class UPoly:
 
 
 def old_ord_residue(v, f):
-    num = UPoly(v.base, old_split(v.base, f.frac.numer, v.upos))
-    den = UPoly(v.base, old_split(v.base, f.frac.denom, v.upos))
+    num = UPoly(v.base, old_split(v.base, to_frac(f).numer, v.upos))
+    den = UPoly(v.base, old_split(v.base, to_frac(f).denom, v.upos))
     if v.fac is None:
         zero = v.base.zero
         return (den.degree() - num.degree(),
@@ -113,11 +117,11 @@ def old_parse_trunc(ctx, level, text):
     inner = Context(ctx.names + ("t",))
     value = parse_elem(inner, text)
     tpos = inner.r - 1
-    if any(mon[tpos] for mon, _ in value.frac.denom.terms()):
+    if any(mon[tpos] for mon, _ in to_frac(value).denom.terms()):
         raise ParseError("t may not appear in denominators: %r" % text)
-    den = ctx.from_terms((mon[:tpos], c) for mon, c in value.frac.denom.terms())
+    den = ctx.from_terms((mon[:tpos], c) for mon, c in to_frac(value).denom.terms())
     coeffs = [ctx.zero] * (level + 1)
-    for mon, coef in value.frac.numer.terms():
+    for mon, coef in to_frac(value).numer.terms():
         e = mon[tpos]
         if e <= level:
             coeffs[e] = coeffs[e] + ctx.from_terms([(mon[:tpos], coef)]) / den
@@ -137,15 +141,15 @@ def _factor_multiplicity(poly, fac):
 
 
 def old_ord_at_factor(g, fac):
-    return (_factor_multiplicity(g.frac.numer, fac)
-            - _factor_multiplicity(g.frac.denom, fac))
+    return (_factor_multiplicity(to_frac(g).numer, fac)
+            - _factor_multiplicity(to_frac(g).denom, fac))
 
 
 def old_nonrational(values, upos):
     base = values[0].ctx.drop(upos)
     out = []
     for y in values:
-        for poly in (y.frac.numer, y.frac.denom):
+        for poly in (to_frac(y).numer, to_frac(y).denom):
             for fac, _ in poly.factor_list()[1]:
                 if UPoly(base, old_split(base, fac, upos)).degree() > 1:
                     out.append(str(fac))
@@ -187,7 +191,7 @@ def test_lift_and_split_match_from_terms(base):
             assert lifted == old_lift(ctx, a, upos)
             assert type(lifted.den) is type(a.den)
             f = _fraction(ctx, rng) * lifted
-            for poly, qpoly in ((f.num, f.frac.numer), (f.den_poly(), f.frac.denom)):
+            for poly, qpoly in ((f.num, to_frac(f).numer), (f.den_poly(), to_frac(f).denom)):
                 assert base.split(poly, upos) == old_split(base, qpoly, upos)
 
 
@@ -246,7 +250,7 @@ def test_valuation_matches_synthetic_division(base):
     # multiplicity loop on the FracField numerator and denominator
     quad = 2 * u ** 2 - x
     v = Valuation(ctx, upos, quad.num)
-    (qfac, _), = quad.frac.numer.factor_list()[1]
+    (qfac, _), = to_frac(quad).numer.factor_list()[1]
     for k in (-3, -2, 2, 3):
         g = _fraction(ctx, rng)
         f = g * quad ** k
@@ -294,7 +298,7 @@ def test_non_monic_factor_orders(ectx):
     upper = (2 * u - x) ** 2 * (u + 3) / (y * u + 1)
     lower = (u + 3) / ((2 * u - x) ** 2 * (y - u))
     zfac = (2 * u - x).num
-    (qfac, mult), = [(f, k) for f, k in (u - x / 2).frac.numer.factor_list()[1]]
+    (qfac, mult), = [(f, k) for f, k in to_frac(u - x / 2).numer.factor_list()[1]]
     assert mult == 1
     v = Valuation(ectx, 2, zfac)
     assert v.ord(upper) == old_ord_at_factor(upper, qfac) == 2
@@ -461,22 +465,44 @@ def test_henrici_sum_matches_whole_product(names):
         assert _assert_sum_matches(t / 2 - p, p) == t / 2
 
 
-# -- the FracField bridge and the u-line moves stay in scalars ---------------
+# -- the polynomial backend stays in scalars --------------------------------
 
 BRIDGE = re.compile(r"\.frac\b|\bctx\.field\b|\bfrom_terms\b")
 # set_ring moves polynomials between contexts (Context.lift); "%s/%s" is
 # the coefficient text (fraction_text)
 MOVES = re.compile(r'\bset_ring\b|"%s/%s"')
+# the u-line's reads of a polynomial: its degree in u, the exact division
+# by a point's polynomial and factoring; elsewhere they are calls of
+# ctx.degree, ctx.strip and ctx.u_factors
+U_LINE = re.compile(r"(?<!ctx)\.degree\(|\bdivmod\(|\.factor_list\(")
+# sympy's rational function field and the bridge to it
+FRACFIELD = re.compile(r"^\s*(from|import)\b.*(\bQQ\b|sympy\.polys\.fields)"
+                       r"|\.frac\b|\bctx\.field\b")
 
 
-def _offenders(pattern):
+def _offenders(pattern, scalars_too=False):
     src = Path(__file__).resolve().parent.parent / "src" / "wittcycles"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 5
     return ["%s:%d: %s" % (path.name, n, line.strip())
-            for path in modules if path.name != "scalars.py"
+            for path in modules if scalars_too or path.name != "scalars.py"
             for n, line in enumerate(path.read_text().splitlines(), start=1)
             if pattern.search(line)]
+
+
+def test_no_module_uses_the_rational_function_field():
+    """Elements print from their own num and den; sympy's FracField is
+    the tests' reference route only."""
+    offenders = _offenders(FRACFIELD, scalars_too=True)
+    assert not offenders, offenders
+    assert FRACFIELD.search("from sympy import QQ, ZZ, grlex")
+    assert FRACFIELD.search("from sympy.polys.fields import field")
+
+
+def test_only_scalars_reads_polynomials_on_the_u_line():
+    offenders = _offenders(U_LINE)
+    assert not offenders, offenders
+    assert U_LINE.search("d = fac.degree(upos)") and not U_LINE.search("ctx.degree(fac, upos)")
 
 
 def test_only_scalars_uses_the_fracfield_bridge():

@@ -11,9 +11,9 @@ from wittcycles.forms import dlog
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_realization, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
-                                    tame_symbol, u_factors,
+                                    tame_symbol,
                                     weil_reciprocity_check)
-from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, _factors, factors
+from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, _factors
 
 
 @pytest.fixture
@@ -52,12 +52,12 @@ def test_u_factors_skip_polynomials_free_of_u(ctx, monkeypatch):
     x, y, u = ctx.gens()
     f = (2 * x * (u - x) ** 2 * (u * u + y) / (3 * (x + 1))).num
     # the factors 2 and x are dropped, and so is the multiplicity of x - u
-    assert [str(g) for g in u_factors(f, UPOS)] == ["u**2 + y", "x - u"]
+    assert [str(g) for g in ctx.u_factors(f, UPOS)] == ["u**2 + y", "x - u"]
     calls = _factor_list_calls(monkeypatch, f)
     for g in (ctx.rational(5), x * y + 1, 6 * x):
-        assert u_factors(g.num, UPOS) == []
+        assert ctx.u_factors(g.num, UPOS) == []
     assert not calls
-    assert len(u_factors((u * x - 1).num, UPOS)) == 1 and len(calls) == 1
+    assert len(ctx.u_factors((u * x - 1).num, UPOS)) == 1 and len(calls) == 1
 
 
 def test_u_factors_factor_each_polynomial_once(ctx, monkeypatch):
@@ -65,12 +65,12 @@ def test_u_factors_factor_each_polynomial_once(ctx, monkeypatch):
     f = ((u - x) * (x * y + u) * (y - 2)).num
     _factors.cache_clear()
     calls = _factor_list_calls(monkeypatch, f)
-    at_u = {str(g) for g in u_factors(f, UPOS)}
+    at_u = {str(g) for g in ctx.u_factors(f, UPOS)}
     assert at_u == {"x - u", "x*y + u"}
-    assert {str(g) for g in u_factors(f, UPOS)} == at_u
+    assert {str(g) for g in ctx.u_factors(f, UPOS)} == at_u
     # the same factoring serves the u-line of x and of y
-    assert {str(g) for g in u_factors(f, 0)} == {"x - u", "x*y + u"}
-    assert {str(g) for g in u_factors(f, 1)} == {"x*y + u", "y - 2"}
+    assert {str(g) for g in ctx.u_factors(f, 0)} == {"x - u", "x*y + u"}
+    assert {str(g) for g in ctx.u_factors(f, 1)} == {"x*y + u", "y - 2"}
     assert calls == [f]
 
 
@@ -80,7 +80,7 @@ def test_factors_keep_the_ring_of_each_context():
     fb = (b.var(0) * b.var(1) - 1).num
     assert dict(fa) == dict(fb) and fa.ring is not fb.ring
     for poly, ctx in ((fa, a), (fb, b), (fa, a), (fb, b)):
-        got, = factors(poly)
+        got, = ctx.u_factors(poly, 1)
         assert got.ring is ctx.ring and got == poly
 
 
@@ -89,14 +89,14 @@ def test_factor_cache_is_bounded(ctx, monkeypatch):
     products = [((u - k * x) * (u + y) * (x - k)).num for k in (1, 2, 3)]
     _factors.cache_clear()
     for f in products:
-        factors(f)
+        ctx.u_factors(f, UPOS)
     for k in range(1, FACTOR_CACHE_SIZE + 10):
-        factors((x * u - k).num)
+        ctx.u_factors((x * u - k).num, UPOS)
     assert _factors.cache_info().currsize <= FACTOR_CACHE_SIZE
     # the products were evicted: they are factored again, and correctly
     calls = _factor_list_calls(monkeypatch, products[0])
     for f in products:
-        got = factors(f)
+        got = _factors(ctx.ring, f)
         assert len(got) == 3 and prod(got) in (f, -f)
     assert calls == products
 

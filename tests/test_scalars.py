@@ -16,6 +16,8 @@ from wittcycles.scalars import (_BASE, _P, Context, FieldElem, _cofactors,
                                 fraction_text, parse_elem, parse_fraction)
 from wittcycles.trunc import TruncElem
 
+from fracfield import qq_field, to_frac
+
 
 @pytest.fixture
 def ctx():
@@ -181,7 +183,7 @@ def test_json_roundtrip(ctx):
 # tier (an int den) exactly when that denominator is constant.
 
 DCTX = Context(("x", "y"))
-FIELD = DCTX.field
+FIELD = qq_field(DCTX)
 FX, FY = FIELD.gens
 
 _terms = st.lists(
@@ -207,7 +209,7 @@ def _pair(ratio):
 
 
 def _assert_canonical(ours, theirs):
-    frac = ours.frac
+    frac = to_frac(ours)
     assert frac.numer == theirs.numer and frac.denom == theirs.denom
     assert (type(ours.den) is int) == theirs.denom.is_ground
 
@@ -268,6 +270,56 @@ def test_rational_scaling_matches_sympy(ra, c):
     _assert_canonical(a * c.numerator, fa * c.numerator)
     if c:
         _assert_canonical(a / c, fa / fc)
+
+
+# -- the printer against sympy's printer for its rational function field ----
+
+PRINT_GOLDENS = ["(6*y**2 + x)/(2*x*y + 6)", "-x*y/(3*x + 2*y)", "x/2", "-1/x",
+                 "2/(3*x)", "(x + 1)/2", "-5/3"]
+
+
+@pytest.mark.parametrize("text", PRINT_GOLDENS)
+def test_printer_goldens(ctx, text):
+    a = parse_elem(ctx, text.replace("**", "^"))
+    assert repr(a) == str(to_frac(a)) == text
+
+
+def _printed_part(ctx, rng, kind):
+    """A nonzero polynomial-tier element: an integer, a signed variable, a
+    single term or a sum of up to four terms."""
+    if kind == "int" or not ctx.r:
+        return ctx.rational(rng.choice((-1, 1)) * rng.randint(1, 12))
+    if kind == "gen":
+        return rng.choice((-1, 1)) * rng.choice(ctx.gens())
+    count = 1 if kind == "term" else rng.randint(2, 4)
+    while True:
+        total = ctx.zero
+        for _ in range(count):
+            term = ctx.rational(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+            for x in ctx.gens():
+                term = term * x ** rng.randint(0, 2)
+            total = total + term
+        if total:
+            return total
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_printer_matches_sympy(r):
+    """Every numerator kind over every denominator kind, in 0 to 4
+    variables: integer and polynomial denominators print in the
+    polynomial tier, variables, single terms and sums in the fraction
+    tier, and negative constants sit over all of them."""
+    ctx = Context(("x", "y", "z", "w")[:r])
+    rng = random.Random(2011 + r)
+    kinds = ("int", "gen", "term", "sum")
+    tiers = set()
+    for _ in range(60):
+        for top in kinds:
+            for bottom in kinds:
+                a = _printed_part(ctx, rng, top) / _printed_part(ctx, rng, bottom)
+                tiers.add(type(a.den) is int)
+                assert repr(a) == str(to_frac(a)), (top, bottom)
+    assert tiers == ({True, False} if r else {True})
 
 
 # -- differential test: the coprimality certificate against sympy's gcd -------
