@@ -12,8 +12,8 @@ call, to find the first call where two trees differ.
 
 The corpus covers ``nf`` and ``cyc`` at levels 1..8 with polynomial- and
 fraction-tier units, every ``witt`` and ``drw`` subop, every ``verify``
-suite at seeds 0..2, and inputs that must exit 2.  pytest does not
-collect this file.
+suite at seeds 0..2, and bad inputs, with the nesting limit met and
+passed.  pytest does not collect this file.
 """
 
 import argparse
