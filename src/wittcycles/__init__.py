@@ -7,8 +7,8 @@ from .forms import (CanonRelForm, DiffForm, FormOnTrunc, dlog, dlog_wedge,
                     reduce_mod_exact)
 from .trunc import (TruncElem, exp_t, log_t, parse_trunc, trunc_d, trunc_dlog,
                     embed_form)
-from .witt import (GhostTuple, WittVector, frobenius, gamma, gamma_inv, ghost,
-                   teichmuller, unghost, verschiebung, witt_decompose)
+from .witt import (WittVector, frobenius, gamma, gamma_inv, ghost, teichmuller,
+                   unghost, verschiebung, witt_decompose)
 from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from .relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
                         normal_form, theta)

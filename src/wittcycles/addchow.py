@@ -6,12 +6,12 @@ nonzero.  Its Milnor class is the relative symbol
 phi(gamma_inv of the same unit u, b's).  That image is computed by the
 log-derivative route, with no unghost/ghost round trip.  For u = gamma(a),
 
-    -t u'/u = sum_j ghost(a)_j t^j,  so  log u = - sum_j ghost(a)_j t^j / j,
+    -t u'/u = sum_j ghost(a)_j t^j,
 
-and the ghost tuple of gamma_inv(u) is g_j = -j l_j for l = log u, which
-witt.log_ghost reads off one O(m^2) log_t recurrence; the tuple is then
-wedged with the dlog(b)'s as in phi.  The same identity links the two
-routes by the diagonal c_i = -(1/i) omega_i.  Both images live in the
+so witt.log_ghost reads the ghost tuple of gamma_inv(u) off one division
+t u'/u on F_m; the tuple is then wedged with the dlog(b)'s as in phi.
+The same identity links the two routes by the diagonal
+c_i = -(1/i) omega_i.  Both images live in the
 one tuple shape forms.FormTuple: canonical components c_i on the Milnor
 side, ghost components omega_i on the de Rham-Witt side.
 
@@ -114,7 +114,7 @@ def cyc_milnor(zs, m: int) -> RelMilnorClass:
 
 def cycle_to_drw(zs, m: int) -> DRWForm:
     """The de Rham-Witt form of a generator sum: phi(gamma_inv(unit), bs),
-    with the ghost tuple of gamma_inv(u) read off log u as g_j = -j l_j."""
+    with the ghost tuple of gamma_inv(u) read off -t u'/u."""
     zs = _as_sum(zs)
     n = zs[0].degree
     ctx = zs[0].ctx

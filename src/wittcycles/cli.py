@@ -172,8 +172,8 @@ def cmd_witt(args):
     coords = tuples[0]
     if op == "ghost":
         g = witt.ghost(vec())
-        return _output(args, lambda: repr(g),
-                       lambda: {"ghost": [c.to_json() for c in g.comps]})
+        return _output(args, lambda: "G(" + ", ".join(str(c) for c in g) + ")",
+                       lambda: {"ghost": [c.to_json() for c in g]})
     if op == "decompose":
         pairs = witt.witt_decompose(vec())
         return _output(args,
@@ -184,7 +184,7 @@ def cmd_witt(args):
     elif op == "mul":
         out = vec(0) * vec(1)
     elif op == "unghost":
-        out = witt.unghost(witt.GhostTuple(ctx, len(coords), coords))
+        out = witt.unghost(tuple(coords))
     elif op == "gamma":
         out = witt.gamma(vec())
     elif op == "gamma-inv":

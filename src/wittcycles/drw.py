@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ZeroArgument
 from .forms import DiffForm, FormTuple, dlog, dlog_wedge
 from .scalars import FieldElem
-from .witt import GhostTuple, WittVector, ghost
+from .witt import WittVector, ghost
 
 
 class DRWForm(FormTuple):
@@ -74,7 +74,7 @@ def drw_F(s: int, a: DRWForm) -> DRWForm:
 def from_witt(a: WittVector) -> DRWForm:
     """A Witt vector as a degree-0 form (its ghost tuple)."""
     return DRWForm(a.ctx, 0, a.level,
-                   [DiffForm.scalar(g) for g in ghost(a).comps])
+                   [DiffForm.scalar(g) for g in ghost(a)])
 
 
 def teich_dlog(b: FieldElem, level: int) -> DRWForm:
@@ -93,8 +93,8 @@ def phi(a: WittVector, bs) -> DRWForm:
     return ghost_dlog(ghost(a), bs)
 
 
-def ghost_dlog(g: GhostTuple, bs) -> DRWForm:
+def ghost_dlog(g, bs) -> DRWForm:
     """The form with ghost components g_j * dlog(b_1) ^ ... ^ dlog(b_k)."""
-    w = dlog_wedge(g.ctx, bs)
-    return DRWForm(g.ctx, w.degree, g.level, [w.scale(gj) for gj in g.comps])
+    w = dlog_wedge(g[0].ctx, bs)
+    return DRWForm(w.ctx, w.degree, len(g), [w.scale(gj) for gj in g])
 

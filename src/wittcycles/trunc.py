@@ -1,10 +1,10 @@
 """The truncated polynomial ring F_m = F[t]/(t^(m+1)).
 
-Elements are coefficient tuples (c_0..c_m); multiplication is convolution
-with everything above t^m dropped.  exp_t and log_t are the finite-sum
-mutually inverse homomorphisms between the nilpotent ideal (t) and the
-principal units 1 + (t); they need denominators, so characteristic zero
-is baked in.
+Elements are coefficient tuples (c_0..c_m), with one truncated product
+(forms.series_product) and one division, solved degree by degree; log_t
+and witt.log_ghost read the log derivative t u'/u.  exp_t and log_t are
+mutually inverse between the ideal (t) and the principal units 1 + (t);
+they need denominators, so characteristic zero is baked in.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ class TruncElem:
             if self.level != other.level:
                 raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
             return other
-        if isinstance(other, (int, Fraction)):
-            return TruncElem.constant(self.ctx.rational(other), self.level)
-        if isinstance(other, FieldElem):
+        if isinstance(other, (int, Fraction, FieldElem)):
             return TruncElem.constant(self.ctx.elem(other), self.level)
         return NotImplemented
 
@@ -100,10 +98,7 @@ class TruncElem:
     def scale(self, c):
         """self * c for a rational or field-element constant c, coefficient
         by coefficient."""
-        if isinstance(c, FieldElem):
-            c = self.ctx.elem(c)
-            return TruncElem(self.ctx, self.level, [a * c for a in self.coeffs])
-        return TruncElem(self.ctx, self.level, [a.scale(c) for a in self.coeffs])
+        return TruncElem(self.ctx, self.level, [a * c for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
@@ -117,25 +112,30 @@ class TruncElem:
     __rmul__ = __mul__
 
     def inv(self):
-        """Inverse of a unit, by recursive coefficient matching."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise NotAUnit("constant term is zero")
-        inv0 = c0.inv()
-        out = [inv0] + [self.ctx.zero] * self.level
-        # (sum a_i t^i)(sum b_j t^j) = 1 solved degree by degree
-        for k in range(1, self.level + 1):
-            acc = self.ctx.zero
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = -inv0 * acc
-        return TruncElem(self.ctx, self.level, out)
+        """Inverse of a unit, as 1 / self."""
+        return TruncElem.one(self.ctx, self.level) / self
 
     def __truediv__(self, other):
+        """The one division on F_m: q with q v = w, solved degree by degree
+        as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0, skipping zero terms
+        and the product by 1/v_0 when v_0 = 1."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inv()
+        v = other.coeffs
+        if not v[0]:
+            raise NotAUnit("constant term is zero")
+        inv0 = None if v[0] == self.ctx.one else v[0].inv()
+        terms = [(i, c) for i, c in enumerate(v) if i and c]
+        q = []
+        for k, w in enumerate(self.coeffs):
+            for i, c in terms:
+                if i > k:
+                    break
+                if q[k - i]:
+                    w = w - c * q[k - i]
+            q.append(w if inv0 is None else w * inv0)
+        return TruncElem(self.ctx, self.level, q)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -189,20 +189,19 @@ def exp_t(a: TruncElem) -> TruncElem:
     return TruncElem(a.ctx, a.level, e)
 
 
+def log_derivative(u: TruncElem) -> TruncElem:
+    """t u'/u of a unit u: sum_k k u_k t^k divided by u.  Additive in
+    products of units; for u = gamma(a) it is minus the ghost tuple of a."""
+    return TruncElem(u.ctx, u.level, [c.scale(k) for k, c in enumerate(u.coeffs)]) / u
+
+
 def log_t(u: TruncElem) -> TruncElem:
-    """log of a principal unit, sum_k (-1)^(k+1) (u-1)^k / k, by the O(m^2)
-    recurrence k l_k = k u_k - sum_(j=1..k-1) j l_j u_(k-j) from u l' = u'."""
+    """log of a principal unit, sum_k (-1)^(k+1) (u-1)^k / k: from
+    t (log u)' = t u'/u, its t^k coefficient is (t u'/u)_k / k."""
     if not u.is_principal():
         raise BadConstantTerm("log_t needs constant term 1")
-    jl = [u.ctx.zero]
-    for k in range(1, u.level + 1):
-        acc = u.coeffs[k].scale(k)
-        for j in range(1, k):
-            if jl[j] and u.coeffs[k - j]:
-                acc = acc - jl[j] * u.coeffs[k - j]
-        jl.append(acc)
-    return TruncElem(u.ctx, u.level,
-                     [c.scale(Fraction(1, k)) if k else c for k, c in enumerate(jl)])
+    return TruncElem(u.ctx, u.level, [c.scale(Fraction(1, k)) if k else c
+                                      for k, c in enumerate(log_derivative(u).coeffs)])
 
 
 def trunc_d(a: TruncElem) -> FormOnTrunc:

@@ -4,8 +4,9 @@ Coordinates (a_1..a_m) with the ghost map g_j = sum_(d|j) d * a_d^(j/d),
 which is a ring isomorphism onto componentwise tuples over Q.  The group
 isomorphism gamma onto principal units of F_m uses the minus sign,
 gamma(a) = prod_i (1 - a_i t^i).  Ring operations go through ghost
-coordinates; unghost is the triangular solve a_j = (g_j - lower terms)/j,
-valid only over Q.
+coordinates, which are plain tuples (g_1..g_m) of field elements; unghost
+is the triangular solve a_j = (g_j - lower terms)/j, valid only over Q.
+gamma_inv is unghost(-t u'/u), read off the log derivative of the unit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm
 from .scalars import FieldElem
-from .trunc import TruncElem, log_t
+from .trunc import TruncElem, log_derivative
 
 
 def _divisors(j):
@@ -57,24 +58,17 @@ class WittVector:
 
     def __add__(self, other):
         self._check(other)
-        g = ghost(self)
-        h = ghost(other)
-        return unghost(GhostTuple(self.ctx, self.level,
-                                  [a + b for a, b in zip(g.comps, h.comps)]))
+        return unghost(tuple(a + b for a, b in zip(ghost(self), ghost(other))))
 
     def __neg__(self):
-        g = ghost(self)
-        return unghost(GhostTuple(self.ctx, self.level, [-a for a in g.comps]))
+        return unghost(tuple(-a for a in ghost(self)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        g = ghost(self)
-        h = ghost(other)
-        return unghost(GhostTuple(self.ctx, self.level,
-                                  [a * b for a, b in zip(g.comps, h.comps)]))
+        return unghost(tuple(a * b for a, b in zip(ghost(self), ghost(other))))
 
     def restrict(self, level):
         if level > self.level:
@@ -93,49 +87,23 @@ class WittVector:
                    [FieldElem.from_json(ctx, a) for a in data["coords"]])
 
 
-class GhostTuple:
-    """Ghost coordinates (g_1..g_m); componentwise ring structure. Immutable."""
-
-    __slots__ = ("ctx", "level", "comps")
-
-    def __init__(self, ctx, level, comps):
-        comps = tuple(comps)
-        if len(comps) != level:
-            raise ValueError("need exactly %d components" % level)
-        self.ctx = ctx
-        self.level = level
-        self.comps = comps
-
-    def __eq__(self, other):
-        return (isinstance(other, GhostTuple) and self.ctx == other.ctx
-                and self.level == other.level and self.comps == other.comps)
-
-    def __repr__(self):
-        return "G(" + ", ".join(str(a) for a in self.comps) + ")"
+def ghost(a: WittVector) -> tuple:
+    """The tuple (g_1..g_m) with g_j = sum over divisors d of j of
+    d * a_d^(j/d)."""
+    return tuple(sum((d * a.coords[d - 1] ** (j // d) for d in _divisors(j)), a.ctx.zero)
+                 for j in range(1, a.level + 1))
 
 
-def ghost(a: WittVector) -> GhostTuple:
-    """g_j = sum over divisors d of j of d * a_d^(j/d)."""
-    comps = []
-    for j in range(1, a.level + 1):
-        g = a.ctx.zero
-        for d in _divisors(j):
-            g = g + d * a.coords[d - 1] ** (j // d)
-        comps.append(g)
-    return GhostTuple(a.ctx, a.level, comps)
-
-
-def unghost(g: GhostTuple) -> WittVector:
-    """Invert the ghost map by forward substitution; divides by j, so this
-    is a characteristic-zero-only path."""
+def unghost(g) -> WittVector:
+    """Invert the ghost map on a tuple (g_1..g_m) by forward substitution;
+    divides by j, so this is a characteristic-zero-only path."""
     coords = []
-    for j in range(1, g.level + 1):
-        acc = g.comps[j - 1]
-        for d in _divisors(j):
-            if d < j:
-                acc = acc - d * coords[d - 1] ** (j // d)
+    for j in range(1, len(g) + 1):
+        acc = g[j - 1]
+        for d in _divisors(j)[:-1]:
+            acc = acc - d * coords[d - 1] ** (j // d)
         coords.append(acc.scale(Fraction(1, j)))
-    return WittVector(g.ctx, g.level, coords)
+    return WittVector(g[0].ctx, len(g), coords)
 
 
 def gamma(a: WittVector) -> TruncElem:
@@ -151,12 +119,10 @@ def gamma(a: WittVector) -> TruncElem:
     return result
 
 
-def log_ghost(u: TruncElem) -> GhostTuple:
-    """The ghost tuple of gamma_inv(u), read off l = log u: from
-    -t u'/u = sum_j g_j t^j follows g_j = -j l_j, one O(m^2) recurrence
-    with no inverse and no product."""
-    ell = log_t(u).coeffs
-    return GhostTuple(u.ctx, u.level, [ell[j].scale(-j) for j in range(1, u.level + 1)])
+def log_ghost(u: TruncElem) -> tuple:
+    """The ghost tuple of gamma_inv(u) for a principal unit u: from
+    -t u'/u = sum_j g_j t^j, g_j = -(t u'/u)_j."""
+    return tuple(-c for c in log_derivative(u).coeffs[1:])
 
 
 def gamma_inv(u: TruncElem) -> WittVector:
@@ -192,7 +158,7 @@ def frobenius(s: int, a: WittVector) -> WittVector:
     if level < 1:
         raise ValueError("F_%d empties a level-%d vector" % (s, a.level))
     g = ghost(a)
-    return unghost(GhostTuple(a.ctx, level, [g.comps[s * j - 1] for j in range(1, level + 1)]))
+    return unghost(tuple(g[s * j - 1] for j in range(1, level + 1)))
 
 
 def witt_decompose(a: WittVector):

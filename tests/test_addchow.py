@@ -15,7 +15,7 @@ from wittcycles.forms import dlog
 from wittcycles.milnorfield import FieldSymbol, gersten_boundary
 from wittcycles.scalars import Context
 from wittcycles.verify import Sampler
-from wittcycles.witt import GhostTuple, WittVector, unghost
+from wittcycles.witt import WittVector, unghost
 
 from test_witt import peel_gamma_inv
 
@@ -38,7 +38,7 @@ def test_degree_one_class_is_a_witt_vector(ctx):
     cl = cyc_milnor(z, 2)
     ghost = [cl.canon.comps[i].coeffs.get((), ctx.zero) * (-(i + 1))
              for i in range(2)]
-    assert unghost(GhostTuple(ctx, 2, ghost)) == WittVector(
+    assert unghost(tuple(ghost)) == WittVector(
         ctx, 2, [ctx.rational(3), ctx.zero])
 
 
