@@ -239,9 +239,28 @@ def cmd_verify(args):
     return 0 if report["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on bad arguments.  An option that takes a value
+    takes a following one that starts with "-" ("--bs -x*y"), unless that
+    value is itself an option."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        options, joined = self._option_string_actions, []
+        for arg in sys.argv[1:] if args is None else args:
+            if (joined and arg.startswith("-") and arg not in options
+                    and getattr(options.get(joined[-1]), "nargs", 0) is None):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(prog="wittcycles")
-    sub = top.add_subparsers(dest="command", required=True)
+    top = _Parser(prog="wittcycles")
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, m_default=None):
         p.add_argument("--vars", default="x", help="comma-separated variable names")
@@ -293,8 +312,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # before any input is read; cmd_drw checks the level s*m of drw v
         _check_level(getattr(args, "m", None))
         _check_level(getattr(args, "level", None))

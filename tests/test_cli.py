@@ -132,10 +132,52 @@ def test_nesting_100_deep_parses(capsys):
     ["witt", "ghost", "--m", "2", "--coeff", "q", "(3,0)"],
 ])
 def test_witt_and_drw_take_no_class_options(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    unknown, = {"--n", "--coeff"} & set(argv)
+    assert error["message"].startswith("unrecognized arguments: " + unknown)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nf", "--vars", "x", "--symbol", "{1+t, x}", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["nf", "--vars", "x"], "the following arguments are required: --symbol"),
+    (["nf", "--m", "x", "--symbol", "{1+t, x}"], "argument --m: invalid int value: 'x'"),
+    (["nf", "--symbol", "--pretty"], "argument --symbol: expected one argument"),
+    (["drw", "phi", "--witt", "(1)", "--bs", "--m", "1"],
+     "argument --bs: expected one argument"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_errors_exit_2_with_json(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["nf", "--help"])
+    assert exc.value.code == 0
+    assert "--symbol SYMBOL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["nf", "--vars", "x", "--symbol", "-2*{1+t,x}"],
+     ["nf", "--vars", "x", "--symbol=-2*{1+t,x}"]),
+    (["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs", "-x*y"],
+     ["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs=-x*y"]),
+    (["cyc", "--vars", "x", "--gen", "-2*(1-3t;x)", "--pretty"],
+     ["cyc", "--vars", "x", "--gen=-2*(1-3t;x)", "--pretty"]),
+    (["nf", "--vars", "x", "--symbol", "{1+t,x}", "--symbol", "-1*{1+t,x}", "--m", "-1"],
+     ["nf", "--vars", "x", "--symbol={1+t,x}", "--symbol=-1*{1+t,x}", "--m=-1"]),
+])
+def test_option_values_may_start_with_a_dash(capsys, spaced, joined):
+    got = run(capsys, *spaced)
+    assert got == run(capsys, *joined)
+    assert got[0] == (2 if "--m" in spaced else 0)
+    assert got[1] if got[0] == 0 else got[2]
 
 
 def test_zero_denominator_coefficient_exits_2(capsys):
