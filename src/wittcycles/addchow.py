@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
-from .milnorfield import Valuation, _rational_support
+from .milnorfield import Valuation, rational_support
 from .relmilnor import RelMilnorClass, RelSymbol, normal_form
 from .scalars import FieldElem, fraction_text, parse_fraction
 from .trunc import TruncElem
@@ -178,7 +178,7 @@ def boundary(curve: ParamCurve, m: int):
     CycleGen, cutting the curve at the rational zeros and poles of each
     cube coordinate with multiplicity ord_c(g_i)."""
     ctx, upos, n = curve.ctx, curve.upos, curve.degree
-    vals, nonrational = _rational_support(ctx, curve.gs[1:], upos)
+    vals, nonrational = rational_support(ctx, curve.gs[1:], upos)
     if nonrational:
         raise NonRationalBoundary("cube coordinates vanish outside rational "
                                   "points: %s" % nonrational)

@@ -214,7 +214,7 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
     return out
 
 
-def _rational_support(ctx, values, upos):
+def rational_support(ctx, values, upos):
     """The valuations at the rational points of the u-line where some
     value has a zero or a pole, in first-seen order, then at infinity if
     some value has a zero or a pole there; and the non-rational factors."""
@@ -244,7 +244,7 @@ def gersten_boundary(terms, upos):
     if isinstance(terms, FieldSymbol):
         terms = [terms]
     terms = list(terms)
-    vals, nonrational = _rational_support(
+    vals, nonrational = rational_support(
         terms[0].ctx, [y for sym in terms for y in sym.entries], upos)
     # with non-rational support the point enumeration is incomplete, so
     # only the sound finite rational points are returned and infinity is
@@ -259,7 +259,7 @@ def gersten_boundary(terms, upos):
     return out, nonrational
 
 
-def _zero_by_realizations(terms, depth):
+def zero_by_realizations(terms, depth):
     """Necessary-condition test that a symbol sum over F vanishes: zero
     dlog form, and zero boundary recursively in every variable.  Returns
     (consistent, evidence)."""
@@ -283,7 +283,7 @@ def _zero_by_realizations(terms, depth):
                 continue
             sub_ok = True
             for v, parts in bnd:
-                good, _ = _zero_by_realizations(parts, depth - 1)
+                good, _ = zero_by_realizations(parts, depth - 1)
                 sub_ok = sub_ok and good
             evidence["var_%s" % ctx.names[i]] = sub_ok
             ok = ok and sub_ok
@@ -305,7 +305,7 @@ def weil_reciprocity_check(terms, upos):
         total.extend(parts)
     if not total:
         return True, {"boundary": "empty"}
-    ok, evidence = _zero_by_realizations(total, depth=terms[0].ctx.r)
+    ok, evidence = zero_by_realizations(total, depth=terms[0].ctx.r)
     evidence["points"] = [str(v) for v, _ in bnd]
     return ok, evidence
 

@@ -122,11 +122,7 @@ class RelMilnorClass:
 def symbol_form(sym: RelSymbol):
     """The relative (n-1)-form log(u) dlog(rest) of one symbol, with the
     sign of moving the first principal entry to the front."""
-    pos = None
-    for i, u in enumerate(sym.entries):
-        if u.is_principal():
-            pos = i
-            break
+    pos = next((i for i, u in enumerate(sym.entries) if u.is_principal()), None)
     if pos is None:
         raise NoPrincipalEntry("no entry in 1 + t F_m")
     sign = (-1) ** pos

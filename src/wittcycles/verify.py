@@ -638,7 +638,7 @@ def check_elem_identity(names, seed, trials):
             lhs, rhs = milnorfield.elem_identity_instance(a, b, sv, tau)
         except (DegenerateBranch, ZeroEntry):
             continue
-        ok, _ = milnorfield._zero_by_realizations([lhs, rhs.scale(-1)], depth=ctx.r)
+        ok, _ = milnorfield.zero_by_realizations([lhs, rhs.scale(-1)], depth=ctx.r)
         _require(ok, "two-entry-identity", a, b, sv, tau)
         done += 1
         yield
@@ -702,7 +702,7 @@ def check_rewrite_filtration(names, seed, trials):
                  "filtration-dlog-agreement", sym)
         tdiff = [term for t in diff for term in milnorfield.tame_symbol(v, t)]
         if tdiff:
-            ok, _ = milnorfield._zero_by_realizations(tdiff, depth=base.r)
+            ok, _ = milnorfield.zero_by_realizations(tdiff, depth=base.r)
             _require(ok, "filtration-tame-agreement", sym)
         done += 1
         yield

@@ -8,12 +8,15 @@ Valuations are checked against the two order routes they replaced:
 synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
-replaced, and Henrici's sum against the gcd over the whole product of the
-denominators.  The last tests pin that no module of the package uses
-sympy's rational function field, and that only ``scalars`` moves
+replaced, Henrici's sum against the gcd over the whole product of the
+denominators, and the one division on F_m against the inverse loop and
+the log recurrence it replaced.  The last tests pin that no module of the
+package uses sympy's rational function field, that only ``scalars`` moves
 polynomials between contexts, writes the "p/q" coefficient text, reads
-polynomials on the u-line and calls sympy's polynomial gcd."""
+polynomials on the u-line and calls sympy's polynomial gcd, and that no
+module reaches a private name of another."""
 
+import ast
 import random
 import re
 from fractions import Fraction
@@ -24,12 +27,13 @@ import pytest
 
 from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
 from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
-                               NonRationalPoint, ParseError)
+                               NonRationalPoint, NotAUnit, ParseError)
 from wittcycles.forms import DiffForm, FormOnTrunc
-from wittcycles.milnorfield import (FieldSymbol, Valuation, _rational_support,
+from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
 from wittcycles.scalars import Context, parse_elem
-from wittcycles.trunc import TruncElem, parse_trunc
+from wittcycles.trunc import TruncElem, log_t, parse_trunc
+from wittcycles.witt import gamma_inv, ghost, log_ghost
 
 from fracfield import to_frac
 
@@ -240,7 +244,7 @@ def test_valuation_matches_synthetic_division(base):
     # with a negative or non-unit coefficient of u; the residue takes that
     # coefficient to the power ord
     lines = [x - 2 * u, 3 * u + x * x, 1 - u]
-    vals, _ = _rational_support(ctx, [lines[0] ** 3 / (lines[1] * lines[2]) ** 2], upos)
+    vals, _ = rational_support(ctx, [lines[0] ** 3 / (lines[1] * lines[2]) ** 2], upos)
     assert len(vals) == 4 and vals[-1].fac is None
     for v in vals:
         for k in (-2, -1, 1, 2):
@@ -465,6 +469,89 @@ def test_henrici_sum_matches_whole_product(names):
         assert _assert_sum_matches(t / 2 - p, p) == t / 2
 
 
+# -- the division on F_m against the loops it replaced -----------------------
+
+
+def old_inv(u):
+    """TruncElem.inv as it was: (sum a_i t^i)(sum b_j t^j) = 1 solved
+    degree by degree, with no term skipped."""
+    c0 = u.coeffs[0]
+    if c0.is_zero():
+        raise NotAUnit("constant term is zero")
+    inv0 = c0.inv()
+    out = [inv0] + [u.ctx.zero] * u.level
+    for k in range(1, u.level + 1):
+        acc = u.ctx.zero
+        for i in range(1, k + 1):
+            acc = acc + u.coeffs[i] * out[k - i]
+        out[k] = -inv0 * acc
+    return TruncElem(u.ctx, u.level, out)
+
+
+def old_log_t(u):
+    """log_t as it was: the recurrence k l_k = k u_k - sum_(j=1..k-1)
+    j l_j u_(k-j) from u l' = u'."""
+    jl = [u.ctx.zero]
+    for k in range(1, u.level + 1):
+        acc = u.coeffs[k].scale(k)
+        for j in range(1, k):
+            if jl[j] and u.coeffs[k - j]:
+                acc = acc - jl[j] * u.coeffs[k - j]
+        jl.append(acc)
+    return TruncElem(u.ctx, u.level,
+                     [c.scale(Fraction(1, k)) if k else c for k, c in enumerate(jl)])
+
+
+UNIT_KINDS = ("dense", "sparse", "constant", "fraction")
+
+
+def _coefficient(ctx, rng):
+    """A small coefficient, in the fraction tier about one time in eight."""
+    return _fraction(ctx, rng) if rng.random() < 0.125 else _poly(ctx, rng, 2, maxdeg=1)
+
+
+def _unit(ctx, rng, m, kind):
+    """A unit of F_m: every coefficient drawn (dense), about one in three
+    (sparse), none above t^0 (constant), or dense with a fraction-tier
+    constant term (fraction)."""
+    c0 = ctx.zero
+    while not c0:
+        c0 = _fraction(ctx, rng) if kind == "fraction" else _poly(ctx, rng, 2, maxdeg=1)
+    share = {"dense": 1, "sparse": 0.3, "constant": 0, "fraction": 1}[kind]
+    return TruncElem(ctx, m, [c0] + [_coefficient(ctx, rng) if rng.random() < share
+                                     else ctx.zero for _ in range(m)])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_division_matches_the_old_loops(m):
+    ctx = Context(("x", "y"))
+    rng = random.Random(1406 + m)
+    for kind in UNIT_KINDS:
+        u = _unit(ctx, rng, m, kind)
+        a = TruncElem(ctx, m, [_coefficient(ctx, rng) for _ in range(m + 1)])
+        assert u.inv() == old_inv(u), u
+        assert a / u == a * old_inv(u), (a, u)
+        # the principal unit u / u_0, where the product by 1/v_0 is skipped
+        p = u.scale(u.coeffs[0].inv())
+        assert p.inv() == old_inv(p), p
+        ell = old_log_t(p)
+        assert log_t(p) == ell, p
+        assert log_ghost(p) == tuple(ell.coeffs[j].scale(-j) for j in range(1, m + 1)), p
+        assert ghost(gamma_inv(p)) == log_ghost(p), p
+
+
+def test_division_by_a_non_unit_raises():
+    ctx = Context(("x", "y"))
+    x, y = ctx.gens()
+    for m in (1, 4):
+        a = TruncElem.one(ctx, m) + TruncElem.t(ctx, m).scale(y)
+        v = TruncElem.t(ctx, m).scale(x)  # constant term 0, a t-coefficient x
+        for divide in (lambda: a / v, v.inv, lambda: log_ghost(v),
+                       lambda: a / TruncElem.zero(ctx, m), lambda: a / ctx.zero):
+            with pytest.raises(NotAUnit):
+                divide()
+
+
 # -- the polynomial backend stays in scalars --------------------------------
 
 BRIDGE = re.compile(r"\.frac\b|\bctx\.field\b|\bfrom_terms\b")
@@ -535,3 +622,35 @@ def test_only_scalars_factors_calls_factor_list():
     calls = [line.strip() for line in scalars.read_text().splitlines()
              if factor.search(line)]
     assert calls == ["return tuple(fac for fac, _mult in poly.factor_list()[1])"]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reaches(text, stem, modules):
+    """(line, name) of every import of an underscore name from a wittcycles
+    module, and every read of one as an attribute of another module."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("wittcycles")):
+            found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules - {stem} and _private(node.attr)):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_no_module_reaches_a_private_name_of_another():
+    src = Path(__file__).resolve().parent.parent / "src" / "wittcycles"
+    paths = sorted(src.glob("*.py"))
+    modules = {path.stem for path in paths}
+    offenders = ["%s:%d: %s" % (path.name, line, name) for path in paths
+                 for line, name in _private_reaches(path.read_text(), path.stem, modules)]
+    assert not offenders, offenders
+    # the scan sees both kinds of reach, and not a module's own names
+    assert _private_reaches("from .milnorfield import Valuation, _support\n"
+                            "milnorfield._zero(x)\nself.ctx._gens\n__all__ = []\n",
+                            "addchow", modules) == [(1, "_support"), (2, "_zero")]
+    assert not _private_reaches("milnorfield._zero(x)\n", "milnorfield", modules)

@@ -67,7 +67,7 @@ def test_retry_loop_check_counts_completed_trials(monkeypatch):
     def zero_by_realizations(terms, depth):
         main_trials.append(terms)
         return len(main_trials) < 4, {}
-    monkeypatch.setattr(milnorfield, "_zero_by_realizations", zero_by_realizations)
+    monkeypatch.setattr(milnorfield, "zero_by_realizations", zero_by_realizations)
     prop = verify.check_elem_identity(("x", "y"), 110, 50)
     assert prop["name"] == "two-entry-identity" and not prop["ok"]
     # three main trials and the degenerate ones between them completed
@@ -86,7 +86,7 @@ def test_corpus_check_reports_failing_curve(monkeypatch):
 
 
 def test_cli_verify_exits_1_with_the_failing_property(monkeypatch, capsys):
-    monkeypatch.setattr(milnorfield, "_zero_by_realizations",
+    monkeypatch.setattr(milnorfield, "zero_by_realizations",
                         lambda terms, depth: (False, {}))
     argv = ["verify", "--suite", "rewriting", "--trials", "1", "--seed", "3"]
     code = main(argv)
