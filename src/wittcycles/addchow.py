@@ -11,9 +11,9 @@ log-derivative route, with no unghost/ghost round trip.  For u = gamma(a),
 so witt.log_ghost reads the ghost tuple of gamma_inv(u) off one division
 t u'/u on F_m; the tuple is then wedged with the dlog(b)'s as in phi.
 The same identity links the two routes by the diagonal
-c_i = -(1/i) omega_i.  Both images live in the
-one tuple shape forms.FormTuple: canonical components c_i on the Milnor
-side, ghost components omega_i on the de Rham-Witt side.
+c_i = -(1/i) omega_i.  Both images live in the one tuple shape
+forms.FormTuple: canonical components c_i on the Milnor side, ghost
+components omega_i on the de Rham-Witt side.
 
 Parametrized curves (g_0..g_n) over F(u) supply boundaries: faces are cut
 at the rational zeros and poles of the cube coordinates g_1..g_n, with

@@ -163,21 +163,25 @@ def test_help_still_exits_0(capsys):
     assert "--symbol SYMBOL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("spaced, joined", [
+@pytest.mark.parametrize("spaced, joined, code", [
     (["nf", "--vars", "x", "--symbol", "-2*{1+t,x}"],
-     ["nf", "--vars", "x", "--symbol=-2*{1+t,x}"]),
+     ["nf", "--vars", "x", "--symbol=-2*{1+t,x}"], 0),
     (["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs", "-x*y"],
-     ["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs=-x*y"]),
+     ["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs=-x*y"], 0),
     (["cyc", "--vars", "x", "--gen", "-2*(1-3t;x)", "--pretty"],
-     ["cyc", "--vars", "x", "--gen=-2*(1-3t;x)", "--pretty"]),
+     ["cyc", "--vars", "x", "--gen=-2*(1-3t;x)", "--pretty"], 0),
+    # every value is taken; --m -1 then fails the level check, not argparse
     (["nf", "--vars", "x", "--symbol", "{1+t,x}", "--symbol", "-1*{1+t,x}", "--m", "-1"],
-     ["nf", "--vars", "x", "--symbol={1+t,x}", "--symbol=-1*{1+t,x}", "--m=-1"]),
+     ["nf", "--vars", "x", "--symbol={1+t,x}", "--symbol=-1*{1+t,x}", "--m=-1"], 2),
 ])
-def test_option_values_may_start_with_a_dash(capsys, spaced, joined):
+def test_option_values_may_start_with_a_dash(capsys, spaced, joined, code):
     got = run(capsys, *spaced)
     assert got == run(capsys, *joined)
-    assert got[0] == (2 if "--m" in spaced else 0)
-    assert got[1] if got[0] == 0 else got[2]
+    assert got[0] == code
+    if code:
+        assert json.loads(got[2])["error"]["message"] == "level must be >= 1"
+    else:
+        assert got[1]
 
 
 def test_zero_denominator_coefficient_exits_2(capsys):
