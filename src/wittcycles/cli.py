@@ -242,16 +242,25 @@ def cmd_verify(args):
 class _Parser(argparse.ArgumentParser):
     """Raises ParseError on bad arguments.  An option that takes a value
     takes a following one that starts with "-" ("--bs -x*y"), unless that
-    value is itself an option."""
+    value is itself an option.  Options are read as argparse reads them:
+    an exact option string or a unique prefix of one ("--b -x*y")."""
 
     def error(self, message):
         raise ParseError(message)
 
+    def _action(self, arg):
+        """The action of the option arg names, or None."""
+        options = self._option_string_actions
+        if arg in options or not arg.startswith("--"):
+            return options.get(arg)
+        found = {a for s, a in options.items() if s.startswith(arg)}
+        return found.pop() if len(found) == 1 else None
+
     def parse_known_args(self, args=None, namespace=None):
-        options, joined = self._option_string_actions, []
+        joined = []
         for arg in sys.argv[1:] if args is None else args:
-            if (joined and arg.startswith("-") and arg not in options
-                    and getattr(options.get(joined[-1]), "nargs", 0) is None):
+            if (joined and arg.startswith("-") and self._action(arg) is None
+                    and getattr(self._action(joined[-1]), "nargs", 0) is None):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)

@@ -24,15 +24,16 @@ from .scalars import FieldElem
 def series_product(xs, ys, n, zero):
     """The first n coefficients of (sum_i xs_i t^i)(sum_j ys_j t^j), with
     products a * b of ring elements or wedges of forms; zero coefficients
-    are skipped."""
-    out = [zero] * n
+    are skipped, and each coefficient starts from its first product."""
+    out = [None] * n
     for i, a in enumerate(xs[:n]):
         if not a:
             continue
         for j, b in enumerate(ys[:n - i]):
             if b:
-                out[i + j] = out[i + j] + a * b
-    return out
+                k = i + j
+                out[k] = a * b if out[k] is None else out[k] + a * b
+    return [zero if c is None else c for c in out]
 
 
 def _merge_sign(s, t):
@@ -98,6 +99,10 @@ class DiffForm:
 
     def __add__(self, other):
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         coeffs = dict(self.coeffs)
         for subset, value in other.coeffs.items():
             coeffs[subset] = coeffs.get(subset, self.ctx.zero) + value
@@ -143,11 +148,11 @@ class DiffForm:
         coeffs = {}
         for subset, value in self.coeffs.items():
             for i in range(self.ctx.r):
-                dv = value.diff(i)
-                if dv.is_zero():
-                    continue
                 merged, sign = _merge_sign((i,), subset)
                 if merged is None:
+                    continue
+                dv = value.diff(i)
+                if dv.is_zero():
                     continue
                 term = dv if sign == 1 else -dv
                 coeffs[merged] = coeffs.get(merged, self.ctx.zero) + term

@@ -254,7 +254,10 @@ def _unit_gcd(a, b):
 def _cofactors(f, g):
     """(h, f/h, g/h) for h = gcd(f, g), as sympy's cofactors gives them up
     to sign.  When the certificate holds for every variable of both f and
-    g, h is the gcd of their integer contents; otherwise sympy computes."""
+    g, h is the gcd of their integer contents; otherwise sympy computes.
+    For g = 0 and f nonzero the gcd is f itself."""
+    if f and not g:
+        return f, f.ring.one, g
     if f and g and all(_unit_gcd(_image(f, j, d), _image(g, j, e)) for j, (d, e)
                        in enumerate(zip(f.degrees(), g.degrees())) if d and e):
         h = gcd(*f.values(), *g.values())
@@ -326,6 +329,10 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         ctx = self.ctx
         a, b = self.den, other.den
         if type(a) is int:
@@ -449,8 +456,16 @@ class FieldElem:
         num, den = self.num, self.den
         if type(den) is int:
             return FieldElem(self.ctx, *_coprime(num.diff(x), den))
-        return _settled(self.ctx, *_coprime(num.diff(x) * den - num * den.diff(x),
-                                           den * den))
+        # with den = g*d1 and den' = g*d2 for g = gcd(den, den'), the
+        # derivative is (num'*d1 - num*d2)/(g*d1^2).  An irreducible factor
+        # of den that involves x divides d1 once and not d2 nor num, so
+        # only a factor of g (free of x, or content) can cancel
+        g, d1, d2 = _cofactors(den, den.diff(x))
+        top = num.diff(x) * d1 - num * d2
+        if not top:
+            return self.ctx.zero
+        _, top, g1 = _cofactors(top, g)
+        return _settled(self.ctx, top, g1 * d1 * d1)
 
     def __repr__(self):
         """num/den as sympy prints its rational functions: the numerator in

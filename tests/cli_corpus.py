@@ -13,7 +13,8 @@ call, to find the first call where two trees differ.
 The corpus covers ``nf`` and ``cyc`` at levels 1..8 with polynomial- and
 fraction-tier units, every ``witt`` and ``drw`` subop, every ``verify``
 suite at seeds 0..2, and bad inputs, with the nesting limit met and
-passed.  pytest does not collect this file.
+passed.  A last block, in x, y and in x, y, z, puts denominators with
+repeated factors into ``drw phi``, ``drw d``, ``nf`` and ``cyc``.  pytest does not collect this file.
 """
 
 import argparse
@@ -136,7 +137,37 @@ def corpus():
         for suite in ("witt", "drw", "relmilnor", "reciprocity", "cycle-iso", "rewriting"):
             calls.append(["verify", "--suite", suite, "--trials", "2", "--seed", str(seed)])
     calls.append(["verify", "--suite", "all", "--trials", "1", "--vars", "x"])
-    return calls + ERRORS
+    return calls + ERRORS + repeated_factors()
+
+
+# denominators with repeated factors, integer content and factors free of
+# some variable
+REPEATED = {"x,y": ["(x+1)^2/(y-2)^3", "x/(x*y+1)^2", "(x-y)^3/(2*(x+y)^2)",
+                    "1/(3*(y+1)^3)"],
+            "x,y,z": ["(x+z)^2/(y-2*z)^3", "z/(x*y+z)^2", "(x-1)^2/(6*(y+z)^3)",
+                      "y/(z+2)^2"]}
+
+
+def repeated_factors():
+    """The calls whose denominators have repeated factors; appended to the
+    corpus so that the earlier calls keep their places."""
+    calls = []
+    for names, entries in REPEATED.items():
+        for a, b in zip(entries, entries[1:] + entries[:1]):
+            for subop in ("phi", "d"):
+                for witt in ("(1, x)", "(%s, 2, y)" % a):
+                    calls.append(["drw", subop, "--vars", names, "--witt", witt,
+                                  "--bs=" + b])
+                calls.append(["drw", subop, "--vars", names, "--witt", "(1, %s)" % b,
+                              "--bs=%s,%s" % (a, b)])
+            for m in (1, 2, 3):
+                calls.append(["nf", "--m", str(m), "--vars", names,
+                              "--symbol", "{1 + (%s)*t, %s}" % (a, b)])
+                calls.append(["nf", "--m", str(m), "--vars", names,
+                              "--symbol", "{1 + t^2/(%s), %s, x}" % (b, a)])
+                calls.append(["cyc", "--m", str(m), "--vars", names,
+                              "--gen", "(1 - (%s)*t; %s)" % (b, a)])
+    return calls
 
 
 # verify's timings: "elapsed_s": 0.123 in JSON, "(2 trials, 0.123s)" pretty

@@ -173,6 +173,13 @@ def test_help_still_exits_0(capsys):
     # every value is taken; --m -1 then fails the level check, not argparse
     (["nf", "--vars", "x", "--symbol", "{1+t,x}", "--symbol", "-1*{1+t,x}", "--m", "-1"],
      ["nf", "--vars", "x", "--symbol={1+t,x}", "--symbol=-1*{1+t,x}", "--m=-1"], 2),
+    # an option named by a unique prefix, as argparse reads it
+    (["nf", "--vars", "x", "--sym", "-2*{1+t,x}"],
+     ["nf", "--vars", "x", "--symbol=-2*{1+t,x}"], 0),
+    (["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--b", "-x*y"],
+     ["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs=-x*y"], 0),
+    (["nf", "--va", "x", "--sym", "{1+t,x}", "--pre"],
+     ["nf", "--vars=x", "--symbol={1+t,x}", "--pretty"], 0),
 ])
 def test_option_values_may_start_with_a_dash(capsys, spaced, joined, code):
     got = run(capsys, *spaced)
@@ -182,6 +189,18 @@ def test_option_values_may_start_with_a_dash(capsys, spaced, joined, code):
         assert json.loads(got[2])["error"]["message"] == "level must be >= 1"
     else:
         assert got[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --s could be --suite or --seed
+    (["verify", "--s", "-1"], "ambiguous option: --s could match --suite, --seed"),
+    # a unique prefix of an option is an option, not a value
+    (["nf", "--symbol", "--pre"], "argument --symbol: expected one argument"),
+])
+def test_abbreviations_resolve_as_in_argparse(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
 
 
 def test_zero_denominator_coefficient_exits_2(capsys):

@@ -9,8 +9,9 @@ synthetic division by (u - c) over the base field (``UPoly``) and the
 factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
 replaced, Henrici's sum against the gcd over the whole product of the
-denominators, and the one division on F_m against the inverse loop and
-the log recurrence it replaced.  The last tests pin that no module of the
+denominators, the one division on F_m against the inverse loop and the
+log recurrence it replaced, and the derivative against the gcd over the
+square of the denominator.  The last tests pin that no module of the
 package uses sympy's rational function field, that only ``scalars`` moves
 polynomials between contexts, writes the "p/q" coefficient text, reads
 polynomials on the u-line and calls sympy's polynomial gcd, and that no
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
+from wittcycles.drw import drw_d, phi
 from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
                                NonRationalPoint, NotAUnit, ParseError)
 from wittcycles.forms import DiffForm, FormOnTrunc
@@ -33,7 +35,7 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
 from wittcycles.scalars import Context, parse_elem
 from wittcycles.trunc import TruncElem, log_t, parse_trunc
-from wittcycles.witt import gamma_inv, ghost, log_ghost
+from wittcycles.witt import WittVector, gamma_inv, ghost, log_ghost
 
 from fracfield import to_frac
 
@@ -550,6 +552,91 @@ def test_division_by_a_non_unit_raises():
                        lambda: a / TruncElem.zero(ctx, m), lambda: a / ctx.zero):
             with pytest.raises(NotAUnit):
                 divide()
+
+
+# -- the derivative against the gcd over den^2 ------------------------------
+
+
+def old_diff(a, i):
+    """a.diff(i) as it was: num'*den - num*den' cancelled by one gcd against
+    den^2, as (num, den) with den's leading coefficient positive."""
+    x = a.ctx.var(i).num
+    num, den = a.num, a.den_poly()
+    num, den = (num.diff(x) * den - num * den.diff(x)).cofactors(den * den)[1:]
+    return (-num, -den) if den.LC < 0 else (num, den)
+
+
+def _assert_diff_matches(a, i, frac=False):
+    d = a.diff(i)
+    assert (d.num, d.den_poly()) == old_diff(a, i), (a, i)
+    assert (type(d.den) is int) == d.den_poly().is_ground
+    if frac:
+        want = to_frac(a).diff(to_frac(a.ctx.var(i)))
+        assert (to_frac(d).numer, to_frac(d).denom) == (want.numer, want.denom), (a, i)
+    return d
+
+
+def _factor(ctx, rng):
+    """A non-constant integer polynomial in a random nonempty set of the
+    variables, so that it is often free of the one differentiated."""
+    chosen = rng.sample(range(ctx.r), rng.randint(1, ctx.r))
+    while True:
+        p = ctx.from_terms([(tuple(rng.randint(0, 2) if i in chosen else 0
+                                   for i in range(ctx.r)), rng.randint(-4, 4))
+                            for _ in range(3)])
+        if p.num and not p.num.is_ground:
+            return p
+
+
+def _repeated_fraction(ctx, rng):
+    """(a, k): a nonzero fraction whose denominator has integer content, one
+    or two factors p^e with e <= 3, often free of some variable, and total
+    multiplicity k."""
+    while True:
+        den, k = ctx.rational(rng.choice((1, 2, 6, 9))), 0
+        for _ in range(rng.randint(1, 2)):
+            e = rng.randint(1, 3)
+            den, k = den * _factor(ctx, rng) ** e, k + e
+        num = _poly(ctx, rng, 3)
+        if num and type((num / den).den) is not int:
+            return num / den, k
+
+
+def test_diff_named_cases(monkeypatch):
+    ctx = Context(("x", "y"))
+    x, y = ctx.gens()
+    # den = y is free of x and divides num' twice over: the derivative
+    # drops to the polynomial tier
+    d = _assert_diff_matches((1 + x ** 2 * y) / y, 0, frac=True)
+    assert str(d) == "2*x" and type(d.den) is int
+    assert (y / (y + 1)).diff(0) is ctx.zero
+    # content and a cube: 1/(6 (x + y)^3)
+    _assert_diff_matches(1 / (6 * (x + y) ** 3), 1, frac=True)
+    # every denominator below is settled by the certificate; cancelling
+    # against den^2 took 8 polynomial gcds here
+    form = phi(WittVector(ctx, 4, [x, y, x + 1, x * y]), [(x + 2) / (y + 3) ** 2])
+    calls = []
+    original = type(x.num).cofactors
+    monkeypatch.setattr(type(x.num), "cofactors",
+                        lambda f, g: calls.append((f, g)) or original(f, g))
+    assert str(drw_d(form)) == (
+        "DRW((-2/(y + 3))*dx^dy; ((-2*x**2 - 4*x - y - 3)/(x*y + 3*x + 2*y + 6))*dx^dy; "
+        "((-2*x**2 - 2)/(y + 3))*dx^dy; "
+        "((-2*x**4 - 4*x**3 - 3*x*y - y**2 - 3*x - 7*y)/(x*y + 3*x + 2*y + 6))*dx^dy)")
+    assert not calls
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_diff_matches_the_gcd_over_den_squared(names):
+    ctx = Context(names)
+    rng = random.Random(1956 + 10 * ctx.r)
+    for _ in range(25):
+        a, k = _repeated_fraction(ctx, rng)
+        for i in range(ctx.r):
+            _assert_diff_matches(a, i, frac=k <= 3)
+            # a numerator sharing a factor free of x_i with the denominator
+            _assert_diff_matches(a * _factor(ctx, rng), i)
+        _assert_diff_matches(_poly(ctx, rng, 3), rng.randrange(ctx.r), frac=True)
 
 
 # -- the polynomial backend stays in scalars --------------------------------
