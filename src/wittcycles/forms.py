@@ -25,15 +25,15 @@ def series_product(xs, ys, n, zero):
     """The first n coefficients of (sum_i xs_i t^i)(sum_j ys_j t^j), with
     products a * b of ring elements or wedges of forms; zero coefficients
     are skipped, and each coefficient starts from its first product."""
-    out = [None] * n
+    out = [zero] * n
     for i, a in enumerate(xs[:n]):
         if not a:
             continue
         for j, b in enumerate(ys[:n - i]):
             if b:
                 k = i + j
-                out[k] = a * b if out[k] is None else out[k] + a * b
-    return [zero if c is None else c for c in out]
+                out[k] = a * b if out[k] is zero else out[k] + a * b
+    return out
 
 
 def _merge_sign(s, t):

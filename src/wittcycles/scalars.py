@@ -25,10 +25,14 @@ Elements live in one of two tiers of that form:
   enters it only on division by a non-constant.  Products cancel each
   numerator against the other factor's denominator, and sums of distinct
   denominators a and b cancel by Henrici's rule: with g = gcd(a, b), only
-  a factor of g can divide the numerator over a*b/g.  Every polynomial
-  gcd first tries a mod-p coprimality certificate (``_cofactors``), which
-  settles most of them with integer gcds alone, and falls back to
-  sympy's polynomial gcd when the certificate fails.
+  a factor of g can divide the numerator over a*b/g.  A derivative by
+  x_i cancels against g = gcd(den, d den/dx_i) alone: an irreducible
+  factor of den that involves x_i divides den/g exactly once and never
+  the new numerator, so only factors of den free of x_i (integer content
+  among them) can cancel.  Every polynomial gcd first tries a mod-p
+  coprimality certificate (``_cofactors``), which settles most of them
+  with integer gcds alone, and falls back to sympy's polynomial gcd when
+  the certificate fails.
 
 The algorithms read ``num`` and ``den_poly()`` directly, and only this
 module calls methods of the polynomials behind them.  It moves elements
@@ -456,16 +460,14 @@ class FieldElem:
         num, den = self.num, self.den
         if type(den) is int:
             return FieldElem(self.ctx, *_coprime(num.diff(x), den))
-        # with den = g*d1 and den' = g*d2 for g = gcd(den, den'), the
-        # derivative is (num'*d1 - num*d2)/(g*d1^2).  An irreducible factor
-        # of den that involves x divides d1 once and not d2 nor num, so
-        # only a factor of g (free of x, or content) can cancel
+        # den = g*d1 and den' = g*d2 give (num'*d1 - num*d2)/(g*d1^2), and
+        # no factor of d1 divides that numerator, so only one of g can cancel
         g, d1, d2 = _cofactors(den, den.diff(x))
-        top = num.diff(x) * d1 - num * d2
-        if not top:
+        num = num.diff(x) * d1 - num * d2
+        if not num:
             return self.ctx.zero
-        _, top, g1 = _cofactors(top, g)
-        return _settled(self.ctx, top, g1 * d1 * d1)
+        _, num, g1 = _cofactors(num, g)
+        return _settled(self.ctx, num, g1 * d1 * d1)
 
     def __repr__(self):
         """num/den as sympy prints its rational functions: the numerator in
