@@ -14,7 +14,8 @@ The corpus covers ``nf`` and ``cyc`` at levels 1..8 with polynomial- and
 fraction-tier units, every ``witt`` and ``drw`` subop, every ``verify``
 suite at seeds 0..2, and bad inputs, with the nesting limit met and
 passed.  A last block, in x, y and in x, y, z, puts denominators with
-repeated factors into ``drw phi``, ``drw d``, ``nf`` and ``cyc``.  pytest does not collect this file.
+repeated factors into ``drw phi``, ``drw d``, ``nf`` and ``cyc``.
+pytest does not collect this file.
 """
 
 import argparse

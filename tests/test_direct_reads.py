@@ -634,7 +634,7 @@ def test_diff_matches_the_gcd_over_den_squared(names):
         a, k = _repeated_fraction(ctx, rng)
         for i in range(ctx.r):
             _assert_diff_matches(a, i, frac=k <= 3)
-            # a numerator sharing a factor free of x_i with the denominator
+            # times a factor that may cancel part of the denominator
             _assert_diff_matches(a * _factor(ctx, rng), i)
         _assert_diff_matches(_poly(ctx, rng, 3), rng.randrange(ctx.r), frac=True)
 
