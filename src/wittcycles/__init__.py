@@ -3,15 +3,14 @@ relative Milnor K-theory of truncated polynomial rings over Q(x1..xr)."""
 
 from .errors import WittCyclesError
 from .scalars import Context, FieldElem, parse_elem
-from .forms import (CanonRelForm, DiffForm, FormOnTrunc, dlog, dlog_wedge,
-                    reduce_mod_exact)
+from .forms import (CanonRelForm, DiffForm, FormOnTrunc, LevelTuple, dlog,
+                    dlog_wedge, reduce_mod_exact)
 from .trunc import (TruncElem, exp_t, log_t, parse_trunc, trunc_d, trunc_dlog,
                     embed_form)
 from .witt import (WittVector, frobenius, gamma, gamma_inv, ghost, teichmuller,
                    unghost, verschiebung, witt_decompose)
 from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
-from .relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
-                        normal_form, theta)
+from .relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
 from .milnorfield import (FieldSymbol, Valuation, collect_terms,
                           dlog_realization, elem_identity_instance,
                           gersten_boundary, rewrite_filtration, tame_symbol,

@@ -12,8 +12,9 @@ so witt.log_ghost reads the ghost tuple of gamma_inv(u) off one division
 t u'/u on F_m; the tuple is then wedged with the dlog(b)'s as in phi.
 The same identity links the two routes by the diagonal
 c_i = -(1/i) omega_i.  Both images live in the one tuple shape
-forms.FormTuple: canonical components c_i on the Milnor side, ghost
-components omega_i on the de Rham-Witt side.
+forms.FormTuple: the class itself, a CanonRelForm of canonical components
+c_i, on the Milnor side, and ghost components omega_i on the de Rham-Witt
+side.
 
 Parametrized curves (g_0..g_n) over F(u) supply boundaries: faces are cut
 at the rational zeros and poles of the cube coordinates g_1..g_n, with
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
 from .milnorfield import Valuation, rational_support
-from .relmilnor import RelMilnorClass, RelSymbol, normal_form
+from .relmilnor import RelSymbol, normal_form
 from .scalars import FieldElem, fraction_text, parse_fraction
 from .trunc import TruncElem
 from .witt import log_ghost
@@ -97,12 +98,12 @@ def _as_sum(zs):
     return [zs] if isinstance(zs, CycleGen) else list(zs)
 
 
-def cyc_milnor(zs, m: int) -> RelMilnorClass:
+def cyc_milnor(zs, m: int) -> CanonRelForm:
     """The relative Milnor class of a generator sum at level m."""
     zs = _as_sum(zs)
     n = zs[0].degree
     ctx = zs[0].ctx
-    total = RelMilnorClass.zero(ctx, n, m)
+    total = CanonRelForm.zero(ctx, n - 1, m)
     for z in zs:
         if z.degree != n:
             raise ValueError("mixed degrees in one cycle sum")
@@ -124,18 +125,17 @@ def cycle_to_drw(zs, m: int) -> DRWForm:
     return total
 
 
-def drw_to_milnor_diagonal(omega: DRWForm) -> RelMilnorClass:
+def drw_to_milnor_diagonal(omega: DRWForm) -> CanonRelForm:
     """The invertible diagonal c_i = -(1/i) omega_i between ghost and
     canonical coordinates."""
     comps = [w.scale(Fraction(-1, i)) for i, w in enumerate(omega.comps, start=1)]
-    return RelMilnorClass(omega.degree + 1,
-                          CanonRelForm(omega.ctx, omega.degree, omega.level, comps))
+    return CanonRelForm(omega.ctx, omega.degree, omega.level, comps)
 
 
-def milnor_to_drw_diagonal(xi: RelMilnorClass) -> DRWForm:
+def milnor_to_drw_diagonal(xi: CanonRelForm) -> DRWForm:
     """Inverse of the diagonal: omega_i = -i * c_i."""
-    comps = [w.scale(-i) for i, w in enumerate(xi.canon.comps, start=1)]
-    return DRWForm(xi.ctx, xi.canon.degree, xi.level, comps)
+    comps = [w.scale(-i) for i, w in enumerate(xi.comps, start=1)]
+    return DRWForm(xi.ctx, xi.degree, xi.level, comps)
 
 
 def tower_compat(zs, m_big: int, m_small: int) -> bool:

@@ -86,7 +86,7 @@ def parse_generator(ctx, m, text, ring="q"):
     bs = []
     if len(parts) == 2 and parts[1].strip():
         bs = [parse_elem(ctx, p) for p in _entries(parts[1], text)]
-    return addchow.CycleGen(list(fpoly.coeffs), bs, coef)
+    return addchow.CycleGen(list(fpoly.comps), bs, coef)
 
 
 def parse_tuple(ctx, text):
@@ -136,15 +136,15 @@ def _output(args, text, payload):
 # -- subcommands --------------------------------------------------------
 
 def _class_output(args, parse, texts, to_class):
-    """Parse the input texts, take their relative Milnor class, check its
-    degree against --n and print it."""
+    """Parse the input texts, take their relative Milnor class (a
+    CanonRelForm, of form degree n - 1), check n against --n and print it."""
     ctx = _context(args)
     cls = to_class([parse(ctx, args.m, text, args.coeff) for text in texts])
-    if args.n is not None and cls.degree != args.n:
+    if args.n is not None and cls.degree + 1 != args.n:
         raise ParseError("symbol degree %d does not match --n %d"
-                         % (cls.degree, args.n))
+                         % (cls.degree + 1, args.n))
     return _output(args, lambda: "degree %d, level %d\ncanon: %s"
-                   % (cls.degree, cls.level, cls.canon), cls.to_json)
+                   % (cls.degree + 1, cls.level, cls), cls.to_json)
 
 
 def cmd_nf(args):

@@ -11,6 +11,12 @@ indexed like the coefficients of a ring element of F_m.  dt is kept
 leftmost in dt-terms; wedging a p-form past dt from the left contributes
 the sign (-1)^p.  Ring elements and both kinds of parts multiply by one
 truncated product, `series_product`.
+
+Each term of the paper's pro-systems is a tuple over one context at a
+level m that restricts to lower levels.  `LevelTuple` is that shape,
+with components `comps`: the base of F_m elements, Witt vectors and
+`FormTuple`, the tuples (w_1..w_m) of n-forms behind canonical relative
+forms and de Rham-Witt forms.
 """
 
 from __future__ import annotations
@@ -311,75 +317,108 @@ class FormOnTrunc:
                    [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
 
 
-class FormTuple:
-    """A tuple (w_1..w_m), m >= 1, of n-forms over F with componentwise
-    sums; the shared shape of canonical relative forms and de Rham-Witt
-    ghost tuples.  Sums, negatives, scalings and restrictions keep the
-    subclass, and forms of different subclasses never compare equal.
-    Immutable."""
+class LevelTuple:
+    """A term of a pro-system at level m >= 1: a tuple of level + extra
+    components over one context.  The base of F_m elements (extra = 1),
+    Witt vectors and form tuples; equality, hashing, the level check,
+    componentwise sums and negatives, restriction and the JSON list live
+    here.  Results keep the subclass, and tuples of different subclasses
+    never compare equal.  Immutable."""
 
-    __slots__ = ("ctx", "degree", "level", "comps")
+    __slots__ = ("ctx", "level", "comps")
+    extra = 0
     json_key = "comps"
 
-    def __init__(self, ctx, degree, level, comps):
+    def __init__(self, ctx, level, comps):
         if level < 1:
             raise ValueError("level must be >= 1")
         comps = tuple(comps)
-        if len(comps) != level:
-            raise ValueError("need exactly %d components" % level)
-        for w in comps:
-            if w.degree != degree:
-                raise ValueError("component degree mismatch")
+        if len(comps) != level + self.extra:
+            raise ValueError("need exactly %d components" % (level + self.extra))
         self.ctx = ctx
-        self.degree = degree
         self.level = level
         self.comps = comps
+
+    @classmethod
+    def zero(cls, ctx, level):
+        return cls(ctx, level, (ctx.zero,) * (level + cls.extra))
+
+    def _like(self, comps, level=None):
+        """A tuple of self's type and shape with the given components."""
+        return type(self)(self.ctx, self.level if level is None else level, comps)
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.comps)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ctx == other.ctx
+                and self.level == other.level and self.comps == other.comps)
+
+    def __hash__(self):
+        return hash((self.ctx, self.level, self.comps))
+
+    def _check(self, other):
+        """other, once its type, context and level are self's."""
+        if type(other) is not type(self):
+            raise TypeError("cannot combine %s with %s"
+                            % (type(self).__name__, type(other).__name__))
+        self.ctx.check(other.ctx)
+        if self.level != other.level:
+            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        return self._like([a + b for a, b in zip(self.comps, other.comps)])
+
+    def __neg__(self):
+        return self._like([-c for c in self.comps])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def restrict(self, level):
+        if level > self.level:
+            raise ValueError("cannot restrict upward")
+        return self._like(self.comps[:level + self.extra], level)
+
+    def to_json(self):
+        return {"level": self.level, self.json_key: [c.to_json() for c in self.comps]}
+
+    @classmethod
+    def from_json(cls, ctx, data):
+        return cls(ctx, data["level"],
+                   [FieldElem.from_json(ctx, c) for c in data[cls.json_key]])
+
+
+class FormTuple(LevelTuple):
+    """A tuple (w_1..w_m) of n-forms over F; the shared shape of canonical
+    relative forms and de Rham-Witt ghost tuples."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, ctx, degree, level, comps):
+        super().__init__(ctx, level, comps)
+        if any(w.degree != degree for w in self.comps):
+            raise ValueError("component degree mismatch")
+        self.degree = degree
+
+    def _like(self, comps, level=None):
+        return type(self)(self.ctx, self.degree,
+                          self.level if level is None else level, comps)
 
     @classmethod
     def zero(cls, ctx, degree, level):
         return cls(ctx, degree, level, (DiffForm.zero(ctx, degree),) * level)
 
-    def is_zero(self):
-        return all(w.is_zero() for w in self.comps)
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.ctx == other.ctx
-                and self.degree == other.degree and self.level == other.level
-                and self.comps == other.comps)
-
-    def _check(self, other):
-        self.ctx.check(other.ctx)
-        if self.level != other.level:
-            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
-
-    def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return type(self)(self.ctx, self.degree, self.level,
-                          [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return type(self)(self.ctx, self.degree, self.level, [-w for w in self.comps])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
-        return type(self)(self.ctx, self.degree, self.level,
-                          [w.scale(c) for w in self.comps])
-
-    def restrict(self, level):
-        if level > self.level:
-            raise ValueError("cannot restrict upward")
-        return type(self)(self.ctx, self.degree, level, self.comps[:level])
+        return self._like([w.scale(c) for w in self.comps])
 
     def __repr__(self):
         return "(" + ", ".join(str(w) for w in self.comps) + ")"
 
     def to_json(self):
-        return {"degree": self.degree, "level": self.level,
-                self.json_key: [w.to_json() for w in self.comps]}
+        return {"degree": self.degree, **super().to_json()}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -389,7 +428,9 @@ class FormTuple:
 
 class CanonRelForm(FormTuple):
     """Canonical representative (c_1..c_m) of a relative class in
-    t F_m (x) Omega^n_F. Immutable."""
+    t F_m (x) Omega^n_F; it is the class in K_(n+1)(F_m, (t)) itself, and
+    its JSON is the class layout {"degree": n + 1, "canon": ...}.
+    Immutable."""
 
     __slots__ = ()
 
@@ -397,6 +438,16 @@ class CanonRelForm(FormTuple):
         """The representative sum_i t^i (x) c_i as a relative form on F_m."""
         return FormOnTrunc(self.ctx, self.degree, self.level,
                            (DiffForm.zero(self.ctx, self.degree),) + self.comps)
+
+    def to_json(self):
+        return {"degree": self.degree + 1, "canon": super().to_json()}
+
+    @classmethod
+    def from_json(cls, ctx, data):
+        canon = super().from_json(ctx, data["canon"])
+        if data["degree"] != canon.degree + 1:
+            raise ValueError("class degree must be the form degree + 1")
+        return canon
 
 
 def reduce_mod_exact(alpha: FormOnTrunc) -> CanonRelForm:

@@ -1,8 +1,10 @@
 """Relative Milnor K-theory of F_m = F[t]/(t^(m+1)) in canonical coordinates.
 
-A class in degree n is stored as its unique representative in
-t F_m (x) Omega^(n-1)_F.  The normal form of a symbol {u_1..u_n} with a
-principal entry u (one lying in 1 + t F_m) is
+A class in degree n is its unique representative in t F_m (x)
+Omega^(n-1)_F: a forms.CanonRelForm of form degree n - 1, whose
+components comps = (c_1..c_m) are the coefficients of t^1..t^m and whose
+JSON is {"degree": n, "canon": ...}.  The normal form of a symbol
+{u_1..u_n} with a principal entry u (one lying in 1 + t F_m) is
 
     reduce_mod_exact( log(u) dlog(u_2) ^ ... ^ dlog(u_n) )
 
@@ -67,58 +69,6 @@ class RelSymbol:
                    parse_fraction(data["coef"]))
 
 
-class RelMilnorClass:
-    """A relative K-theory class in canonical coordinates. Immutable."""
-
-    __slots__ = ("ctx", "degree", "level", "canon")
-
-    def __init__(self, degree, canon: CanonRelForm):
-        if canon.degree != degree - 1:
-            raise ValueError("canonical part must have form degree n-1")
-        self.ctx = canon.ctx
-        self.degree = degree
-        self.level = canon.level
-        self.canon = canon
-
-    @classmethod
-    def zero(cls, ctx, degree, level):
-        return cls(degree, CanonRelForm.zero(ctx, degree - 1, level))
-
-    def is_zero(self):
-        return self.canon.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, RelMilnorClass) and self.degree == other.degree
-                and self.canon == other.canon)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return RelMilnorClass(self.degree, self.canon + other.canon)
-
-    def __neg__(self):
-        return RelMilnorClass(self.degree, -self.canon)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return RelMilnorClass(self.degree, self.canon.scale(c))
-
-    def restrict(self, level):
-        return RelMilnorClass(self.degree, self.canon.restrict(level))
-
-    def __repr__(self):
-        return "RelMilnorClass(n=%d, %s)" % (self.degree, self.canon)
-
-    def to_json(self):
-        return {"degree": self.degree, "canon": self.canon.to_json()}
-
-    @classmethod
-    def from_json(cls, ctx, data):
-        return cls(data["degree"], CanonRelForm.from_json(ctx, data["canon"]))
-
-
 def symbol_form(sym: RelSymbol):
     """The relative (n-1)-form log(u) dlog(rest) of one symbol, with the
     sign of moving the first principal entry to the front."""
@@ -134,7 +84,7 @@ def symbol_form(sym: RelSymbol):
     return form.scale(sym.coef * sign)
 
 
-def normal_form(terms) -> RelMilnorClass:
+def normal_form(terms) -> CanonRelForm:
     """Canonical coordinates of a formal sum of relative symbols."""
     if isinstance(terms, RelSymbol):
         terms = [terms]
@@ -147,7 +97,7 @@ def normal_form(terms) -> RelMilnorClass:
         if sym.degree != n or sym.level != m:
             raise ValueError("mixed shapes in one symbol sum")
         total = total + reduce_mod_exact(symbol_form(sym))
-    return RelMilnorClass(n, total)
+    return total
 
 
 def theta(a: TruncElem, bs, coef=1) -> RelSymbol:
@@ -159,11 +109,9 @@ def theta(a: TruncElem, bs, coef=1) -> RelSymbol:
     return RelSymbol(entries, coef)
 
 
-def mult_by_absolute(cs, xi: RelMilnorClass) -> RelMilnorClass:
+def mult_by_absolute(cs, xi: CanonRelForm) -> CanonRelForm:
     """Product with the absolute symbol {c_1..c_k} of units of F: wedge
     every canonical component with dlog(c_1)^..^dlog(c_k)."""
     w = dlog_wedge(xi.ctx, [xi.ctx.elem(c) for c in cs])
-    comps = [ci.wedge(w) for ci in xi.canon.comps]
-    return RelMilnorClass(xi.degree + w.degree,
-                          CanonRelForm(xi.ctx, xi.canon.degree + w.degree,
-                                       xi.level, comps))
+    return CanonRelForm(xi.ctx, xi.degree + w.degree, xi.level,
+                        [ci.wedge(w) for ci in xi.comps])

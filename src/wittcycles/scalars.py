@@ -58,6 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import sub
 
 from sympy import ZZ, grlex
 from sympy.polys.rings import ring as _sympy_ring
@@ -259,9 +260,17 @@ def _cofactors(f, g):
     """(h, f/h, g/h) for h = gcd(f, g), as sympy's cofactors gives them up
     to sign.  When the certificate holds for every variable of both f and
     g, h is the gcd of their integer contents; otherwise sympy computes.
-    For g = 0 and f nonzero the gcd is f itself."""
+    For g = 0 and f nonzero the gcd is f itself.  When f or g is one term,
+    every divisor of it is one term too, so h is the content gcd times
+    each variable's least exponent in f and g."""
     if f and not g:
         return f, f.ring.one, g
+    if f and g and (len(f) == 1 or len(g) == 1):
+        low = tuple(map(min, *f, *g))
+        h = gcd(*f.values(), *g.values())
+        return (f.ring({low: h}),
+                *(p.new([(tuple(map(sub, mon, low)), c // h) for mon, c in p.items()])
+                  for p in (f, g)))
     if f and g and all(_unit_gcd(_image(f, j, d), _image(g, j, e)) for j, (d, e)
                        in enumerate(zip(f.degrees(), g.degrees())) if d and e):
         h = gcd(*f.values(), *g.values())

@@ -1,10 +1,11 @@
 """The truncated polynomial ring F_m = F[t]/(t^(m+1)).
 
-Elements are coefficient tuples (c_0..c_m), with one truncated product
-(forms.series_product) and one division, solved degree by degree; log_t
-and witt.log_ghost read the log derivative t u'/u.  exp_t and log_t are
-mutually inverse between the ideal (t) and the principal units 1 + (t);
-they need denominators, so characteristic zero is baked in.
+Elements are coefficient tuples comps = (c_0..c_m), forms.LevelTuples
+with extra = 1.  There is one truncated product (forms.series_product)
+and one division, solved degree by degree; log_t and witt.log_ghost read
+the log derivative t u'/u.  exp_t and log_t are mutually inverse
+between the ideal (t) and the principal units 1 + (t); they need
+denominators, so characteristic zero is baked in.
 """
 
 from __future__ import annotations
@@ -12,28 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadConstantTerm, NotAUnit, ParseError
-from .forms import DiffForm, FormOnTrunc, series_product
+from .forms import DiffForm, FormOnTrunc, LevelTuple, series_product
 from .scalars import Context, FieldElem, parse_elem
 
 
-class TruncElem:
-    """An element of F_m as the coefficient tuple (c_0..c_m). Immutable."""
+class TruncElem(LevelTuple):
+    """An element of F_m as the coefficient tuple comps = (c_0..c_m).
+    Immutable."""
 
-    __slots__ = ("ctx", "level", "coeffs")
-
-    def __init__(self, ctx, level, coeffs):
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        self.ctx = ctx
-        self.level = level
-        coeffs = tuple(coeffs)
-        if len(coeffs) != level + 1:
-            raise ValueError("need exactly %d coefficients" % (level + 1))
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, ctx, level):
-        return cls(ctx, level, (ctx.zero,) * (level + 1))
+    __slots__ = ()
+    extra = 1
+    json_key = "coeffs"
 
     @classmethod
     def one(cls, ctx, level):
@@ -47,50 +37,20 @@ class TruncElem:
     def constant(cls, value: FieldElem, level):
         return cls(value.ctx, level, (value,) + (value.ctx.zero,) * level)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
     def is_unit(self):
-        return not self.coeffs[0].is_zero()
+        return not self.comps[0].is_zero()
 
     def is_principal(self):
         """True iff the element lies in 1 + t F_m."""
-        return self.coeffs[0] == self.ctx.one
+        return self.comps[0] == self.ctx.one
 
-    def __eq__(self, other):
-        return (isinstance(other, TruncElem) and self.ctx == other.ctx
-                and self.level == other.level and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ctx, self.level, self.coeffs))
-
-    def _coerce(self, other):
-        if isinstance(other, TruncElem):
-            self.ctx.check(other.ctx)
-            if self.level != other.level:
-                raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
-            return other
+    def _check(self, other):
+        """other, with a constant read as an element of F_m."""
         if isinstance(other, (int, Fraction, FieldElem)):
             return TruncElem.constant(self.ctx.elem(other), self.level)
-        return NotImplemented
+        return super()._check(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TruncElem(self.ctx, self.level,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncElem(self.ctx, self.level, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __radd__ = LevelTuple.__add__
 
     def __rsub__(self, other):
         return -(self - other)
@@ -98,16 +58,14 @@ class TruncElem:
     def scale(self, c):
         """self * c for a rational or field-element constant c, coefficient
         by coefficient."""
-        return TruncElem(self.ctx, self.level, [a * c for a in self.coeffs])
+        return self._like([a * c for a in self.comps])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
             return self.scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = self._check(other)
         return TruncElem(self.ctx, self.level, series_product(
-            self.coeffs, other.coeffs, self.level + 1, self.ctx.zero))
+            self.comps, other.comps, self.level + 1, self.ctx.zero))
 
     __rmul__ = __mul__
 
@@ -119,16 +77,14 @@ class TruncElem:
         """The one division on F_m: q with q v = w, solved degree by degree
         as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0, skipping zero terms
         and the product by 1/v_0 when v_0 = 1."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        v = other.coeffs
+        other = self._check(other)
+        v = other.comps
         if not v[0]:
             raise NotAUnit("constant term is zero")
         inv0 = None if v[0] == self.ctx.one else v[0].inv()
         terms = [(i, c) for i, c in enumerate(v) if i and c]
         q = []
-        for k, w in enumerate(self.coeffs):
+        for k, w in enumerate(self.comps):
             for i, c in terms:
                 if i > k:
                     break
@@ -146,14 +102,9 @@ class TruncElem:
             result = result * base
         return result
 
-    def restrict(self, level):
-        if level > self.level:
-            raise ValueError("cannot restrict upward")
-        return TruncElem(self.ctx, level, self.coeffs[: level + 1])
-
     def __repr__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.comps):
             if c.is_zero():
                 continue
             if i == 0:
@@ -164,21 +115,13 @@ class TruncElem:
                 parts.append("(%s)*t^%d" % (c, i))
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
-        return {"level": self.level, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, ctx, data):
-        return cls(ctx, data["level"],
-                   [FieldElem.from_json(ctx, c) for c in data["coeffs"]])
-
 
 def exp_t(a: TruncElem) -> TruncElem:
     """exp of a nilpotent, sum_k a^k / k!, by the O(m^2) recurrence
     k e_k = sum_(j=1..k) j a_j e_(k-j) from e' = a' e."""
-    if not a.coeffs[0].is_zero():
+    if not a.comps[0].is_zero():
         raise BadConstantTerm("exp_t needs constant term 0")
-    ja = [c.scale(j) for j, c in enumerate(a.coeffs)]
+    ja = [c.scale(j) for j, c in enumerate(a.comps)]
     e = [a.ctx.one]
     for k in range(1, a.level + 1):
         acc = a.ctx.zero
@@ -192,7 +135,7 @@ def exp_t(a: TruncElem) -> TruncElem:
 def log_derivative(u: TruncElem) -> TruncElem:
     """t u'/u of a unit u: sum_k k u_k t^k divided by u.  Additive in
     products of units; for u = gamma(a) it is minus the ghost tuple of a."""
-    return TruncElem(u.ctx, u.level, [c.scale(k) for k, c in enumerate(u.coeffs)]) / u
+    return TruncElem(u.ctx, u.level, [c.scale(k) for k, c in enumerate(u.comps)]) / u
 
 
 def log_t(u: TruncElem) -> TruncElem:
@@ -201,7 +144,7 @@ def log_t(u: TruncElem) -> TruncElem:
     if not u.is_principal():
         raise BadConstantTerm("log_t needs constant term 1")
     return TruncElem(u.ctx, u.level, [c.scale(Fraction(1, k)) if k else c
-                                      for k, c in enumerate(log_derivative(u).coeffs)])
+                                      for k, c in enumerate(log_derivative(u).comps)])
 
 
 def trunc_d(a: TruncElem) -> FormOnTrunc:
@@ -219,7 +162,7 @@ def trunc_dlog(u: TruncElem) -> FormOnTrunc:
 
 def embed_form(a: TruncElem) -> FormOnTrunc:
     """View a ring element as a degree-0 form over F_m."""
-    return FormOnTrunc(a.ctx, 0, a.level, [DiffForm.scalar(c) for c in a.coeffs])
+    return FormOnTrunc(a.ctx, 0, a.level, [DiffForm.scalar(c) for c in a.comps])
 
 
 def parse_trunc(ctx: Context, level: int, text: str) -> TruncElem:

@@ -1,12 +1,13 @@
 """Big Witt vectors W_m(F) in characteristic zero.
 
-Coordinates (a_1..a_m) with the ghost map g_j = sum_(d|j) d * a_d^(j/d),
-which is a ring isomorphism onto componentwise tuples over Q.  The group
-isomorphism gamma onto principal units of F_m uses the minus sign,
-gamma(a) = prod_i (1 - a_i t^i).  Ring operations go through ghost
-coordinates, which are plain tuples (g_1..g_m) of field elements; unghost
-is the triangular solve a_j = (g_j - lower terms)/j, valid only over Q.
-gamma_inv is unghost(-t u'/u), read off the log derivative of the unit.
+Coordinates comps = (a_1..a_m), a forms.LevelTuple, with the ghost map
+g_j = sum_(d|j) d * a_d^(j/d), which is a ring isomorphism onto
+componentwise tuples over Q.  The group isomorphism gamma onto principal
+units of F_m uses the minus sign, gamma(a) = prod_i (1 - a_i t^i).  Ring
+operations go through ghost coordinates, which are plain tuples
+(g_1..g_m) of field elements; unghost is the triangular solve
+a_j = (g_j - lower terms)/j, valid only over Q.  gamma_inv is
+unghost(-t u'/u), read off the log derivative of the unit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadConstantTerm
+from .forms import LevelTuple
 from .scalars import FieldElem
 from .trunc import TruncElem, log_derivative
 
@@ -22,39 +24,12 @@ def _divisors(j):
     return [d for d in range(1, j + 1) if j % d == 0]
 
 
-class WittVector:
-    """An element of W_m(F) as coordinates (a_1..a_m). Immutable."""
+class WittVector(LevelTuple):
+    """An element of W_m(F) as coordinates comps = (a_1..a_m); sums,
+    negatives and products go through the ghost map. Immutable."""
 
-    __slots__ = ("ctx", "level", "coords")
-
-    def __init__(self, ctx, level, coords):
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        coords = tuple(coords)
-        if len(coords) != level:
-            raise ValueError("need exactly %d coordinates" % level)
-        self.ctx = ctx
-        self.level = level
-        self.coords = coords
-
-    @classmethod
-    def zero(cls, ctx, level):
-        return cls(ctx, level, (ctx.zero,) * level)
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, WittVector) and self.ctx == other.ctx
-                and self.level == other.level and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.ctx, self.level, self.coords))
-
-    def _check(self, other):
-        self.ctx.check(other.ctx)
-        if self.level != other.level:
-            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
+    __slots__ = ()
+    json_key = "coords"
 
     def __add__(self, other):
         self._check(other)
@@ -63,34 +38,18 @@ class WittVector:
     def __neg__(self):
         return unghost(tuple(-a for a in ghost(self)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check(other)
         return unghost(tuple(a * b for a, b in zip(ghost(self), ghost(other))))
 
-    def restrict(self, level):
-        if level > self.level:
-            raise ValueError("cannot restrict upward")
-        return WittVector(self.ctx, level, self.coords[:level])
-
     def __repr__(self):
-        return "W(" + ", ".join(str(a) for a in self.coords) + ")"
-
-    def to_json(self):
-        return {"level": self.level, "coords": [a.to_json() for a in self.coords]}
-
-    @classmethod
-    def from_json(cls, ctx, data):
-        return cls(ctx, data["level"],
-                   [FieldElem.from_json(ctx, a) for a in data["coords"]])
+        return "W(" + ", ".join(str(a) for a in self.comps) + ")"
 
 
 def ghost(a: WittVector) -> tuple:
     """The tuple (g_1..g_m) with g_j = sum over divisors d of j of
     d * a_d^(j/d)."""
-    return tuple(sum((d * a.coords[d - 1] ** (j // d) for d in _divisors(j)), a.ctx.zero)
+    return tuple(sum((d * a.comps[d - 1] ** (j // d) for d in _divisors(j)), a.ctx.zero)
                  for j in range(1, a.level + 1))
 
 
@@ -110,7 +69,7 @@ def gamma(a: WittVector) -> TruncElem:
     """The principal unit prod_i (1 - a_i t^i) mod t^(m+1)."""
     m = a.level
     result = TruncElem.one(a.ctx, m)
-    for i, ai in enumerate(a.coords, start=1):
+    for i, ai in enumerate(a.comps, start=1):
         if ai.is_zero():
             continue
         factor = [a.ctx.one] + [a.ctx.zero] * m
@@ -122,7 +81,7 @@ def gamma(a: WittVector) -> TruncElem:
 def log_ghost(u: TruncElem) -> tuple:
     """The ghost tuple of gamma_inv(u) for a principal unit u: from
     -t u'/u = sum_j g_j t^j, g_j = -(t u'/u)_j."""
-    return tuple(-c for c in log_derivative(u).coeffs[1:])
+    return tuple(-c for c in log_derivative(u).comps[1:])
 
 
 def gamma_inv(u: TruncElem) -> WittVector:
@@ -146,7 +105,7 @@ def verschiebung(s: int, a: WittVector, level: int) -> WittVector:
                          % (a.level, s, level))
     coords = [a.ctx.zero] * level
     for i in range(1, level // s + 1):
-        coords[s * i - 1] = a.coords[i - 1]
+        coords[s * i - 1] = a.comps[i - 1]
     return WittVector(a.ctx, level, coords)
 
 
@@ -164,4 +123,4 @@ def frobenius(s: int, a: WittVector) -> WittVector:
 def witt_decompose(a: WittVector):
     """The unique presentation a = sum_i V_i([a_i]) as (i, a_i) pairs with
     a_i nonzero; the coordinates are exactly this presentation."""
-    return [(i, ai) for i, ai in enumerate(a.coords, start=1) if not ai.is_zero()]
+    return [(i, ai) for i, ai in enumerate(a.comps, start=1) if not ai.is_zero()]

@@ -5,10 +5,11 @@
 Imports ``wittcycles`` from the given source directory and runs every
 call of the corpus through ``cli.main``, once without and once with
 ``--pretty``.  It prints the number of calls, how many exited 0, and a
-sha256 over (argv, exit code, stdout, stderr) of every call in turn.  The
-times that ``verify`` reports are masked, so two source trees whose
-outputs agree print the same digest.  ``--dump`` writes one JSON line per
-call, to find the first call where two trees differ.
+sha256 over (argv, exit code, stdout, stderr) of every call in turn.  A
+second line, ``src lines N``, counts the lines of the package's ``*.py``
+files.  The times that ``verify`` reports are masked, so two source
+trees whose outputs agree print the same digest.  ``--dump`` writes one
+JSON line per call, to find the first call where two trees differ.
 
 The corpus covers ``nf`` and ``cyc`` at levels 1..8 with polynomial- and
 fraction-tier units, every ``witt`` and ``drw`` subop, every ``verify``
@@ -20,6 +21,7 @@ pytest does not collect this file.
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -217,6 +219,11 @@ def main(argv=None):
                 if dump:
                     dump.write(line + "\n")
     print("calls %d exit0 %d sha256 %s" % (count, passed, digest.hexdigest()))
+    lines = 0
+    for path in glob.glob(os.path.join(src, "wittcycles", "*.py")):
+        with open(path) as source:
+            lines += sum(1 for _ in source)
+    print("src lines %d" % lines)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Additive 0-cycles: class maps, the diagonal, boundaries, modulus."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from wittcycles.drw import DRWForm, phi
 from wittcycles.errors import NonRationalBoundary
 from wittcycles.forms import dlog
 from wittcycles.milnorfield import FieldSymbol, gersten_boundary
+from wittcycles.relmilnor import RelSymbol, normal_form
 from wittcycles.scalars import Context
+from wittcycles.trunc import TruncElem, parse_trunc
 from wittcycles.verify import Sampler
 from wittcycles.witt import WittVector, unghost
 
@@ -36,17 +39,37 @@ def test_degree_one_class_is_a_witt_vector(ctx):
     # (1-3t) at m=2: the class corresponds to the Witt vector (3, 0)
     z = CycleGen([ctx.one, ctx.rational(-3)], [])
     cl = cyc_milnor(z, 2)
-    ghost = [cl.canon.comps[i].coeffs.get((), ctx.zero) * (-(i + 1))
+    ghost = [cl.comps[i].coeffs.get((), ctx.zero) * (-(i + 1))
              for i in range(2)]
     assert unghost(tuple(ghost)) == WittVector(
         ctx, 2, [ctx.rational(3), ctx.zero])
+
+
+# The class layout: K_2 degree, then the canonical 1-forms -3 dx/x and
+# -9/2 dx/x of {1 - 3t, x} at level 2.  The cyc command and the bench
+# compare it byte for byte.
+CLASS_JSON = (
+    '{"degree": 2, "canon": {"degree": 1, "level": 2, "comps": ['
+    '[[[0], {"num": [[[0, 0], "-3/1"]], "den": [[[1, 0], "1/1"]]}]], '
+    '[[[0], {"num": [[[0, 0], "-9/1"]], "den": [[[1, 0], "2/1"]]}]]]}}')
+
+
+def test_class_json_layout(ctx):
+    x = ctx.var(0)
+    z = CycleGen([ctx.one, ctx.rational(-3)], [x])
+    classes = [normal_form(RelSymbol([parse_trunc(ctx, 2, "1-3t"),
+                                      TruncElem.constant(x, 2)])),
+               cyc_milnor(z, 2), drw_to_milnor_diagonal(cycle_to_drw(z, 2))]
+    for cl in classes:
+        assert json.dumps(cl.to_json()) == CLASS_JSON
+        assert type(cl).from_json(ctx, json.loads(CLASS_JSON)) == cl
 
 
 def test_symbol_class_values(ctx):
     x = ctx.var(0)
     z = CycleGen([ctx.one, ctx.rational(-3)], [x])
     cl = cyc_milnor(z, 2)
-    assert cl.canon.comps == (dlog(x).scale(-3), dlog(x).scale(Fraction(-9, 2)))
+    assert cl.comps == (dlog(x).scale(-3), dlog(x).scale(Fraction(-9, 2)))
     # only f(0)^(-1) f matters
     z2 = CycleGen([ctx.rational(2), ctx.rational(-6)], [x])
     assert cyc_milnor(z2, 2) == cl

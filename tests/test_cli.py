@@ -1,6 +1,7 @@
 """Command-line interface: parsing, outputs, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -264,6 +265,18 @@ def test_level_above_the_limit_exits_2(capsys, argv, level):
 def test_level_at_the_limit_runs(capsys):
     code, out, _ = run(capsys, "drw", "v", "--m", "1", "--witt", "(x)", "--s", "256")
     assert code == 0 and json.loads(out)["level"] == 256
+
+
+def test_monomial_entry_with_a_huge_exponent_is_fast(capsys):
+    """dlog(x^N) = N x^(N-1) / x^N cancels by the one-term gcd, without a
+    dense image of degree N."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "nf", "--m", "1", "--vars", "x",
+                       "--symbol", "{1+t, x^10000000}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["canon"]["comps"] == [[[[0], {
+        "num": [[[0], "10000000/1"]], "den": [[[1], "1/1"]]}]]]
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

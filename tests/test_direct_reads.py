@@ -477,7 +477,7 @@ def test_henrici_sum_matches_whole_product(names):
 def old_inv(u):
     """TruncElem.inv as it was: (sum a_i t^i)(sum b_j t^j) = 1 solved
     degree by degree, with no term skipped."""
-    c0 = u.coeffs[0]
+    c0 = u.comps[0]
     if c0.is_zero():
         raise NotAUnit("constant term is zero")
     inv0 = c0.inv()
@@ -485,7 +485,7 @@ def old_inv(u):
     for k in range(1, u.level + 1):
         acc = u.ctx.zero
         for i in range(1, k + 1):
-            acc = acc + u.coeffs[i] * out[k - i]
+            acc = acc + u.comps[i] * out[k - i]
         out[k] = -inv0 * acc
     return TruncElem(u.ctx, u.level, out)
 
@@ -495,10 +495,10 @@ def old_log_t(u):
     j l_j u_(k-j) from u l' = u'."""
     jl = [u.ctx.zero]
     for k in range(1, u.level + 1):
-        acc = u.coeffs[k].scale(k)
+        acc = u.comps[k].scale(k)
         for j in range(1, k):
-            if jl[j] and u.coeffs[k - j]:
-                acc = acc - jl[j] * u.coeffs[k - j]
+            if jl[j] and u.comps[k - j]:
+                acc = acc - jl[j] * u.comps[k - j]
         jl.append(acc)
     return TruncElem(u.ctx, u.level,
                      [c.scale(Fraction(1, k)) if k else c for k, c in enumerate(jl)])
@@ -534,11 +534,11 @@ def test_division_matches_the_old_loops(m):
         assert u.inv() == old_inv(u), u
         assert a / u == a * old_inv(u), (a, u)
         # the principal unit u / u_0, where the product by 1/v_0 is skipped
-        p = u.scale(u.coeffs[0].inv())
+        p = u.scale(u.comps[0].inv())
         assert p.inv() == old_inv(p), p
         ell = old_log_t(p)
         assert log_t(p) == ell, p
-        assert log_ghost(p) == tuple(ell.coeffs[j].scale(-j) for j in range(1, m + 1)), p
+        assert log_ghost(p) == tuple(ell.comps[j].scale(-j) for j in range(1, m + 1)), p
         assert ghost(gamma_inv(p)) == log_ghost(p), p
 
 

@@ -7,6 +7,7 @@ import pytest
 from wittcycles.drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from wittcycles.forms import CanonRelForm, DiffForm, dlog
 from wittcycles.scalars import Context
+from wittcycles.trunc import TruncElem
 from wittcycles.witt import WittVector, teichmuller, verschiebung
 
 
@@ -117,7 +118,43 @@ def test_json_roundtrip(ctx):
     assert DRWForm.from_json(ctx, a.to_json()) == a
 
 
-def test_form_tuples_keep_their_type(ctx):
+def _level_tuple(ctx, cls):
+    """An instance of cls at level 2, the rest of its shape (the arguments
+    that zero takes) and its component list read back from its JSON."""
+    x, y = ctx.gens()
+    forms = [dlog(x), dlog(x + y)]
+    if cls is TruncElem:
+        a = TruncElem(ctx, 2, [ctx.one, x, y])
+        return a, (2,), a.to_json()["coeffs"]
+    if cls is WittVector:
+        a = WittVector(ctx, 2, [x, y])
+        return a, (2,), a.to_json()["coords"]
+    a = cls(ctx, 1, 2, forms)
+    data = a.to_json()
+    return a, (1, 2), data["ghost"] if cls is DRWForm else data["canon"]["comps"]
+
+
+@pytest.mark.parametrize("cls", [TruncElem, WittVector, DRWForm, CanonRelForm],
+                         ids=lambda cls: cls.__name__)
+def test_form_tuples_keep_their_type(ctx, cls):
+    """Sums, differences, negatives, restrictions and zeros keep the type;
+    equality and hashing read the type, level and components; JSON round
+    trips under each type's key."""
+    a, shape, listed = _level_tuple(ctx, cls)
+    zero = cls.zero(ctx, *shape)
+    for b in (a + a, -a, a - a, a.restrict(1), zero):
+        assert type(b) is cls
+    assert (a - a).is_zero() and a - a == zero and a.restrict(2) == a
+    assert a.restrict(1).level == 1 and a.restrict(1) != a
+    twin = type("Twin", (cls,), {"__slots__": ()})(ctx, *shape, a.comps)
+    assert twin.comps == a.comps and twin != a and a != twin
+    same = cls(ctx, *shape, a.comps)
+    assert same == a and hash(same) == hash(a) and len({a, same, zero}) == 2
+    assert cls.from_json(ctx, a.to_json()) == a
+    assert len(listed) == len(a.comps)
+
+
+def test_drw_and_canonical_forms_differ_by_type(ctx):
     x, y = ctx.gens()
     comps = [dlog(x), dlog(x + y)]
     om = DRWForm(ctx, 1, 2, comps)
@@ -125,9 +162,8 @@ def test_form_tuples_keep_their_type(ctx):
     assert om.comps == c.comps
     assert om != c and c != om
     for a in (om, c):
-        for b in (a + a, -a, a - a, a.scale(3), a.restrict(1),
-                  type(a).zero(ctx, 1, 2)):
-            assert type(b) is type(a)
-        assert type(a).from_json(ctx, a.to_json()) == a
-    assert "ghost" in om.to_json() and "comps" in c.to_json()
+        assert type(a.scale(3)) is type(a)
+    with pytest.raises(TypeError):
+        om + c
+    assert "ghost" in om.to_json() and "comps" in c.to_json()["canon"]
     assert repr(om).startswith("DRW(") and repr(c).startswith("(")

@@ -6,8 +6,7 @@ import pytest
 
 from wittcycles.errors import NoPrincipalEntry, NotAUnit
 from wittcycles.forms import CanonRelForm, dlog
-from wittcycles.relmilnor import (RelMilnorClass, RelSymbol, mult_by_absolute,
-                                  normal_form, theta)
+from wittcycles.relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, parse_trunc
 
@@ -25,10 +24,10 @@ def test_basic_symbol_values(ctx):
     x = ctx.var(0)
     cls = normal_form(RelSymbol([principal(ctx, 1, "1+t"),
                                  TruncElem.constant(x, 1)]))
-    assert cls.canon.comps == (dlog(x),)
+    assert cls.comps == (dlog(x),)
     cls = normal_form(RelSymbol([principal(ctx, 2, "1-3t"),
                                  TruncElem.constant(x, 2)]))
-    assert cls.canon.comps == (dlog(x).scale(-3), dlog(x).scale(Fraction(-9, 2)))
+    assert cls.comps == (dlog(x).scale(-3), dlog(x).scale(Fraction(-9, 2)))
 
 
 def test_square_of_principal_vanishes(ctx):
@@ -75,8 +74,8 @@ def test_theta_roundtrip_instance(ctx):
     x, y = ctx.gens()
     a = TruncElem(ctx, 3, [ctx.zero, x, ctx.rational(2), y])
     cls = normal_form(theta(a, [y]))
-    want = [dlog(y).scale(c) for c in a.coeffs[1:]]
-    assert cls.canon == CanonRelForm(ctx, 1, 3, want)
+    want = [dlog(y).scale(c) for c in a.comps[1:]]
+    assert cls == CanonRelForm(ctx, 1, 3, want)
 
 
 def test_mult_by_absolute(ctx):
@@ -84,7 +83,7 @@ def test_mult_by_absolute(ctx):
     xi = normal_form(RelSymbol([principal(ctx, 1, "1+t"),
                                 TruncElem.constant(x, 1)]))
     got = mult_by_absolute([y], xi)
-    assert got.canon.comps == (dlog(x).wedge(dlog(y)),)
+    assert got.comps == (dlog(x).wedge(dlog(y)),)
     via_symbol = normal_form(RelSymbol([principal(ctx, 1, "1+t"),
                                         TruncElem.constant(x, 1),
                                         TruncElem.constant(y, 1)]))
@@ -98,7 +97,7 @@ def test_restrict_class(ctx):
     xi = normal_form(RelSymbol([principal(ctx, 2, "1-3t"),
                                 TruncElem.constant(x, 2)]))
     got = xi.restrict(1)
-    assert got.canon.comps == (dlog(x).scale(-3),)
+    assert got.comps == (dlog(x).scale(-3),)
     assert xi.restrict(2) == xi
 
 
@@ -129,4 +128,6 @@ def test_json_roundtrip(ctx):
                     Fraction(3, 2))
     assert RelSymbol.from_json(ctx, sym.to_json()).entries == sym.entries
     xi = normal_form(sym)
-    assert RelMilnorClass.from_json(ctx, xi.to_json()) == xi
+    assert CanonRelForm.from_json(ctx, xi.to_json()) == xi
+    with pytest.raises(ValueError):
+        CanonRelForm.from_json(ctx, {**xi.to_json(), "degree": 3})

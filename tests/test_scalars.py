@@ -325,13 +325,14 @@ def test_printer_matches_sympy(r):
 # -- differential test: the coprimality certificate against sympy's gcd -------
 #
 # f = s*p and g = s*q share the factor s of one kind.  _cofactors must give
-# sympy's (gcd, f/gcd, g/gcd) up to one common sign, both when the mod-p
-# certificate settles the gcd and when it falls back.
+# sympy's (gcd, f/gcd, g/gcd) up to one common sign: when the mod-p
+# certificate settles the gcd, when it falls back, and when f or g is one
+# term ("monomial" shares a one-term factor with a negative coefficient).
 
 _CERT_RINGS = [Context(names).ring for names in (("x",), ("x", "y"), ("x", "y", "z"))]
 _cert_terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
                                  st.integers(-6, 6)), max_size=4)
-_SHARED = ("none", "factor", "content", "repeated", "vanishing", "zero")
+_SHARED = ("none", "factor", "content", "monomial", "repeated", "vanishing", "zero")
 
 
 def _cert_poly(ring, terms):
@@ -376,11 +377,17 @@ _Z_PLUS_2 = [((0, 0, 1), 1), ((0, 0, 0), 2)]
 @example(3, _X_PLUS_1, _Z_PLUS_2, [], "vanishing", 2)
 @example(2, _X_PLUS_1, _Y, [], "vanishing", 5)
 @example(2, [], _NON_MONIC, [], "zero", 2)
+@example(2, [((2, 1, 0), -3)], _X_PLUS_1, [], "monomial", 4)
+@example(3, [((1, 0, 2), 5)], [((0, 3, 1), -2)], [], "monomial", 6)
+@example(1, [((3, 0, 0), -2)], [((1, 0, 0), 4)], [], "content", 6)
+@example(2, [((0, 2, 0), -5)], _NON_MONIC, [], "content", 10)
+@example(3, [((0, 2, 1), 1)], _Z_PLUS_2, [], "none", 2)
 def test_cofactors_match_sympy(r, p_terms, q_terms, s_terms, kind, k):
     ring = _CERT_RINGS[r - 1]
     p, q, s = (_cert_poly(ring, ts) for ts in (p_terms, q_terms, s_terms))
     s = s or ring(k)
     shared = {"none": ring.one, "factor": s, "content": ring(k),
+              "monomial": ring({(k % 3,) + (1,) * (ring.ngens - 1): -k}),
               "repeated": s ** (k % 3 + 2) * k, "zero": ring.one,
               "vanishing": _vanishing(ring, k % 2) * s}[kind]
     f = ring.zero if kind == "zero" else shared * p

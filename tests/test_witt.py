@@ -24,7 +24,7 @@ def peel_gamma_inv(u):
     coords = []
     v = u
     for i in range(1, m + 1):
-        ai = -v.coeffs[i]
+        ai = -v.comps[i]
         coords.append(ai)
         if not ai.is_zero():
             factor = [u.ctx.one] + [u.ctx.zero] * m
@@ -94,7 +94,7 @@ def test_log_derivative_identity(ctx):
     a = WittVector(ctx, 3, [ctx.var(0), ctx.var(1), ctx.rational(2)])
     u = gamma(a)
     g = ghost(a)
-    minus_t_du = TruncElem(ctx, 3, [ctx.zero] + [u.coeffs[i] * (-i)
+    minus_t_du = TruncElem(ctx, 3, [ctx.zero] + [u.comps[i] * (-i)
                                                  for i in range(1, 4)])
     assert minus_t_du * u.inv() == TruncElem(ctx, 3, (ctx.zero,) + g)
 
