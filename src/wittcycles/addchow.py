@@ -60,9 +60,6 @@ class CycleGen:
         """The cycle-group degree n; the generator has n-1 cube coordinates."""
         return len(self.bs) + 1
 
-    def scale(self, c):
-        return CycleGen(self.f, self.bs, self.coef * Fraction(c))
-
     def is_admissible(self):
         return not self.f[0].is_zero() and all(not b.is_zero() for b in self.bs)
 

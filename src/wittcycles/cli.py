@@ -243,10 +243,16 @@ class _Parser(argparse.ArgumentParser):
     """Raises ParseError on bad arguments.  An option that takes a value
     takes a following one that starts with "-" ("--bs -x*y"), unless that
     value is itself an option.  Options are read as argparse reads them:
-    an exact option string or a unique prefix of one ("--b -x*y")."""
+    an exact option string or a unique prefix of one ("--b -x*y").  A
+    value of "--" is refused; argparse would strip it to an empty list."""
 
     def error(self, message):
         raise ParseError(message)
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def _action(self, arg):
         """The action of the option arg names, or None."""

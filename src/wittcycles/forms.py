@@ -14,7 +14,8 @@ truncated product, `series_product`.
 
 Each term of the paper's pro-systems is a tuple over one context at a
 level m that restricts to lower levels.  `LevelTuple` is that shape,
-with components `comps`: the base of F_m elements, Witt vectors and
+with components `comps`: the base of F_m elements, Witt vectors, forms
+over F_m (`FormOnTrunc`, its two kinds of parts interleaved) and
 `FormTuple`, the tuples (w_1..w_m) of n-forms behind canonical relative
 forms and de Rham-Witt forms.
 """
@@ -204,144 +205,32 @@ def dlog_wedge(ctx, values) -> DiffForm:
     return total
 
 
-class FormOnTrunc:
-    """A k-form over F_m in the split shape: tparts[i] is the coefficient
-    of t^i (x) -, i = 0..m, and dt[i] that of t^i dt ^ -, i < m.
-    Immutable."""
-
-    __slots__ = ("ctx", "degree", "level", "tparts", "dt")
-
-    def __init__(self, ctx, degree, level, tparts=None, dt=None):
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        self.ctx = ctx
-        self.degree = degree
-        self.level = level
-        self.tparts = (tuple(tparts) if tparts is not None
-                       else (DiffForm.zero(ctx, degree),) * (level + 1))
-        self.dt = tuple(dt) if dt is not None else (DiffForm.zero(ctx, degree - 1),) * level
-        if len(self.tparts) != level + 1 or len(self.dt) != level:
-            raise ValueError("need level + 1 t-power parts and level dt parts")
-        if (any(w.degree != degree for w in self.tparts)
-                or any(w.degree != degree - 1 for w in self.dt)):
-            raise ValueError("degree mismatch in t-power or dt parts")
-
-    def is_zero(self):
-        return (all(w.is_zero() for w in self.tparts)
-                and all(w.is_zero() for w in self.dt))
-
-    def is_relative(self):
-        return self.tparts[0].is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, FormOnTrunc) and self.ctx == other.ctx
-                and self.degree == other.degree and self.level == other.level
-                and self.tparts == other.tparts and self.dt == other.dt)
-
-    def __add__(self, other):
-        self._check(other)
-        return FormOnTrunc(self.ctx, self.degree, self.level,
-                           [a + b for a, b in zip(self.tparts, other.tparts)],
-                           [a + b for a, b in zip(self.dt, other.dt)])
-
-    def __neg__(self):
-        return FormOnTrunc(self.ctx, self.degree, self.level,
-                           [-w for w in self.tparts], [-w for w in self.dt])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return FormOnTrunc(self.ctx, self.degree, self.level,
-                           [w.scale(c) for w in self.tparts],
-                           [w.scale(c) for w in self.dt])
-
-    def _check(self, other):
-        self.ctx.check(other.ctx)
-        if self.level != other.level:
-            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-
-    def wedge(self, other):
-        """(omega + dt ^ eta) ^ (omega' + dt ^ eta') with
-        omega ^ dt ^ eta' = (-1)^p dt ^ omega ^ eta' for a p-form omega."""
-        self.ctx.check(other.ctx)
-        if self.level != other.level:
-            raise ValueError("level mismatch")
-        m = self.level
-        degree = self.degree + other.degree
-        zero_k1 = DiffForm.zero(self.ctx, degree - 1)
-        tparts = series_product(self.tparts, other.tparts, m + 1,
-                                DiffForm.zero(self.ctx, degree))
-        left = series_product(self.tparts, other.dt, m, zero_k1)
-        if self.degree % 2:
-            left = [-w for w in left]
-        right = series_product(self.dt, other.tparts, m, zero_k1)
-        return FormOnTrunc(self.ctx, degree, m, tparts,
-                           [a + b for a, b in zip(left, right)])
-
-    def d(self):
-        """Differential with d(t^i) = i t^(i-1) dt and t^m dt = 0."""
-        parts = self.tparts
-        dt = [-eta.d() + parts[i + 1].scale(i + 1) for i, eta in enumerate(self.dt)]
-        return FormOnTrunc(self.ctx, self.degree + 1, self.level,
-                           [w.d() for w in parts], dt)
-
-    def restrict(self, level):
-        if level > self.level:
-            raise ValueError("cannot restrict upward")
-        return FormOnTrunc(self.ctx, self.degree, level, self.tparts[:level + 1],
-                           self.dt[:level])
-
-    def __repr__(self):
-        parts = []
-        for i, w in enumerate(self.tparts):
-            if not w.is_zero():
-                parts.append("t^%d(x)[%s]" % (i, w) if i else "[%s]" % w)
-        for i, w in enumerate(self.dt):
-            if not w.is_zero():
-                parts.append("t^%d dt^[%s]" % (i, w))
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self):
-        return {"degree": self.degree, "level": self.level,
-                "tparts": [w.to_json() for w in self.tparts],
-                "dt": [w.to_json() for w in self.dt]}
-
-    @classmethod
-    def from_json(cls, ctx, data):
-        n, m = data["degree"], data["level"]
-        return cls(ctx, n, m,
-                   [DiffForm.from_json(ctx, n, w) for w in data["tparts"]],
-                   [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
-
-
 class LevelTuple:
-    """A term of a pro-system at level m >= 1: a tuple of level + extra
-    components over one context.  The base of F_m elements (extra = 1),
-    Witt vectors and form tuples; equality, hashing, the level check,
-    componentwise sums and negatives, restriction and the JSON list live
-    here.  Results keep the subclass, and tuples of different subclasses
-    never compare equal.  Immutable."""
+    """A term of a pro-system at level m >= 1: a tuple of level * width +
+    extra components over one context (width 1 and extra 0 by default).
+    The base of F_m elements (extra 1), Witt vectors, forms over F_m
+    (width 2, extra 1) and form tuples; equality, hashing, the level
+    check, componentwise sums and negatives, restriction and the JSON list
+    live here.  Results keep the subclass, and tuples of different
+    subclasses never compare equal.  Immutable."""
 
     __slots__ = ("ctx", "level", "comps")
-    extra = 0
+    width, extra = 1, 0
     json_key = "comps"
 
     def __init__(self, ctx, level, comps):
         if level < 1:
             raise ValueError("level must be >= 1")
-        comps = tuple(comps)
-        if len(comps) != level + self.extra:
-            raise ValueError("need exactly %d components" % (level + self.extra))
+        comps, size = tuple(comps), level * self.width + self.extra
+        if len(comps) != size:
+            raise ValueError("need exactly %d components" % size)
         self.ctx = ctx
         self.level = level
         self.comps = comps
 
     @classmethod
     def zero(cls, ctx, level):
-        return cls(ctx, level, (ctx.zero,) * (level + cls.extra))
+        return cls(ctx, level, (ctx.zero,) * (level * cls.width + cls.extra))
 
     def _like(self, comps, level=None):
         """A tuple of self's type and shape with the given components."""
@@ -380,7 +269,7 @@ class LevelTuple:
     def restrict(self, level):
         if level > self.level:
             raise ValueError("cannot restrict upward")
-        return self._like(self.comps[:level + self.extra], level)
+        return self._like(self.comps[:level * self.width + self.extra], level)
 
     def to_json(self):
         return {"level": self.level, self.json_key: [c.to_json() for c in self.comps]}
@@ -424,6 +313,87 @@ class FormTuple(LevelTuple):
     def from_json(cls, ctx, data):
         return cls(ctx, data["degree"], data["level"],
                    [DiffForm.from_json(ctx, data["degree"], w) for w in data[cls.json_key]])
+
+
+class FormOnTrunc(LevelTuple):
+    """A k-form over F_m in the split shape: tparts[i] is the coefficient
+    of t^i (x) -, i = 0..m, and dt[i] that of t^i dt ^ -, i < m.  The
+    components interleave them, comps = (omega_0, eta_0, omega_1, ...,
+    eta_(m-1), omega_m), so that restriction keeps a prefix.  Immutable."""
+
+    __slots__ = ("degree",)
+    width, extra = 2, 1
+
+    def __init__(self, ctx, degree, level, tparts=None, dt=None):
+        comps = [None] * (2 * level + 1)  # a wrong part count fails to fill it
+        comps[0::2] = [DiffForm.zero(ctx, degree)] * (level + 1) if tparts is None else tparts
+        comps[1::2] = [DiffForm.zero(ctx, degree - 1)] * level if dt is None else dt
+        super().__init__(ctx, level, comps)
+        if any(w.degree != degree - i % 2 for i, w in enumerate(self.comps)):
+            raise ValueError("degree mismatch in t-power or dt parts")
+        self.degree = degree
+
+    tparts = property(lambda self: self.comps[0::2])
+    dt = property(lambda self: self.comps[1::2])
+
+    @classmethod
+    def zero(cls, ctx, degree, level):
+        return cls(ctx, degree, level)
+
+    def _like(self, comps, level=None):
+        return type(self)(self.ctx, self.degree, self.level if level is None else level,
+                          comps[0::2], comps[1::2])
+
+    def is_relative(self):
+        return self.comps[0].is_zero()
+
+    def scale(self, c):
+        return self._like([w.scale(c) for w in self.comps])
+
+    def wedge(self, other):
+        """(omega + dt ^ eta) ^ (omega' + dt ^ eta') with
+        omega ^ dt ^ eta' = (-1)^p dt ^ omega ^ eta' for a p-form omega."""
+        other = self._check(other)
+        m = self.level
+        degree = self.degree + other.degree
+        zero_k1 = DiffForm.zero(self.ctx, degree - 1)
+        tparts = series_product(self.tparts, other.tparts, m + 1,
+                                DiffForm.zero(self.ctx, degree))
+        left = series_product(self.tparts, other.dt, m, zero_k1)
+        if self.degree % 2:
+            left = [-w for w in left]
+        right = series_product(self.dt, other.tparts, m, zero_k1)
+        return FormOnTrunc(self.ctx, degree, m, tparts,
+                           [a + b for a, b in zip(left, right)])
+
+    def d(self):
+        """Differential with d(t^i) = i t^(i-1) dt and t^m dt = 0."""
+        parts = self.tparts
+        dt = [-eta.d() + parts[i + 1].scale(i + 1) for i, eta in enumerate(self.dt)]
+        return FormOnTrunc(self.ctx, self.degree + 1, self.level,
+                           [w.d() for w in parts], dt)
+
+    def __repr__(self):
+        parts = []
+        for i, w in enumerate(self.tparts):
+            if not w.is_zero():
+                parts.append("t^%d(x)[%s]" % (i, w) if i else "[%s]" % w)
+        for i, w in enumerate(self.dt):
+            if not w.is_zero():
+                parts.append("t^%d dt^[%s]" % (i, w))
+        return " + ".join(parts) if parts else "0"
+
+    def to_json(self):
+        return {"degree": self.degree, "level": self.level,
+                "tparts": [w.to_json() for w in self.tparts],
+                "dt": [w.to_json() for w in self.dt]}
+
+    @classmethod
+    def from_json(cls, ctx, data):
+        n, m = data["degree"], data["level"]
+        return cls(ctx, n, m,
+                   [DiffForm.from_json(ctx, n, w) for w in data["tparts"]],
+                   [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
 
 
 class CanonRelForm(FormTuple):

@@ -50,12 +50,6 @@ class RelSymbol:
     def degree(self):
         return len(self.entries)
 
-    def scale(self, c):
-        return RelSymbol(self.entries, self.coef * Fraction(c))
-
-    def restrict(self, level):
-        return RelSymbol([u.restrict(level) for u in self.entries], self.coef)
-
     def __repr__(self):
         return "%s*{%s}" % (self.coef, ", ".join(str(u) for u in self.entries))
 

@@ -1,9 +1,13 @@
 """Command-line interface: parsing, outputs, exit codes."""
 
+import io
 import json
+import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wittcycles.cli import main
 from wittcycles.scalars import FieldElem
@@ -141,6 +145,24 @@ def test_witt_and_drw_take_no_class_options(capsys, argv):
     assert error["message"].startswith("unrecognized arguments: " + unknown)
 
 
+# An option value of "--" is refused, spaced or joined; argparse would strip
+# it to an empty list.
+_DOUBLE_DASH = [
+    (["nf", "--symbol", "--"], "--symbol"),
+    (["nf", "--symbol=--"], "--symbol"),
+    (["nf", "--vars", "--", "--symbol", "{1+t,x}"], "--vars"),
+    (["nf", "--vars=--", "--symbol", "{1+t,x}"], "--vars"),
+    (["cyc", "--vars", "--", "--gen", "(1-t;x)"], "--vars"),
+    (["witt", "ghost", "--vars", "--", "(1)"], "--vars"),
+    (["drw", "phi", "--vars=--", "--witt", "(1)"], "--vars"),
+    (["verify", "--vars", "--"], "--vars"),
+    (["witt", "ghost", "--m", "--", "(1)"], "--m"),
+    (["verify", "--suite", "--"], "--suite"),
+    (["drw", "phi", "--witt", "(1)", "--bs", "--"], "--bs"),
+    (["nf", "--symbol", "{1+t,x}", "--coeff", "--"], "--coeff"),
+]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["nf", "--vars", "x", "--symbol", "{1+t, x}", "--bogus"],
      "unrecognized arguments: --bogus"),
@@ -150,7 +172,7 @@ def test_witt_and_drw_take_no_class_options(capsys, argv):
     (["drw", "phi", "--witt", "(1)", "--bs", "--m", "1"],
      "argument --bs: expected one argument"),
     ([], "the following arguments are required: command"),
-])
+] + [(argv, "argument %s: expected one argument" % option) for argv, option in _DOUBLE_DASH])
 def test_argparse_errors_exit_2_with_json(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -181,6 +203,8 @@ def test_help_still_exits_0(capsys):
      ["drw", "phi", "--vars", "x,y", "--witt", "(1)", "--bs=-x*y"], 0),
     (["nf", "--va", "x", "--sym", "{1+t,x}", "--pre"],
      ["nf", "--vars=x", "--symbol={1+t,x}", "--pretty"], 0),
+    # a "--" that follows no option ends the options
+    (["witt", "ghost", "--", "(1)"], ["witt", "ghost", "(1)"], 0),
 ])
 def test_option_values_may_start_with_a_dash(capsys, spaced, joined, code):
     got = run(capsys, *spaced)
@@ -364,3 +388,74 @@ def test_witt_json_prints_no_element(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(FieldElem, "__repr__", refuse)
     assert run(capsys, "witt", *argv) == want
+
+
+# -- seeded fuzz of main ------------------------------------------------------
+#
+# Small inputs only: levels -1..5, tuples of up to 6 entries, and at most one
+# "^" per string, followed by one digit.  Every call must return 0, 1 or 2,
+# and an exit 2 must write one JSON line to stderr.
+
+_WITT_OPS = ("add", "mul", "ghost", "unghost", "gamma", "gamma-inv", "decompose")
+_DRW_OPS = ("phi", "d", "v", "f", "restrict")
+_COMMANDS = (["nf", "cyc"] + ["witt " + op for op in _WITT_OPS]
+             + ["drw " + op for op in _DRW_OPS])
+_ONE_SMALL_POWER = re.compile(r"[^^]*(\^\d(?!\d)[^^]*)?")
+
+_text = st.text("xyt0123456789+-*/^(),;{}\u00e9\u00b2", max_size=12).filter(
+    _ONE_SMALL_POWER.fullmatch)
+_atom = st.sampled_from(["x", "y", "t", "0", "1", "-2", "3/4", "(x+y)", "(1-t)", "x*y"])
+_term = _atom | st.tuples(st.sampled_from(["x", "(x+1)", "(x-y+t)", "2"]),
+                          st.integers(0, 9)).map("%s^%d".__mod__)
+_expr = st.lists(st.tuples(st.sampled_from("+-*/"), _atom), max_size=3).flatmap(
+    lambda rest: _term.map(lambda head: head + "".join(op + a for op, a in rest)))
+_entry = st.integers(0, 7).flatmap(lambda i: _text if i == 0 else _expr)
+_entries = st.lists(_entry, max_size=6).map(",".join)
+_tuple = st.lists(_entry, min_size=1, max_size=6).map(",".join).map("({})".format)
+_level = st.integers(-1, 5).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    # t is the series variable of nf and cyc, and an ordinary one elsewhere
+    series = command in ("nf", "cyc")
+    names = ["x,y", "y,x", "x", "x,t"] if series else ["x,y,t", "t,y,x", "x"]
+    argv = command.split() + ["--vars", draw(st.sampled_from(names + ["\u00e9"]))]
+    if draw(st.integers(0, 2)) == 0:  # a level fixes the tuple lengths
+        argv += ["--m", draw(_level)]
+    if command == "nf":
+        coef = draw(st.sampled_from(["", "2*", "-1/2*"]))
+        argv += ["--symbol", coef + "{%s}" % draw(_entries)]
+    elif command == "cyc":
+        argv += ["--gen", "(%s;%s)" % (draw(_entry), draw(_entries))]
+    elif command.startswith("witt"):
+        binary = command in ("witt add", "witt mul")
+        argv += [draw(_tuple) for _ in range(2 if binary else 1)]
+    else:
+        argv += ["--witt", draw(_tuple), "--bs", draw(_entries),
+                 "--s", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            argv += ["--level", draw(_level)]
+    if draw(st.booleans()):
+        argv.append("--pretty")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_argv())
+@example(["witt", "ghost", "--", "(1)"])
+@example(["nf", "--vars", "x", "--symbol", "{1+t, x^9}", "--m", "5"])
+@example(["witt", "ghost", "--vars", "\u00e9", "(\u00e9\u00b2)"])
+@example(["drw", "v", "--witt", "(x,y)", "--vars", "x,y", "--s", "3", "--level", "5"])
+def test_main_exit_codes_under_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and "error" in json.loads(err.getvalue())
+
+
+for _dashed, _ in _DOUBLE_DASH:
+    test_main_exit_codes_under_fuzz = example(_dashed)(test_main_exit_codes_under_fuzz)

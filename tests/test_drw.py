@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wittcycles.drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
-from wittcycles.forms import CanonRelForm, DiffForm, dlog
+from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc, dlog
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem
 from wittcycles.witt import WittVector, teichmuller, verschiebung
@@ -120,38 +120,61 @@ def test_json_roundtrip(ctx):
 
 def _level_tuple(ctx, cls):
     """An instance of cls at level 2, the rest of its shape (the arguments
-    that zero takes) and its component list read back from its JSON."""
+    that zero takes), the arguments that rebuild it from that shape, and
+    its component list read back from its JSON."""
     x, y = ctx.gens()
     forms = [dlog(x), dlog(x + y)]
     if cls is TruncElem:
         a = TruncElem(ctx, 2, [ctx.one, x, y])
-        return a, (2,), a.to_json()["coeffs"]
+        return a, (2,), (a.comps,), a.to_json()["coeffs"]
     if cls is WittVector:
         a = WittVector(ctx, 2, [x, y])
-        return a, (2,), a.to_json()["coords"]
+        return a, (2,), (a.comps,), a.to_json()["coords"]
+    if cls is FormOnTrunc:
+        a = FormOnTrunc(ctx, 1, 2, [DiffForm.zero(ctx, 1)] + forms,
+                        [DiffForm.scalar(x), DiffForm.scalar(y)])
+        data = a.to_json()
+        return a, (1, 2), (a.tparts, a.dt), data["tparts"] + data["dt"]
     a = cls(ctx, 1, 2, forms)
     data = a.to_json()
-    return a, (1, 2), data["ghost"] if cls is DRWForm else data["canon"]["comps"]
+    listed = data["ghost"] if cls is DRWForm else data["canon"]["comps"]
+    return a, (1, 2), (a.comps,), listed
 
 
-@pytest.mark.parametrize("cls", [TruncElem, WittVector, DRWForm, CanonRelForm],
+@pytest.mark.parametrize("cls", [TruncElem, WittVector, DRWForm, CanonRelForm, FormOnTrunc],
                          ids=lambda cls: cls.__name__)
 def test_form_tuples_keep_their_type(ctx, cls):
     """Sums, differences, negatives, restrictions and zeros keep the type;
     equality and hashing read the type, level and components; JSON round
     trips under each type's key."""
-    a, shape, listed = _level_tuple(ctx, cls)
+    a, shape, parts, listed = _level_tuple(ctx, cls)
     zero = cls.zero(ctx, *shape)
     for b in (a + a, -a, a - a, a.restrict(1), zero):
         assert type(b) is cls
     assert (a - a).is_zero() and a - a == zero and a.restrict(2) == a
     assert a.restrict(1).level == 1 and a.restrict(1) != a
-    twin = type("Twin", (cls,), {"__slots__": ()})(ctx, *shape, a.comps)
+    twin = type("Twin", (cls,), {"__slots__": ()})(ctx, *shape, *parts)
     assert twin.comps == a.comps and twin != a and a != twin
-    same = cls(ctx, *shape, a.comps)
+    same = cls(ctx, *shape, *parts)
     assert same == a and hash(same) == hash(a) and len({a, same, zero}) == 2
     assert cls.from_json(ctx, a.to_json()) == a
     assert len(listed) == len(a.comps)
+
+
+def test_forms_over_trunc_interleave_their_parts(ctx):
+    """comps = (omega_0, eta_0, omega_1, ..., eta_(m-1), omega_m); a
+    restriction keeps the parts of t-degree at most its level."""
+    a, *_ = _level_tuple(ctx, FormOnTrunc)
+    omega, eta = a.tparts, a.dt
+    assert a.comps == (omega[0], eta[0], omega[1], eta[1], omega[2])
+    low = a.restrict(1)
+    assert (low.tparts, low.dt, low.degree) == (omega[:2], eta[:1], 1)
+    assert FormOnTrunc.zero(ctx, 1, 2) == FormOnTrunc(ctx, 1, 2)
+    assert (a + a).dt == tuple(w.scale(2) for w in eta) and a.scale(2) == a + a
+    with pytest.raises(ValueError):
+        a + FormOnTrunc.zero(ctx, 2, 2)
+    with pytest.raises(TypeError):
+        a.wedge(CanonRelForm(ctx, 1, 2, omega[1:]))
 
 
 def test_drw_and_canonical_forms_differ_by_type(ctx):

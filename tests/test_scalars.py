@@ -12,8 +12,9 @@ from wittcycles.errors import ContextMismatch, DivisionByZero, ParseError
 from wittcycles.addchow import CycleGen
 from wittcycles.milnorfield import FieldSymbol
 from wittcycles.relmilnor import RelSymbol
-from wittcycles.scalars import (_BASE, _P, Context, FieldElem, _cofactors,
-                                fraction_text, parse_elem, parse_fraction)
+from wittcycles import scalars
+from wittcycles.scalars import (_BASE, _P, CERT_MAX_DEGREE, Context, FieldElem,
+                                _cofactors, fraction_text, parse_elem, parse_fraction)
 from wittcycles.trunc import TruncElem
 
 from fracfield import qq_field, to_frac
@@ -326,8 +327,9 @@ def test_printer_matches_sympy(r):
 #
 # f = s*p and g = s*q share the factor s of one kind.  _cofactors must give
 # sympy's (gcd, f/gcd, g/gcd) up to one common sign: when the mod-p
-# certificate settles the gcd, when it falls back, and when f or g is one
-# term ("monomial" shares a one-term factor with a negative coefficient).
+# certificate settles the gcd, when it falls back, when f or g is one
+# term ("monomial" shares a one-term factor with a negative coefficient),
+# and at degrees on both sides of CERT_MAX_DEGREE, up to 10^4.
 
 _CERT_RINGS = [Context(names).ring for names in (("x",), ("x", "y"), ("x", "y", "z"))]
 _cert_terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
@@ -364,6 +366,11 @@ _Y = [((0, 1, 0), 1)]
 _Z_PLUS_2 = [((0, 0, 1), 1), ((0, 0, 0), 2)]
 
 
+def _x_to(n, *rest):
+    """x^n plus the given terms."""
+    return [((n, 0, 0), 1), *rest]
+
+
 @seed(1909)
 @_settings
 @given(st.integers(1, 3), _cert_terms, _cert_terms, _cert_terms,
@@ -382,6 +389,16 @@ _Z_PLUS_2 = [((0, 0, 1), 1), ((0, 0, 0), 2)]
 @example(1, [((3, 0, 0), -2)], [((1, 0, 0), 4)], [], "content", 6)
 @example(2, [((0, 2, 0), -5)], _NON_MONIC, [], "content", 10)
 @example(3, [((0, 2, 1), 1)], _Z_PLUS_2, [], "none", 2)
+@example(2, _x_to(64, *_Y), _x_to(64, ((1, 1, 0), 1), ((0, 0, 0), 1)), [], "none", 2)
+@example(2, _x_to(30, *_Y), _x_to(30, ((1, 1, 0), 1)), _x_to(34, ((0, 1, 0), -2)),
+         "factor", 2)
+@example(1, _x_to(65, ((0, 0, 0), 1)), _x_to(65, ((1, 0, 0), 1)), [], "none", 2)
+@example(2, _x_to(25, ((0, 0, 0), 1)), _x_to(25, ((1, 1, 0), 1)), _x_to(40, ((0, 0, 0), 3)),
+         "factor", 2)
+@example(2, _x_to(10 ** 4, *_Y), _x_to(10 ** 4, ((1, 1, 0), 1), ((0, 0, 0), 1)), [],
+         "none", 2)
+@example(1, _x_to(5000, ((0, 0, 0), 1)), _x_to(5000, ((1, 0, 0), 1)),
+         _x_to(5000, ((0, 0, 0), -7)), "factor", 2)
 def test_cofactors_match_sympy(r, p_terms, q_terms, s_terms, kind, k):
     ring = _CERT_RINGS[r - 1]
     p, q, s = (_cert_poly(ring, ts) for ts in (p_terms, q_terms, s_terms))
@@ -394,6 +411,21 @@ def test_cofactors_match_sympy(r, p_terms, q_terms, s_terms, kind, k):
     g = shared * q
     assert _signed(_cofactors(f, g)) == _signed(f.cofactors(g))
     assert _signed(_cofactors(g, f)) == _signed(g.cofactors(f))
+
+
+def test_high_degree_operands_skip_the_certificate(monkeypatch):
+    """Above CERT_MAX_DEGREE the dense images are never built."""
+    def refuse(poly, j, degree):
+        raise AssertionError("built an image of degree %d" % degree)
+
+    ring = _CERT_RINGS[1]
+    x, y = ring.gens
+    monkeypatch.setattr(scalars, "_image", refuse)
+    for n in (CERT_MAX_DEGREE + 1, 10 ** 4):
+        f, g = x ** n + y, x ** n + x * y + 1
+        assert _signed(_cofactors(f, g)) == (ring.one, f, g)
+    with pytest.raises(AssertionError, match="image of degree %d" % CERT_MAX_DEGREE):
+        _cofactors(x ** CERT_MAX_DEGREE + y, x ** CERT_MAX_DEGREE + x * y + 1)
 
 
 def test_coprime_fractions_take_no_polynomial_gcd(ctx, monkeypatch):
