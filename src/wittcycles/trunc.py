@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import BadConstantTerm, NotAUnit, ParseError
 from .forms import DiffForm, FormOnTrunc, LevelTuple, series_product
-from .scalars import Context, FieldElem, parse_elem
+from .scalars import Context, FieldElem, parse_elem, series_quotient
 
 
 class TruncElem(LevelTuple):
@@ -75,12 +75,19 @@ class TruncElem(LevelTuple):
 
     def __truediv__(self, other):
         """The one division on F_m: q with q v = w, solved degree by degree
-        as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0, skipping zero terms
-        and the product by 1/v_0 when v_0 = 1."""
+        as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0.  When v_0 is a
+        nonzero rational and every coefficient of w and v is in the
+        polynomial tier, as for the principal units with polynomial
+        coefficients, scalars.series_quotient solves it over packed
+        monomials.  Otherwise the loop below runs over field elements,
+        skipping zero terms and the product by 1/v_0 when v_0 = 1."""
         other = self._check(other)
         v = other.comps
         if not v[0]:
             raise NotAUnit("constant term is zero")
+        q = series_quotient(self.comps, v)
+        if q is not None:
+            return TruncElem(self.ctx, self.level, q)
         inv0 = None if v[0] == self.ctx.one else v[0].inv()
         terms = [(i, c) for i, c in enumerate(v) if i and c]
         q = []

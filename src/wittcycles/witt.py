@@ -49,20 +49,34 @@ class WittVector(LevelTuple):
 def ghost(a: WittVector) -> tuple:
     """The tuple (g_1..g_m) with g_j = sum over divisors d of j of
     d * a_d^(j/d)."""
-    return tuple(sum((d * a.comps[d - 1] ** (j // d) for d in _divisors(j)), a.ctx.zero)
+    powers = list(a.comps)
+    return tuple(sum(_lower_terms(a.comps, powers, j), j * a.comps[j - 1])
                  for j in range(1, a.level + 1))
 
 
 def unghost(g) -> WittVector:
     """Invert the ghost map on a tuple (g_1..g_m) by forward substitution;
     divides by j, so this is a characteristic-zero-only path."""
-    coords = []
+    zero = g[0].ctx.zero
+    coords, powers = [], []
     for j in range(1, len(g) + 1):
-        acc = g[j - 1]
-        for d in _divisors(j)[:-1]:
-            acc = acc - d * coords[d - 1] ** (j // d)
-        coords.append(acc.scale(Fraction(1, j)))
-    return WittVector(g[0].ctx, len(g), coords)
+        coords.append((g[j - 1] - sum(_lower_terms(coords, powers, j), zero))
+                      .scale(Fraction(1, j)))
+        powers.append(coords[-1])
+    return WittVector(zero.ctx, len(g), coords)
+
+
+def _lower_terms(coords, powers, j):
+    """The terms d * a_d^(j/d) of g_j over the proper divisors d of j with
+    a_d = coords[d - 1] nonzero.  powers[d - 1] holds a_d^(j/d - 1), left
+    by the last multiple of d, and moves on to a_d^(j/d): by one product
+    with a_d in the polynomial tier, by a fresh power in the fraction tier,
+    where a product would pay cross-cancellation gcds that a power does not."""
+    for d in _divisors(j)[:-1]:
+        a = coords[d - 1]
+        if a:
+            powers[d - 1] = powers[d - 1] * a if a.is_polynomial() else a ** (j // d)
+            yield d * powers[d - 1]
 
 
 def gamma(a: WittVector) -> TruncElem:

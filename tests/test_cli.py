@@ -319,6 +319,20 @@ def test_verify_empty_variable_list_exits_2(capsys):
         "type": "ParseError", "message": "empty variable list"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nf", "--vars", "1", "--symbol", "{1+t,2}"], "variable name '1' is not an identifier"),
+    (["witt", "ghost", "--vars", "+", "(1)"], "variable name '+' is not an identifier"),
+    (["witt", "ghost", "--vars", "(", "(1)"], "variable name '(' is not an identifier"),
+    (["verify", "--suite", "drw", "--trials", "1", "--vars", "2"],
+     "variable name '2' is not an identifier"),
+    (["nf", "--vars", "t", "--symbol", "{1+t,t}"], "variable list may not shadow t"),
+])
+def test_variable_names_must_be_identifiers(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
+
+
 @pytest.mark.parametrize("subop, m, tuple_, want", [
     ("unghost", "3", "(1,2)", 3),
     ("gamma-inv", "3", "(1,2)", 4),

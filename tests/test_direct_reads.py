@@ -10,8 +10,9 @@ factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
 replaced, Henrici's sum against the gcd over the whole product of the
 denominators, the one division on F_m against the inverse loop and the
-log recurrence it replaced, and the derivative against the gcd over the
-square of the denominator.  The last tests pin that no module of the
+log recurrence it replaced, its packed kernel against the loop it runs
+in place of, and the derivative against the gcd over the square of the
+denominator.  The last tests pin that no module of the
 package uses sympy's rational function field, that only ``scalars`` moves
 polynomials between contexts, writes the "p/q" coefficient text, reads
 polynomials on the u-line and calls sympy's polynomial gcd, and that no
@@ -25,6 +26,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
 from wittcycles.drw import drw_d, phi
@@ -33,9 +35,9 @@ from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
 from wittcycles.forms import DiffForm, FormOnTrunc
 from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
-from wittcycles.scalars import Context, parse_elem
+from wittcycles.scalars import Context, parse_elem, series_quotient
 from wittcycles.trunc import TruncElem, log_t, parse_trunc
-from wittcycles.witt import WittVector, gamma_inv, ghost, log_ghost
+from wittcycles.witt import WittVector, gamma_inv, ghost, log_ghost, unghost
 
 from fracfield import to_frac
 
@@ -552,6 +554,99 @@ def test_division_by_a_non_unit_raises():
                        lambda: a / TruncElem.zero(ctx, m), lambda: a / ctx.zero):
             with pytest.raises(NotAUnit):
                 divide()
+
+
+# -- the packed kernel against the loop -------------------------------------
+
+
+def old_div(a, u):
+    """a / u as the loop solves it, the route that every division took
+    before scalars.series_quotient: q_k = (w_k - sum v_i q_(k-i)) / v_0
+    over field elements, skipping zero terms and the product by 1/v_0
+    when v_0 = 1."""
+    v = u.comps
+    inv0 = None if v[0] == u.ctx.one else v[0].inv()
+    terms = [(i, c) for i, c in enumerate(v) if i and c]
+    q = []
+    for k, w in enumerate(a.comps):
+        for i, c in terms:
+            if i > k:
+                break
+            if q[k - i]:
+                w = w - c * q[k - i]
+        q.append(w if inv0 is None else w * inv0)
+    return TruncElem(a.ctx, a.level, q)
+
+
+def _assert_same_quotient(a, u):
+    got, want = a / u, old_div(a, u)
+    assert got == want, (a, u)
+    assert [repr(c) for c in got.comps] == [repr(c) for c in want.comps], (a, u)
+
+
+def _coefficients(ctx, rng, m, share, maxdeg):
+    """m + 1 polynomial-tier coefficients, each nonzero with probability
+    share, of degree at most maxdeg in each variable."""
+    return [_poly(ctx, rng, rng.randint(1, 3), maxdeg) if rng.random() < share
+            else ctx.zero for _ in range(m + 1)]
+
+
+KERNEL_CONTEXTS = BASES + [Context(("x", "y", "z"))]
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
+def test_series_quotient_matches_the_loop(ctx):
+    rng = random.Random(1900 + ctx.r)
+    for m in range(1, 13):
+        # exponents up to 300 need fields of more than 8 bits; the quotients
+        # of such sparse inputs grow fast with m, so they stop at m = 4
+        shapes = [(1, 1), (0.4, 2)] + ([(0.6, 300)] if m <= 4 else [])
+        for v0 in (ctx.one, ctx.rational(1, 4), ctx.rational(3, 7), ctx.rational(-5, 2)):
+            for share, maxdeg in shapes:
+                v = [v0] + _coefficients(ctx, rng, m, share, maxdeg)[1:]
+                w = _coefficients(ctx, rng, m, share, maxdeg)
+                assert series_quotient(w, v) is not None
+                u = TruncElem(ctx, m, v)
+                _assert_same_quotient(TruncElem(ctx, m, w), u)
+            # every quotient cancels to 0, and every one past q_0 does
+            _assert_same_quotient(TruncElem.zero(ctx, m), u)
+            _assert_same_quotient(u.scale(_poly(ctx, rng, 2)), u)
+        if not ctx.r:
+            continue
+        # a fraction-tier coefficient in w or in v, or a non-constant v_0,
+        # takes the loop
+        v = _coefficients(ctx, rng, m, 0.7, 1)
+        v[0] = ctx.one
+        w = _coefficients(ctx, rng, m, 0.7, 1)
+        for w_, v_ in ((w[:-1] + [_fraction(ctx, rng)], v),
+                       (w, v[:-1] + [_fraction(ctx, rng)]),
+                       (w, [ctx.one + ctx.var(0)] + v[1:])):
+            assert series_quotient(w_, v_) is None
+            _assert_same_quotient(TruncElem(ctx, m, w_), TruncElem(ctx, m, v_))
+
+
+def test_polynomial_units_divide_without_sympy_products(monkeypatch):
+    ctx = Context(("x", "y"))
+    rng = random.Random(1906)
+    m = 6
+    u = TruncElem(ctx, m, [ctx.one] + [_poly(ctx, rng, 3, maxdeg=1) for _ in range(m)])
+    f = TruncElem(ctx, m, [ctx.one] + [_fraction(ctx, rng) for _ in range(m)])
+    products = []
+    mul = PolyElement.__mul__
+    monkeypatch.setattr(PolyElement, "__mul__",
+                        lambda p1, p2: products.append(1) or mul(p1, p2))
+
+    def count(call, *args):
+        products.clear()
+        call(*args)
+        return len(products)
+
+    assert count(log_t, u) == count(TruncElem.inv, u) == count(log_ghost, u) == 0
+    # gamma_inv's only products are those of its unghost
+    assert count(gamma_inv, u) == count(unghost, log_ghost(u)) > 0
+    # a fraction-tier unit takes the loop, and still divides correctly
+    assert count(log_t, f) > 0
+    assert log_t(f) == old_log_t(f) and f.inv() == old_inv(f)
 
 
 # -- the derivative against the gcd over den^2 ------------------------------
