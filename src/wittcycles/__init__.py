@@ -5,8 +5,7 @@ from .errors import WittCyclesError
 from .scalars import Context, FieldElem, parse_elem
 from .forms import (CanonRelForm, DiffForm, FormOnTrunc, LevelTuple, dlog,
                     dlog_wedge, reduce_mod_exact)
-from .trunc import (TruncElem, exp_t, log_t, parse_trunc, trunc_d, trunc_dlog,
-                    embed_form)
+from .trunc import TruncElem, exp_t, log_t, parse_trunc, trunc_dlog, embed_form
 from .witt import (WittVector, frobenius, gamma, gamma_inv, ghost, teichmuller,
                    unghost, verschiebung, witt_decompose)
 from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog

@@ -67,11 +67,8 @@ class CycleGen:
         """f(0)^(-1) f(t) mod t^(m+1), the principal unit the classes see."""
         if not self.is_admissible():
             raise NotAdmissible("f(0) = 0 or a face coordinate is 0")
-        inv0 = self.f[0].inv()
-        coeffs = [self.ctx.one]
-        for i in range(1, m + 1):
-            coeffs.append(self.f[i] * inv0 if i < len(self.f) else self.ctx.zero)
-        return TruncElem(self.ctx, m, coeffs)
+        f = self.f[:m + 1] + (self.ctx.zero,) * (m + 1 - len(self.f))
+        return TruncElem(self.ctx, m, f).scale(self.f[0].inv())
 
     def __repr__(self):
         fstr = " + ".join("(%s)t^%d" % (c, i) for i, c in enumerate(self.f)

@@ -10,6 +10,7 @@ operations), verify (property suites).  Output is JSON by default;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -273,6 +274,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+@functools.cache
 def build_parser():
     top = _Parser(prog="wittcycles")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -46,10 +46,11 @@ exact division by a closed point's polynomial, and ``u_factors``, the one
 route to sympy's ``factor_list``, which memoises the distinct irreducible
 factors of a polynomial by (ring, poly), for the last 256.
 
-``series_quotient`` is the kernel of the division on F_m = F[t]/(t^(m+1)):
-it solves q v = w degree by degree over packed monomials, one int per
+``series_quotient`` is the division on F_m = F[t]/(t^(m+1)), q v = w
+solved degree by degree: by a kernel over packed monomials, one int per
 exponent tuple, when v_0 is a nonzero rational and every coefficient of
-w and v is in the polynomial tier, and returns None otherwise.
+w and v is in the polynomial tier, and by a loop over field elements
+otherwise.
 
 An element prints from ``num`` and ``den`` alone, with the bracketing of
 sympy's printer for its rational function field.  ``from_terms`` rebuilds
@@ -63,7 +64,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -528,36 +528,48 @@ class FieldElem:
         return num / den
 
 
-# The kernel's time over the loop's in trunc.TruncElem.__truediv__, for
-# units u with dense linear coefficients in x and y, at m = 1, 2, 3, 4, 8,
-# 16 and 32 (2 cores, Python 3.11, sympy 1.14):
-#   1/u          1.62  0.90  0.65  0.49  0.33  0.35  0.35
-#   (t u')/u     2.69  1.44  0.82  0.60  0.35  0.33  0.37
-# Below m = 3 its fixed cost (the degree scan, packing, unpacking) loses up
-# to 15 us a call.  Such calls stay in the kernel: over 20 gate-trials
-# rounds its 324 calls at m <= 2 took 13 ms of 1.6 s, 3-4 ms more than
-# the loop took for them.
+# The kernel's time over the loop below, for units u with dense linear
+# coefficients in x and y, at m = 1, 2, 3, 4, 8, 16 and 32 (2 cores,
+# Python 3.11, sympy 1.14):
+#   1/u          2.1   1.1   0.76  0.60  0.39  0.38  0.41
+#   (t u')/u     8.8   2.0   1.1   0.75  0.41  0.37  0.40
+# Below m = 4 its fixed cost (the degree scan, packing, unpacking) loses up
+# to 16 us a call.  Such calls stay in the kernel: over 20 gate-trials
+# rounds its 354 calls at m <= 2 took 10 ms of 0.94 s, 6 ms more than the
+# loop took for them.
 def series_quotient(w, v):
     """The coefficients q_0..q_m of q with q v = w in F[t]/(t^(m+1)), for
-    lists w and v of m + 1 field elements; None unless v_0 is a nonzero
-    rational and every coefficient of w and v is in the polynomial tier.
+    lists w and v of m + 1 field elements with v_0 nonzero: the one
+    division on F_m, solved degree by degree as
+    q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0.
 
-    Solved degree by degree as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0
-    over packed monomials: each exponent tuple becomes one int, with one
-    field per variable.  Every q_k and every partial sum of it has
-    exponents at most D_w + m D_v, for D_w and D_v the largest exponents in
-    w and v, so fields of (D (m + 2)).bit_length() + 1 bits, with D the
-    larger of the two, never carry.  Each q_k is one {packed monomial: int}
-    dict over the integer lcm of its terms' denominators, cancelled by one
-    content gcd, and unpacked once into its canonical num and den."""
+    When v_0 is a nonzero rational and every coefficient of w and v is in
+    the polynomial tier, the kernel solves it over packed monomials: each
+    exponent tuple becomes one int, with one field per variable.  Every
+    q_k and every partial sum of it has exponents at most D_w + m D_v, for
+    D_w and D_v the largest exponents in w and v, so fields of
+    (D (m + 2)).bit_length() + 1 bits, with D the larger of the two, never
+    carry.  Each q_k is one {packed monomial: int} sum over the integer lcm
+    of its terms' denominators, cancelled by one content gcd, and each
+    monomial is unpacked once at the end.  Every other input runs the loop
+    over field elements; it skips zero terms, and 1/v_0 when v_0 = 1."""
     v0 = v[0]
     ctx = v0.ctx
     zero = ctx.ring.zero_monom
     if (len(v0.num) != 1 or zero not in v0.num
             or not all(type(c.den) is int for c in (*w, *v))):
-        return None
-    flat = chain.from_iterable
-    top = max(flat(flat(c.num for c in (*w, *v))), default=0)
+        inv0 = None if v0 == ctx.one else v0.inv()
+        terms = [(i, c) for i, c in enumerate(v) if i and c]
+        q = []
+        for k, wk in enumerate(w):
+            for i, c in terms:
+                if i > k:
+                    break
+                if q[k - i]:
+                    wk = wk - c * q[k - i]
+            q.append(wk if inv0 is None else wk * inv0)
+        return q
+    top = max((e for c in (*w, *v) for mon in c.num for e in mon), default=0)
     width = (top * (len(w) + 1)).bit_length() + 1
     shifts = range(0, width * len(zero), width)
     weights = [1 << j for j in shifts]
@@ -570,44 +582,27 @@ def series_quotient(w, v):
     # denominator by |p|, with the sign of p
     p, s = v0.num[zero], v0.den
     sign = s if p > 0 else -s
-    terms = [(i, vi) for i, vi in enumerate(v) if i and vi]
-    vpacked = {}
-    # q_k as [element or None, packed numerator or None, den]: an element
-    # taken from w is packed on first use, a computed one unpacked last
-    q, live = [], []
+    tail = [(i, pack(vi.num), vi.den) for i, vi in enumerate(v) if i and vi]
+    q = []  # q_k as (packed numerator, den)
     for k, wk in enumerate(w):
-        parts = [(i, vi, q[k - i]) for i, vi in terms if i <= k and live[k - i]]
-        if not parts and p == 1 == s:
-            q.append([wk, None, wk.den])
-            live.append(bool(wk))
-            continue
-        den = lcm(wk.den, *(vi.den * qi[2] for _, vi, qi in parts))
+        parts = [(vi, dv, q[k - i]) for i, vi, dv in tail if i <= k and q[k - i][0]]
+        den = lcm(wk.den, *(dv * qi[1] for _, dv, qi in parts))
         f = den // wk.den
         acc = defaultdict(int, {key: c * f for key, c in pack(wk.num)})
-        for i, vi, qi in parts:
-            if i not in vpacked:
-                vpacked[i] = pack(vi.num)
-            if qi[1] is None:
-                qi[1] = pack(qi[0].num)
-            f = den // (vi.den * qi[2])
-            for a, cv in vpacked[i]:
+        for vi, dv, (qi, dq) in parts:
+            f = den // (dv * dq)
+            for a, cv in vi:
                 cv *= f
-                for b, c in qi[1]:
+                for b, c in qi:
                     acc[a + b] -= cv * c
         acc = {key: c * sign for key, c in acc.items() if c}
         den *= abs(p)
         g = gcd(den, *acc.values())
-        q.append([None, [(key, c // g) for key, c in acc.items()], den // g])
-        live.append(bool(acc))
-    mons, out = {}, []
-    for elem, num, den in q:
-        if elem is None:
-            for key, _ in num:
-                if key not in mons:
-                    mons[key] = tuple([key >> j & mask for j in shifts])
-            elem = FieldElem(ctx, ctx.ring.dtype({mons[key]: c for key, c in num}), den)
-        out.append(elem)
-    return out
+        q.append(([(key, c // g) for key, c in acc.items()], den // g))
+    mons = {key: tuple([key >> j & mask for j in shifts])
+            for key in {key for num, _ in q for key, _ in num}}
+    return [FieldElem(ctx, ctx.ring.dtype({mons[key]: c for key, c in num}), den)
+            for num, den in q]
 
 
 def fraction_text(c):
@@ -629,7 +624,7 @@ def parse_fraction(text):
 
 
 def _poly_to_json(poly):
-    return [[list(mon), fraction_text(coef)] for mon, coef in sorted(poly.terms())]
+    return [[list(mon), fraction_text(coef)] for mon, coef in sorted(poly.items())]
 
 
 def _poly_from_json(ctx, data):

@@ -2,10 +2,11 @@
 
 Elements are coefficient tuples comps = (c_0..c_m), forms.LevelTuples
 with extra = 1.  There is one truncated product (forms.series_product)
-and one division, solved degree by degree; log_t and witt.log_ghost read
-the log derivative t u'/u.  exp_t and log_t are mutually inverse
-between the ideal (t) and the principal units 1 + (t); they need
-denominators, so characteristic zero is baked in.
+and one division, scalars.series_quotient, solved degree by degree.
+log_t and witt.log_ghost read the log derivative t u'/u, and trunc_dlog
+reads dlog u from it and from the divisions d_j u / u.  exp_t and log_t
+are mutually inverse between the ideal (t) and the principal units
+1 + (t); they need denominators, so characteristic zero is baked in.
 """
 
 from __future__ import annotations
@@ -74,31 +75,12 @@ class TruncElem(LevelTuple):
         return TruncElem.one(self.ctx, self.level) / self
 
     def __truediv__(self, other):
-        """The one division on F_m: q with q v = w, solved degree by degree
-        as q_k = (w_k - sum_(i=1..k) v_i q_(k-i)) / v_0.  When v_0 is a
-        nonzero rational and every coefficient of w and v is in the
-        polynomial tier, as for the principal units with polynomial
-        coefficients, scalars.series_quotient solves it over packed
-        monomials.  Otherwise the loop below runs over field elements,
-        skipping zero terms and the product by 1/v_0 when v_0 = 1."""
+        """The one division on F_m, q with q v = w for a unit v, solved by
+        scalars.series_quotient."""
         other = self._check(other)
-        v = other.comps
-        if not v[0]:
+        if not other.comps[0]:
             raise NotAUnit("constant term is zero")
-        q = series_quotient(self.comps, v)
-        if q is not None:
-            return TruncElem(self.ctx, self.level, q)
-        inv0 = None if v[0] == self.ctx.one else v[0].inv()
-        terms = [(i, c) for i, c in enumerate(v) if i and c]
-        q = []
-        for k, w in enumerate(self.comps):
-            for i, c in terms:
-                if i > k:
-                    break
-                if q[k - i]:
-                    w = w - c * q[k - i]
-            q.append(w if inv0 is None else w * inv0)
-        return TruncElem(self.ctx, self.level, q)
+        return TruncElem(self.ctx, self.level, series_quotient(self.comps, other.comps))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -154,17 +136,20 @@ def log_t(u: TruncElem) -> TruncElem:
                                       for k, c in enumerate(log_derivative(u).comps)])
 
 
-def trunc_d(a: TruncElem) -> FormOnTrunc:
-    """Differential of a ring element, as a 1-form over F_m:
-    sum_i t^i (x) d(c_i) + sum_i (i+1) c_(i+1) t^i dt."""
-    return embed_form(a).d()
-
-
 def trunc_dlog(u: TruncElem) -> FormOnTrunc:
-    """u^(-1) du as a 1-form over F_m; additive in products of units."""
+    """u^(-1) du as a 1-form over F_m, read off divisions by u: its
+    t^k part on dx_j is (d_j u / u)_k, for d_j u the derivative of each
+    coefficient by x_j, and its t^k dt part is (u'/u)_k = (t u'/u)_(k+1).
+    Additive in products of units."""
     if not u.is_unit():
         raise NotAUnit("dlog of a non-unit")
-    return embed_form(u.inv()).wedge(trunc_d(u))
+    ctx = u.ctx
+    dus = [[c.diff(j) for c in u.comps] for j in range(ctx.r)]
+    quotients = {(j,): series_quotient(du, u.comps) for j, du in enumerate(dus) if any(du)}
+    tparts = [DiffForm(ctx, 1, {s: q[k] for s, q in quotients.items()})
+              for k in range(u.level + 1)]
+    return FormOnTrunc(ctx, 1, u.level, tparts,
+                       [DiffForm.scalar(c) for c in log_derivative(u).comps[1:]])
 
 
 def embed_form(a: TruncElem) -> FormOnTrunc:

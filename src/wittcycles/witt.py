@@ -80,16 +80,17 @@ def _lower_terms(coords, powers, j):
 
 
 def gamma(a: WittVector) -> TruncElem:
-    """The principal unit prod_i (1 - a_i t^i) mod t^(m+1)."""
+    """The principal unit prod_i (1 - a_i t^i) mod t^(m+1): each factor
+    with a_i nonzero updates the coefficients in place, c_k -= a_i c_(k-i)
+    for k from m down to i."""
     m = a.level
-    result = TruncElem.one(a.ctx, m)
+    c = [a.ctx.one] + [a.ctx.zero] * m
     for i, ai in enumerate(a.comps, start=1):
-        if ai.is_zero():
-            continue
-        factor = [a.ctx.one] + [a.ctx.zero] * m
-        factor[i] = -ai
-        result = result * TruncElem(a.ctx, m, factor)
-    return result
+        if ai:
+            for k in range(m, i - 1, -1):
+                if c[k - i]:
+                    c[k] = c[k] - ai * c[k - i]
+    return TruncElem(a.ctx, m, c)
 
 
 def log_ghost(u: TruncElem) -> tuple:

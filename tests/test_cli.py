@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wittcycles import cli
 from wittcycles.cli import main
 from wittcycles.scalars import FieldElem
 
@@ -112,6 +113,16 @@ def test_verify_is_deterministic(capsys):
         for prop in r["properties"]:
             assert prop.pop("elapsed_s") >= 0
     assert r1 == r2
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # the appended --symbol list of one call does not leak into the next
+    one = ("nf", "--m", "2", "--vars", "x", "--symbol", "{1+t, x}")
+    before = run(capsys, *one)
+    two = run(capsys, *one, "--symbol", "{1-x*t, x}")
+    assert two[0] == 0 and two[1] != before[1]
+    assert run(capsys, *one) == before
 
 
 def test_deep_nesting_exits_2(capsys):

@@ -10,8 +10,9 @@ factor-multiplicity loop on the FracField numerator and denominator.  The
 wedge of forms over F_m is checked against the three truncated loops it
 replaced, Henrici's sum against the gcd over the whole product of the
 denominators, the one division on F_m against the inverse loop and the
-log recurrence it replaced, its packed kernel against the loop it runs
-in place of, and the derivative against the gcd over the square of the
+log recurrence it replaced, its packed kernel against its loop, dlog on
+F_m against the inverse wedged with du, gamma against the product of
+its factors, and the derivative against the gcd over the square of the
 denominator.  The last tests pin that no module of the
 package uses sympy's rational function field, that only ``scalars`` moves
 polynomials between contexts, writes the "p/q" coefficient text, reads
@@ -36,8 +37,8 @@ from wittcycles.forms import DiffForm, FormOnTrunc
 from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
 from wittcycles.scalars import Context, parse_elem, series_quotient
-from wittcycles.trunc import TruncElem, log_t, parse_trunc
-from wittcycles.witt import WittVector, gamma_inv, ghost, log_ghost, unghost
+from wittcycles.trunc import TruncElem, embed_form, log_t, parse_trunc, trunc_dlog
+from wittcycles.witt import WittVector, gamma, gamma_inv, ghost, log_ghost, unghost
 
 from fracfield import to_frac
 
@@ -594,8 +595,24 @@ def _coefficients(ctx, rng, m, share, maxdeg):
 KERNEL_CONTEXTS = BASES + [Context(("x", "y", "z"))]
 
 
+def _product_counter(monkeypatch):
+    """count(call, *args): the number of sympy PolyElement products that
+    call(*args) makes."""
+    products = []
+    mul = PolyElement.__mul__
+    monkeypatch.setattr(PolyElement, "__mul__",
+                        lambda p1, p2: products.append(1) or mul(p1, p2))
+
+    def count(call, *args):
+        products.clear()
+        call(*args)
+        return len(products)
+    return count
+
+
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
-def test_series_quotient_matches_the_loop(ctx):
+def test_series_quotient_matches_the_loop(ctx, monkeypatch):
+    count = _product_counter(monkeypatch)
     rng = random.Random(1900 + ctx.r)
     for m in range(1, 13):
         # exponents up to 300 need fields of more than 8 bits; the quotients
@@ -605,7 +622,8 @@ def test_series_quotient_matches_the_loop(ctx):
             for share, maxdeg in shapes:
                 v = [v0] + _coefficients(ctx, rng, m, share, maxdeg)[1:]
                 w = _coefficients(ctx, rng, m, share, maxdeg)
-                assert series_quotient(w, v) is not None
+                # the kernel makes no sympy products
+                assert count(series_quotient, w, v) == 0
                 u = TruncElem(ctx, m, v)
                 _assert_same_quotient(TruncElem(ctx, m, w), u)
             # every quotient cancels to 0, and every one past q_0 does
@@ -621,7 +639,6 @@ def test_series_quotient_matches_the_loop(ctx):
         for w_, v_ in ((w[:-1] + [_fraction(ctx, rng)], v),
                        (w, v[:-1] + [_fraction(ctx, rng)]),
                        (w, [ctx.one + ctx.var(0)] + v[1:])):
-            assert series_quotient(w_, v_) is None
             _assert_same_quotient(TruncElem(ctx, m, w_), TruncElem(ctx, m, v_))
 
 
@@ -647,6 +664,68 @@ def test_polynomial_units_divide_without_sympy_products(monkeypatch):
     # a fraction-tier unit takes the loop, and still divides correctly
     assert count(log_t, f) > 0
     assert log_t(f) == old_log_t(f) and f.inv() == old_inv(f)
+
+
+# -- dlog and gamma against the routes they replaced -------------------------
+
+
+def old_trunc_dlog(u):
+    """trunc_dlog as it was: the inverse of u wedged with du."""
+    return embed_form(u.inv()).wedge(embed_form(u).d())
+
+
+def old_gamma(a):
+    """gamma as it was: the truncated product of the factors 1 - a_i t^i."""
+    m = a.level
+    result = TruncElem.one(a.ctx, m)
+    for i, ai in enumerate(a.comps, start=1):
+        if ai:
+            factor = [a.ctx.one] + [a.ctx.zero] * m
+            factor[i] = -ai
+            result = result * TruncElem(a.ctx, m, factor)
+    return result
+
+
+def _assert_same(got, want, *inputs):
+    assert got == want, inputs
+    assert repr(got) == repr(want), inputs
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
+def test_trunc_dlog_matches_the_inverse_wedge(ctx):
+    rng = random.Random(2000 + ctx.r)
+    for m in range(1, 9):
+        # in three variables both routes take seconds a call on dense units
+        # from m = 6 on, so only sparse and constant ones go further
+        for kind in UNIT_KINDS if ctx.r < 3 or m <= 5 else ("sparse", "constant"):
+            u = _unit(ctx, rng, m, kind)
+            # u_0 as drawn (not rational when ctx has variables), and u_0 = 1
+            # or -3/7 on alternate levels, so that both tiers meet both
+            # branches of the division
+            p = u.scale(u.comps[0].inv() * (1 if m % 2 else Fraction(-3, 7)))
+            for unit in (u, p):
+                _assert_same(trunc_dlog(unit), old_trunc_dlog(unit), unit)
+
+
+def test_polynomial_dlog_makes_no_sympy_products(monkeypatch):
+    ctx = Context(("x", "y"))
+    rng = random.Random(1906)
+    m = 6
+    u = TruncElem(ctx, m, [ctx.one] + [_poly(ctx, rng, 3, maxdeg=1) for _ in range(m)])
+    count = _product_counter(monkeypatch)
+    assert count(trunc_dlog, u) == 0
+    assert trunc_dlog(u) == old_trunc_dlog(u)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_gamma_matches_the_product_of_factors(m):
+    ctx = Context(("x", "y"))
+    rng = random.Random(2100 + m)
+    draws = (lambda: ctx.zero, lambda: _poly(ctx, rng, 2, maxdeg=1),
+             lambda: _fraction(ctx, rng))
+    for shares in ((1, 0, 0), (0.3, 0.7, 0), (0, 1, 0), (0.2, 0.6, 0.2), (0, 0, 1)):
+        a = WittVector(ctx, m, [rng.choices(draws, shares)[0]() for _ in range(m)])
+        _assert_same(gamma(a), old_gamma(a), a)
 
 
 # -- the derivative against the gcd over den^2 ------------------------------

@@ -9,7 +9,7 @@ from wittcycles.errors import BadConstantTerm, NotAUnit, ParseError
 from wittcycles.forms import DiffForm
 from wittcycles.scalars import Context
 from wittcycles.trunc import (TruncElem, embed_form, exp_t, log_t,
-                              parse_trunc, trunc_d, trunc_dlog)
+                              parse_trunc, trunc_dlog)
 
 
 @pytest.fixture
@@ -83,8 +83,8 @@ def test_trunc_d_leibniz(ctx):
     x = ctx.var(0)
     a = TruncElem(ctx, 2, [x, ctx.one, x * x])
     b = TruncElem(ctx, 2, [ctx.one, x, ctx.zero])
-    lhs = trunc_d(a * b)
-    rhs = trunc_d(a).wedge(embed_form(b)) + embed_form(a).wedge(trunc_d(b))
+    lhs = embed_form(a * b).d()
+    rhs = embed_form(a).d().wedge(embed_form(b)) + embed_form(a).wedge(embed_form(b).d())
     assert lhs == rhs
 
 
