@@ -49,35 +49,37 @@ def _parse_coef(text, ring):
     return coef
 
 
+def _coef_prefix(text, opener, ring):
+    """Split `c*<opener>...` into the coefficient c and the text from the
+    first opener on, with spaces allowed around the one `*`.  A text
+    without such a prefix comes back whole, with c = 1."""
+    head, sep, rest = text.partition(opener)
+    head = head.strip()
+    if not (sep and head.endswith("*")):
+        return Fraction(1), text
+    return _parse_coef(head[:-1], ring), sep + rest
+
+
 def parse_symbol(ctx, m, text, ring="q"):
     """`{u_1, ..., u_n}` with an optional `c*` prefix; entries use the
     truncated-polynomial grammar."""
     text = text.strip()
-    coef = Fraction(1)
     if "{" not in text:
         raise ParseError("symbol must contain {...}: %r" % text)
-    head, body = text.split("{", 1)
-    head = head.strip()
-    if head:
-        if not head.endswith("*"):
-            raise ParseError("bad symbol prefix %r" % head)
-        coef = _parse_coef(head[:-1], ring)
-    if not body.rstrip().endswith("}"):
+    coef, body = _coef_prefix(text, "{", ring)
+    if not body.startswith("{"):
+        raise ParseError("bad symbol prefix %r" % text.partition("{")[0].strip())
+    if not body.endswith("}"):
         raise ParseError("unterminated symbol %r" % text)
-    body = body.rstrip()[:-1]
-    entries = [parse_trunc(ctx, m, part) for part in _entries(body, text)]
+    entries = [parse_trunc(ctx, m, part) for part in _entries(body[1:-1], text)]
     return relmilnor.RelSymbol(entries, coef)
 
 
 def parse_generator(ctx, m, text, ring="q"):
-    """`c*(f(t); b_1, ..., b_(n-1))`; without a semicolon the generator
-    has no cube coordinates."""
+    """`c*(f(t); b_1, ..., b_(n-1))` with an optional `c*` prefix; without
+    a semicolon the generator has no cube coordinates."""
     text = text.strip()
-    coef, gen = Fraction(1), text
-    if "*(" in text and not text.startswith("("):
-        head, rest = text.split("(", 1)
-        gen = "(" + rest
-        coef = _parse_coef(head.rstrip("*"), ring)
+    coef, gen = _coef_prefix(text, "(", ring)
     if not (gen.startswith("(") and gen.endswith(")")):
         raise ParseError("generator must be parenthesized: %r" % gen)
     parts = gen[1:-1].split(";")

@@ -4,13 +4,16 @@ Symbols are opaque presentations: equality in the K-group is never
 decided here.  Instead the module provides realization oracles (the dlog
 form, tame symbols at rational valuations), the boundary of the Gersten
 complex in one variable, Weil reciprocity checking, and the two rewriting
-procedures for symbols near a discrete valuation: the two-entry identity
+procedures for symbols near a discrete valuation, each identity written
+once: the two-entry identity (two_entry)
 
-    {1+as, 1+bt} = -{1 + ab/(1+as) st, -as(1+bt)}   (or 0 when
-    1 + (1+bt)as = 0)
+    {y1, y2} = -{1 + (y1 - 1)(y2 - 1)/y1, -(y1 - 1) y2},
 
-and the filtration rewriting that moves any symbol with
-sum ord(y_i - 1) >= m into (1 + pi^m R) K^M_n(F).
+which is {1+as, 1+bt} = -{1 + ab st/(1+as), -as(1+bt)} (the left side
+is zero when 1 + (1+bt)as = 0), and the filtration rewriting that applies
+it to move any symbol with sum ord(y_i - 1) >= m into (1 + pi^m R) K^M_n(F).
+Tame symbols and the rewriting's last pass share one pi-adic expansion,
+in which an entry pi^a u is u + a*pi.
 
 A designated variable of the context plays the role of u (or of the
 uniformizer pi).  A valuation is a closed point of the u-line, cut out by
@@ -24,6 +27,8 @@ the residue field is F.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NonRationalSupport, NoUnitEntry, ZeroEntry)
@@ -180,37 +185,37 @@ def dlog_realization(terms) -> DiffForm:
     return total
 
 
+def _pi_expansion(parts, pi_factor, pi_value):
+    """The multilinear expansion of a symbol over the pi-parts of its
+    entries.  An entry pi^a * u, given as the pair (a, u), is u + a*pi in
+    additive notation.  Yields (mult, entries) for each choice of one
+    summand per entry, the chosen pi's replaced in place by pi_value:
+    mult is the product of a * pi_factor over the chosen pi's."""
+    choices = [[(1, u)] + ([(a * pi_factor, pi_value)] if a else [])
+               for a, u in parts]
+    for pick in product(*choices):
+        yield prod(f for f, _ in pick), [y for _, y in pick]
+
+
 def tame_symbol(v: Valuation, sym: FieldSymbol):
     """Gersten boundary of one symbol at a rational valuation, as a formal
     sum of symbols over the residue field F.
 
-    Each entry is split as pi^a * w; the symbol is expanded multilinearly,
-    repeated uniformizers are removed with {pi, pi} = {pi, -1}, and a
-    single leading pi is contracted, leaving the residues of the units."""
-    data = [v.ord_residue(y) for y in sym.entries]
-    hot = [i for i, (a, _) in enumerate(data) if a != 0]
+    Each entry is split as pi^a * u and the symbol is expanded
+    multilinearly.  Every pi after the first becomes -1 in place, by
+    {.., pi, A, pi, ..} = {.., pi, A, -1, ..}: move the second pi next to
+    the first across A, apply {pi, pi} = {pi, -1} and move -1 back, and
+    the two signs cancel.  The first pi, at place p, is then contracted
+    with the sign (-1)^p, leaving the residues of the units; a symbol of
+    units has no boundary."""
+    minus_one = v.base.rational(-1)
     out = []
-    for mask in range(1, 1 << len(hot)):
-        S = [hot[k] for k in range(len(hot)) if mask >> k & 1]
-        mult = 1
-        for i in S:
-            mult *= data[i][0]
-        items = []
-        for i in range(len(data)):
-            items.append(None if i in S else data[i][1])  # None marks pi
-        sign = 1
-        while True:
-            pis = [p for p, it in enumerate(items) if it is None]
-            if len(pis) < 2:
-                break
-            i, j = pis[0], pis[1]
-            items.pop(j)
-            items.insert(i + 1, v.base.rational(-1))
-            sign *= (-1) ** (j - i - 1)
+    for mult, items in _pi_expansion([v.ord_residue(y) for y in sym.entries], 1, None):
+        if None not in items:
+            continue
         p = items.index(None)
-        sign *= (-1) ** p
-        items.pop(p)
-        out.append(FieldSymbol(v.base, items, sym.coef * mult * sign))
+        rest = [minus_one if y is None else y for y in items[p + 1:]]
+        out.append(FieldSymbol(v.base, items[:p] + rest, sym.coef * mult * (-1) ** p))
     return out
 
 
@@ -310,106 +315,84 @@ def weil_reciprocity_check(terms, upos):
     return ok, evidence
 
 
+def two_entry(y1, y2):
+    """The right side of the two-entry identity {y1, y2} = -{w, v}, for
+    y1 != 1: w = 1 + (y1 - 1)(y2 - 1)/y1 and v = -(y1 - 1) y2.  As
+    w = (1 + (y1 - 1) y2)/y1, w vanishes exactly in the degenerate branch
+    y2 = 1/(1 - y1), where {y1, y2} = -{y1, 1 - y1} is zero; there
+    DegenerateBranch is raised."""
+    one = y1.ctx.one
+    a = (y1 - one) * y2
+    num = one + a
+    if num.is_zero():
+        raise DegenerateBranch("1 + (1+bt)as = 0: left side is zero")
+    return num / y1, -a
+
+
 def elem_identity_instance(a, b, s, tau):
     """Both sides of the two-entry identity {1+as, 1+bt} =
-    -{1 + ab/(1+as) st, -as(1+bt)}; raises DegenerateBranch in the
-    1 + (1+bt)as = 0 case, where the left side alone is zero."""
+    -{1 + ab/(1+as) st, -as(1+bt)}, from two_entry; raises
+    DegenerateBranch in the 1 + (1+bt)as = 0 case, where the left side
+    alone is zero."""
     ctx = a.ctx
     for val in (a, b, s, tau):
         if val.is_zero():
             raise ZeroEntry("identity inputs must be nonzero")
-    one = ctx.one
-    lhs1, lhs2 = one + a * s, one + b * tau
-    if lhs1.is_zero() or lhs2.is_zero():
+    y1, y2 = ctx.one + a * s, ctx.one + b * tau
+    if y1.is_zero() or y2.is_zero():
         raise ZeroEntry("1+as and 1+bt must be nonzero")
-    if (one + lhs2 * a * s).is_zero():
-        raise DegenerateBranch("1 + (1+bt)as = 0: left side is zero")
-    rhs1 = one + (a * b / lhs1) * s * tau
-    rhs2 = -(a * s * lhs2)
-    if rhs1.is_zero():
-        raise ZeroEntry("right-hand entry vanished")
-    lhs = FieldSymbol(ctx, [lhs1, lhs2], 1)
-    rhs = FieldSymbol(ctx, [rhs1, rhs2], -1)
-    return lhs, rhs
+    w, v = two_entry(y1, y2)
+    return FieldSymbol(ctx, [y1, y2], 1), FieldSymbol(ctx, [w, v], -1)
 
 
 def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
-    """Rewrite a symbol with sum ord_pi(y_i - 1) >= m as a formal sum of
-    pairs (w, residual symbol) with ord_pi(w - 1) >= m, following the
-    two-entry identity inductively.  The residual entries are then
-    cleared of pi-powers using {w, pi} = -(1/e){w, -u0} where
-    w = 1 + u0 pi^e, which brings in rational coefficients.
+    """Rewrite a symbol with sum ord_pi(y_i - 1) >= m as a list of pairs
+    (w, residual symbol) with ord_pi(w - 1) >= m; the represented class is
+    sum coef * {w, residual entries...}, the coefficients living on the
+    residual symbols.
 
-    Returns a list of (w: FieldElem, residual: FieldSymbol) pairs whose
-    coefficients live on the residual symbols; the represented class is
-    sum coef * {w, residual entries...}."""
+    Until some entry lies in 1 + pi^m, a unit y1 of the local ring moves
+    to the front and two_entry turns {y1, y2} into -{w, v}, with
+    ord(w - 1) = ord(y1 - 1) + ord(y2 - 1) since y1 is a unit.  The
+    residual entries are then cleared of pi-powers by the pi-adic
+    expansion, each pi becoming -u0 in place with the factor -1/e, by
+    {w, pi} = -(1/e){w, -u0} for w = 1 + u0 pi^e."""
     ctx = sym.ctx
+    one = ctx.one
     pi = ctx.var(upos)
     v = Valuation.finite(ctx, upos, ctx.drop(upos).zero)
+    if any((y - one).is_zero() for y in sym.entries):
+        return []
+    ks = tuple(v.ord(y - one) for y in sym.entries)
+    if sum(ks) < m:
+        raise HypothesisViolated("sum of ord(y_i - 1) = %d < %d" % (sum(ks), m))
 
-    def recurse(entries, coef):
-        entries = list(entries)
-        one = ctx.one
-        if any((y - one).is_zero() for y in entries):
-            return []
-        ms = [v.ord(y - one) for y in entries]
-        # early exit: an entry already lies in 1 + pi^m
-        for i, mi in enumerate(ms):
-            if mi >= m:
-                rest = entries[:i] + entries[i + 1:]
-                return [(entries[i], FieldSymbol(ctx, rest, coef * (-1) ** i))]
+    def recurse(entries, ks):
+        # (w, ord(w - 1), sign, residual) with {entries} = sum sign {w, residual}
+        for i, k in enumerate(ks):
+            if k >= m:
+                return [(entries[i], k, (-1) ** i, entries[:i] + entries[i + 1:])]
         if len(entries) == 1:
             raise HypothesisViolated("single entry below the filtration level")
-        # front entry must be a unit of the local ring
-        front = None
-        for i, y in enumerate(entries):
-            if ms[i] >= 0 and v.ord(y) == 0:
-                front = i
-                break
+        front = next((i for i, k in enumerate(ks)
+                      if k > 0 or k == 0 and v.ord(entries[i]) == 0), None)
         if front is None:
             raise NoUnitEntry("no entry is a unit of the local ring")
-        if front != 0:
-            coef = coef * (-1) ** front
-            entries.insert(0, entries.pop(front))
-            ms.insert(0, ms.pop(front))
-        y1, y2 = entries[0], entries[1]
-        m1, m2 = ms[0], ms[1]
-        u1 = (y1 - one) * pi ** (-m1)
-        u2 = (y2 - one) * pi ** (-m2)
-        if (one + y2 * u1 * pi ** m1).is_zero():
-            return []  # the degenerate branch: the symbol is zero
-        w = one + u1 * u2 * pi ** (m1 + m2) / y1
-        vres = -(u1 * y2 * pi ** m1)
-        if len(entries) == 2:
-            return [(w, FieldSymbol(ctx, [vres], -coef))]
-        inner = recurse([w] + entries[2:], coef)
-        return [(wk, FieldSymbol(ctx, (vres,) + sk.entries, -sk.coef))
-                for wk, sk in inner]
+        entries = (entries[front],) + entries[:front] + entries[front + 1:]
+        ks = (ks[front],) + ks[:front] + ks[front + 1:]
+        try:
+            w, res = two_entry(entries[0], entries[1])
+        except DegenerateBranch:
+            return []
+        # {y1, y2, r} = -{w, res, r} = {res}{w, r}, after (-1)^front to move y1
+        sign = (-1) ** front
+        inner = recurse((w,) + entries[2:], (ks[0] + ks[1],) + ks[2:])
+        return [(wk, ek, -sign * sk, (res,) + rk) for wk, ek, sk, rk in inner]
 
-    total = sum(v.ord(y - ctx.one) for y in sym.entries if not (y - ctx.one).is_zero())
-    if any((y - ctx.one).is_zero() for y in sym.entries):
-        return []
-    if total < m:
-        raise HypothesisViolated("sum of ord(y_i - 1) = %d < %d" % (total, m))
-    pairs = recurse(sym.entries, sym.coef)
-    # clear pi-powers from residual entries: {w, pi} = -(1/e){w, -u0}
-    cleaned = []
-    stack = list(pairs)
-    while stack:
-        w, res = stack.pop()
-        for p, y in enumerate(res.entries):
-            j = v.ord(y)
-            if j == 0:
-                continue
-            e = v.ord(w - ctx.one)
-            u0 = (w - ctx.one) * pi ** (-e)
-            unit = y * pi ** (-j)
-            others = res.entries[:p] + res.entries[p + 1:]
-            stack.append((w, FieldSymbol(ctx, res.entries[:p] + (unit,) + res.entries[p + 1:],
-                                         res.coef)))
-            stack.append((w, FieldSymbol(ctx, (-u0,) + others,
-                                         res.coef * j * (-1) ** p * Fraction(-1, e))))
-            break
-        else:
-            cleaned.append((w, res))
-    return cleaned
+    out = []
+    for w, e, sign, rest in recurse(sym.entries, ks):
+        minus_u0 = (one - w) * pi ** -e
+        parts = [(j, y * pi ** -j if j else y) for y, j in zip(rest, map(v.ord, rest))]
+        for mult, entries in _pi_expansion(parts, Fraction(-1, e), minus_u0):
+            out.append((w, FieldSymbol(ctx, entries, sym.coef * sign * mult)))
+    return out

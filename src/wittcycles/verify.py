@@ -536,10 +536,10 @@ def check_towers(ctx, seed, trials, m_max=6):
         yield
 
 
-def _curve_corpus(names, seed, count, m_max=4):
-    """Modulus-satisfying parametrized curves with rational boundary.
-    Cube coordinates are built from pools with prescribed contact order
-    with 1 at the zero of the t-coordinate."""
+def _curve_corpus(names, seed, count):
+    """Modulus-satisfying parametrized curves with rational boundary, at
+    levels m = 1..4.  Cube coordinates are built from pools with
+    prescribed contact order with 1 at the zero of the t-coordinate."""
     ctx = Context(tuple(names) + ("u",))
     upos = ctx.r - 1
     base = ctx.drop(upos)
@@ -562,7 +562,7 @@ def _curve_corpus(names, seed, count, m_max=4):
     pool_scale = [base.one, base.rational(2)] + [base.var(i) for i in range(base.r)]
     out = []
     while len(out) < count:
-        m = s.rng.randint(1, m_max)
+        m = s.rng.randint(1, 4)
         kind = s.rng.randrange(3)
         if kind == 0:
             # constant t-coordinate: modulus vacuous, pure reciprocity
@@ -586,8 +586,6 @@ def _curve_corpus(names, seed, count, m_max=4):
                 # split the contact across two coordinates
                 gs = [u, ord3(s.rng.choice(pool_scale)),
                       ord2(s.rng.choice(pool_scale))]
-                if need > 5:
-                    continue
         else:
             # g0 = u with a constant second coordinate mixed in
             if m + 1 > 3:
@@ -595,8 +593,6 @@ def _curve_corpus(names, seed, count, m_max=4):
             extra = lift(s.rng.choice(pool_scale)) + lift(base.rational(4))
             gs = [u, ord3(s.rng.choice(pool_scale)), extra]
         curve = addchow.ParamCurve(ctx, upos, gs)
-        if len(curve.gs) - 1 > 2:
-            continue
         if not addchow.modulus_check_curve(curve, m):
             continue
         try:

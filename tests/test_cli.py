@@ -389,6 +389,20 @@ def test_generator_without_cube_coordinates(capsys):
     assert code == 0 and json.loads(out)["degree"] == 1
 
 
+@pytest.mark.parametrize("flag, body", [("--symbol", "{1+t, x}"), ("--gen", "(1-t; x)")])
+def test_symbols_and_generators_read_one_coefficient_prefix(capsys, flag, body):
+    """Exactly one `*`, spaces allowed around it, for nf and cyc alike."""
+    argv = ["nf" if flag == "--symbol" else "cyc", "--m", "2", "--vars", "x", flag]
+    code, want, _ = run(capsys, *argv, "3*" + body)
+    assert code == 0
+    for spaced in ("3 * " + body, " 3 *" + body, "3* " + body):
+        assert run(capsys, *argv, spaced) == (0, want, "")
+    code, out, err = run(capsys, *argv, "3**" + body)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "malformed coefficient '3*'"}
+
+
 def test_unexpected_end_of_input(capsys):
     code, out, err = run(capsys, "witt", "ghost", "(1+)")
     assert code == 2 and out == ""

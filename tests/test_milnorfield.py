@@ -1,19 +1,29 @@
 """Symbol calculus over F(u): valuations, tame symbols, reciprocity,
-and the two rewriting procedures."""
+and the two rewriting procedures.
 
+The two-entry identity, tame symbols and the filtration rewriting are
+checked against the routes they replaced, written out below: the
+identity built inline, the bitmask expansion with its ``while`` loop, and
+the rewriting through pi^(-m) round trips with its stack."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
 
 from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
-                               NonRationalSupport)
+                               NonRationalSupport, NoUnitEntry, WittCyclesError,
+                               ZeroEntry)
 from wittcycles.forms import dlog
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_realization, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
-                                    tame_symbol,
-                                    weil_reciprocity_check)
+                                    tame_symbol, two_entry,
+                                    weil_reciprocity_check, zero_by_realizations)
 from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, _factors
+from wittcycles.verify import Sampler
 
 
 @pytest.fixture
@@ -222,6 +232,8 @@ def test_filtration_two_entries(pctx):
     diff = tin + [t.scale(-1) for t in tout]
     if diff:
         assert dlog_realization(diff).is_zero()
+    ok, ev = zero_by_realizations(_recombined(pctx, out) + [sym.scale(-1)], depth=2)
+    assert ok, ev
 
 
 def test_filtration_early_exit(pctx):
@@ -236,3 +248,296 @@ def test_filtration_hypothesis_check(pctx):
     px, pi = pctx.gens()
     with pytest.raises(HypothesisViolated):
         rewrite_filtration(FieldSymbol(pctx, [1 + pi, 1 + pi]), 5, 1)
+
+
+def _recombined(ctx, pairs):
+    return [FieldSymbol(ctx, (w,) + res.entries, res.coef) for w, res in pairs]
+
+
+def test_filtration_moves_a_unit_to_the_front(pctx):
+    px, pi = pctx.gens()
+    v = Valuation.finite(pctx, 1, pctx.drop(1).zero)
+    # orders 0, 2, 1: pi*x is no unit of the local ring, so 1 + pi^2 leads
+    sym = FieldSymbol(pctx, [pi * px, 1 + pi ** 2, 1 + pi])
+    out = rewrite_filtration(sym, 3, 1)
+    assert len(out) == 4
+    for w, res in out:
+        assert v.ord(w - 1) >= 3 and all(v.ord(e) == 0 for e in res.entries)
+    ok, ev = zero_by_realizations(_recombined(pctx, out) + [sym.scale(-1)], depth=2)
+    assert ok, ev
+
+
+def test_filtration_degenerate_branch(pctx):
+    px, pi = pctx.gens()
+    # {1 + pi, -1/pi} = -{1 + pi, -pi}, a Steinberg symbol
+    sym = FieldSymbol(pctx, [1 + pi, -1 / pi, 1 + pi ** 2, 1 + pi ** 2])
+    assert rewrite_filtration(sym, 4, 1) == []
+    # so does an entry 1, whatever the orders of the others
+    assert rewrite_filtration(FieldSymbol(pctx, [1 + pi, pctx.one]), 5, 1) == []
+
+
+def test_two_entry_degenerates_exactly_when_w_vanishes():
+    b2 = Context(("x", "y"))
+    s = Sampler(b2, 5)
+    seen = {True: 0, False: 0}
+    for k in range(120):
+        y1 = 1 + s.nonzero(1) * s.nonzero(1)
+        y2 = (1 - y1).inv() if k % 3 == 0 else s.nonzero(1)
+        if y1.is_zero() or (y1 - 1).is_zero():
+            continue
+        degenerate = (1 + y2 * (y1 - 1)).is_zero()
+        seen[degenerate] += 1
+        if degenerate:
+            with pytest.raises(DegenerateBranch):
+                two_entry(y1, y2)
+            assert dlog_realization([FieldSymbol(b2, [y1, y2])]).is_zero()
+            continue
+        w, v = two_entry(y1, y2)
+        assert not w.is_zero()
+        assert dlog_realization([FieldSymbol(b2, [y1, y2]),
+                                 FieldSymbol(b2, [w, v])]).is_zero()
+    assert seen[True] >= 30 and seen[False] >= 60
+
+
+# -- the routes that two_entry and the pi-adic expansion replaced -----------
+
+
+def old_elem_identity_instance(a, b, s, tau):
+    ctx = a.ctx
+    for val in (a, b, s, tau):
+        if val.is_zero():
+            raise ZeroEntry("identity inputs must be nonzero")
+    one = ctx.one
+    lhs1, lhs2 = one + a * s, one + b * tau
+    if lhs1.is_zero() or lhs2.is_zero():
+        raise ZeroEntry("1+as and 1+bt must be nonzero")
+    if (one + lhs2 * a * s).is_zero():
+        raise DegenerateBranch("1 + (1+bt)as = 0: left side is zero")
+    rhs1 = one + (a * b / lhs1) * s * tau
+    rhs2 = -(a * s * lhs2)
+    if rhs1.is_zero():
+        raise ZeroEntry("right-hand entry vanished")
+    lhs = FieldSymbol(ctx, [lhs1, lhs2], 1)
+    rhs = FieldSymbol(ctx, [rhs1, rhs2], -1)
+    return lhs, rhs
+
+
+def old_tame_symbol(v, sym):
+    data = [v.ord_residue(y) for y in sym.entries]
+    hot = [i for i, (a, _) in enumerate(data) if a != 0]
+    out = []
+    for mask in range(1, 1 << len(hot)):
+        S = [hot[k] for k in range(len(hot)) if mask >> k & 1]
+        mult = 1
+        for i in S:
+            mult *= data[i][0]
+        items = []
+        for i in range(len(data)):
+            items.append(None if i in S else data[i][1])  # None marks pi
+        sign = 1
+        while True:
+            pis = [p for p, it in enumerate(items) if it is None]
+            if len(pis) < 2:
+                break
+            i, j = pis[0], pis[1]
+            items.pop(j)
+            items.insert(i + 1, v.base.rational(-1))
+            sign *= (-1) ** (j - i - 1)
+        p = items.index(None)
+        sign *= (-1) ** p
+        items.pop(p)
+        out.append(FieldSymbol(v.base, items, sym.coef * mult * sign))
+    return out
+
+
+def old_rewrite_filtration(sym, m, upos):
+    ctx = sym.ctx
+    pi = ctx.var(upos)
+    v = Valuation.finite(ctx, upos, ctx.drop(upos).zero)
+
+    def recurse(entries, coef):
+        entries = list(entries)
+        one = ctx.one
+        if any((y - one).is_zero() for y in entries):
+            return []
+        ms = [v.ord(y - one) for y in entries]
+        for i, mi in enumerate(ms):
+            if mi >= m:
+                rest = entries[:i] + entries[i + 1:]
+                return [(entries[i], FieldSymbol(ctx, rest, coef * (-1) ** i))]
+        if len(entries) == 1:
+            raise HypothesisViolated("single entry below the filtration level")
+        front = None
+        for i, y in enumerate(entries):
+            if ms[i] >= 0 and v.ord(y) == 0:
+                front = i
+                break
+        if front is None:
+            raise NoUnitEntry("no entry is a unit of the local ring")
+        if front != 0:
+            coef = coef * (-1) ** front
+            entries.insert(0, entries.pop(front))
+            ms.insert(0, ms.pop(front))
+        y1, y2 = entries[0], entries[1]
+        m1, m2 = ms[0], ms[1]
+        u1 = (y1 - one) * pi ** (-m1)
+        u2 = (y2 - one) * pi ** (-m2)
+        if (one + y2 * u1 * pi ** m1).is_zero():
+            return []
+        w = one + u1 * u2 * pi ** (m1 + m2) / y1
+        vres = -(u1 * y2 * pi ** m1)
+        if len(entries) == 2:
+            return [(w, FieldSymbol(ctx, [vres], -coef))]
+        inner = recurse([w] + entries[2:], coef)
+        return [(wk, FieldSymbol(ctx, (vres,) + sk.entries, -sk.coef))
+                for wk, sk in inner]
+
+    total = sum(v.ord(y - ctx.one) for y in sym.entries if not (y - ctx.one).is_zero())
+    if any((y - ctx.one).is_zero() for y in sym.entries):
+        return []
+    if total < m:
+        raise HypothesisViolated("sum of ord(y_i - 1) = %d < %d" % (total, m))
+    pairs = recurse(sym.entries, sym.coef)
+    cleaned = []
+    stack = list(pairs)
+    while stack:
+        w, res = stack.pop()
+        for p, y in enumerate(res.entries):
+            j = v.ord(y)
+            if j == 0:
+                continue
+            e = v.ord(w - ctx.one)
+            u0 = (w - ctx.one) * pi ** (-e)
+            unit = y * pi ** (-j)
+            others = res.entries[:p] + res.entries[p + 1:]
+            stack.append((w, FieldSymbol(ctx, res.entries[:p] + (unit,) + res.entries[p + 1:],
+                                         res.coef)))
+            stack.append((w, FieldSymbol(ctx, (-u0,) + others,
+                                         res.coef * j * (-1) ** p * Fraction(-1, e))))
+            break
+        else:
+            cleaned.append((w, res))
+    return cleaned
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except WittCyclesError as exc:
+        return type(exc), str(exc)
+
+
+def _terms(symbols):
+    """A symbol sum as {sorted entries: coefficient}, each coefficient
+    taking the sign of the sort.  Terms with a repeated entry are left
+    out: {a, a} = {a, -1} is 2-torsion, zero under rational coefficients,
+    and the sign of its sort is not defined."""
+    acc = {}
+    for sym in symbols:
+        keys = [str(y) for y in sym.entries]
+        if len(set(keys)) < len(keys):
+            continue
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        inversions = sum(i > j for i, j in combinations(order, 2))
+        key = tuple(keys[i] for i in order)
+        acc[key] = acc.get(key, 0) + (-1) ** inversions * sym.coef
+    return {key: c for key, c in acc.items() if c}
+
+
+def _assert_same_sum(old, new, depth):
+    assert _terms(old) == _terms(new)
+    ok, ev = zero_by_realizations(old + [t.scale(-1) for t in new], depth)
+    assert ok, ev
+
+
+def test_two_entry_identity_matches_the_old_route():
+    b2 = Context(("x", "y"))
+    s = Sampler(b2, 2021)
+    kinds = {}
+    for k in range(400):
+        a, b, sv, tau = (s.nonzero(1) for _ in range(4))
+        if k % 4 == 1:
+            b = (-(a * sv).inv() - 1) / tau  # the degenerate branch
+        elif k % 20 == 2:
+            sv = -a.inv()  # 1 + as = 0
+        elif k % 20 == 3:
+            a = b2.zero
+        old = _outcome(old_elem_identity_instance, a, b, sv, tau)
+        new = _outcome(elem_identity_instance, a, b, sv, tau)
+        if isinstance(old[0], FieldSymbol):
+            assert [(t.entries, t.coef, repr(t)) for t in new] == \
+                [(t.entries, t.coef, repr(t)) for t in old]
+        else:
+            assert new == old
+        kinds[old[0] if isinstance(old[0], type) else "ok"] = 1
+    assert set(kinds) == {"ok", DegenerateBranch, ZeroEntry}
+
+
+def _tame_draws(rng, count):
+    ctx = Context(("x", "u"))
+    base = ctx.drop(1)
+    x, u = ctx.gens()
+    factors = [u, u - 1, u - x, u + 2, 1 + x * u, x, x + u, u * u + 1,
+               ctx.rational(-1), ctx.rational(3)]
+    valuations = [Valuation.finite(ctx, 1, c)
+                  for c in (base.zero, base.one, base.var(0), base.rational(-2))]
+    valuations.append(Valuation.infinity(ctx, 1))
+    for _ in range(count):
+        entries = [prod(rng.choice(factors) ** rng.choice((1, 1, 2, -1))
+                        for _ in range(rng.randint(1, 3)))
+                   for _ in range(rng.randint(1, 3))]
+        sym = FieldSymbol(ctx, entries, rng.choice((1, -1, 2)))
+        for v in valuations:
+            yield v, sym
+
+
+def test_tame_symbol_matches_the_old_expansion():
+    rng = random.Random(2021)
+    repeated = 0
+    for v, sym in _tame_draws(rng, 144):
+        old, new = old_tame_symbol(v, sym), tame_symbol(v, sym)
+        assert len(old) == len(new)
+        repeated += len(_terms(old)) < len(collect_terms(old))
+        _assert_same_sum(old, new, depth=1)
+    assert repeated  # the draws reach terms with a repeated entry
+
+
+def _filtration_entry(ctx, rng):
+    x, pi = ctx.gens()
+    c = ctx.rational(rng.choice((1, -1, 2, 3))) * rng.choice((ctx.one, x, x + 1))
+    kind = rng.randrange(6)
+    if kind < 2:
+        return 1 + c * pi ** rng.randint(1, 3)
+    if kind == 2:
+        return 1 + (c + pi) * pi ** rng.randint(1, 3)  # a pi-dependent unit
+    if kind == 3:
+        return c * pi ** rng.randint(1, 2)  # ord(y - 1) = 0, no unit
+    if kind == 4:
+        return 2 + c * pi  # a unit outside 1 + pi R
+    return c / pi
+
+
+def test_filtration_matches_the_old_rewriting(pctx):
+    rng = random.Random(2021)
+    v = Valuation.finite(pctx, 1, pctx.drop(1).zero)
+    done = raised = 0
+    while done < 80:
+        sym = FieldSymbol(pctx, [_filtration_entry(pctx, rng)
+                                 for _ in range(rng.randint(2, 3))], rng.choice((1, -1)))
+        total = sum(v.ord(y - 1) for y in sym.entries if not (y - 1).is_zero())
+        if total < 1:
+            continue
+        m = rng.randint(1, total + 1)  # total + 1 violates the hypothesis
+        old = _outcome(old_rewrite_filtration, sym, m, 1)
+        new = _outcome(rewrite_filtration, sym, m, 1)
+        if isinstance(old, tuple):
+            assert new == old
+            raised += 1
+            continue
+        assert len(new) == len(old)
+        for w, res in new:
+            assert v.ord(w - 1) >= m and all(v.ord(e) == 0 for e in res.entries)
+        _assert_same_sum(_recombined(pctx, old), _recombined(pctx, new), depth=1)
+        done += 1
+    assert raised
