@@ -89,7 +89,10 @@ class CycleGen:
 
 
 def _as_sum(zs):
-    return [zs] if isinstance(zs, CycleGen) else list(zs)
+    zs = [zs] if isinstance(zs, CycleGen) else list(zs)
+    if not zs:
+        raise ValueError("empty cycle sum has no context")
+    return zs
 
 
 def cyc_milnor(zs, m: int) -> CanonRelForm:
@@ -167,7 +170,7 @@ class ParamCurve:
         return "Curve(%s)" % "; ".join(str(g) for g in self.gs)
 
 
-def boundary(curve: ParamCurve, m: int):
+def boundary(curve: ParamCurve):
     """The boundary sum_(i>=1) (-1)^i (del_i^inf - del_i^0) as a list of
     CycleGen, cutting the curve at the rational zeros and poles of each
     cube coordinate with multiplicity ord_c(g_i)."""
@@ -181,8 +184,6 @@ def boundary(curve: ParamCurve, m: int):
     for v in vals:
         data = [v.ord_residue(g) for g in curve.gs]
         hot = [i for i in range(1, n + 1) if data[i][0] != 0]
-        if not hot:
-            continue
         # points escaping to t = infinity lie outside A^1: no face there
         if data[0][0] < 0:
             continue
@@ -228,7 +229,7 @@ def verify_boundary_vanishing(curve: ParamCurve, m: int):
     Returns (ok, evidence); requires the modulus inequality."""
     if not modulus_check_curve(curve, m):
         return False, {"modulus": False}
-    gens = boundary(curve, m)
+    gens = boundary(curve)
     if not gens:
         return True, {"modulus": True, "boundary": "empty"}
     cls = cyc_milnor(gens, m)

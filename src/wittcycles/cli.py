@@ -190,10 +190,8 @@ def cmd_witt(args):
         out = witt.unghost(tuple(coords))
     elif op == "gamma":
         out = witt.gamma(vec())
-    elif op == "gamma-inv":
+    else:  # gamma-inv
         out = witt.gamma_inv(TruncElem(ctx, len(coords) - 1, coords))
-    else:
-        raise ParseError("unknown witt subop %r" % op)
     return _output(args, lambda: repr(out), out.to_json)
 
 
@@ -214,12 +212,10 @@ def cmd_drw(args):
         out = drw.drw_V(args.s, form, level)
     elif op == "f":
         out = drw.drw_F(args.s, form)
-    elif op == "restrict":
+    else:  # restrict
         if args.level is None:
             raise ParseError("restrict needs --level")
         out = form.restrict(args.level)
-    else:
-        raise ParseError("unknown drw subop %r" % op)
     return _output(args, lambda: repr(out), out.to_json)
 
 

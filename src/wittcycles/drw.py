@@ -56,7 +56,7 @@ def drw_V(s: int, a: DRWForm, level: int) -> DRWForm:
         raise ValueError("input level %d too small for V_%d at level %d"
                          % (a.level, s, level))
     zero = DiffForm.zero(a.ctx, a.degree)
-    comps = [a.comps[j // s - 1].scale(s) if j % s == 0 and j // s <= a.level else zero
+    comps = [a.comps[j // s - 1].scale(s) if j % s == 0 else zero
              for j in range(1, level + 1)]
     return DRWForm(a.ctx, a.degree, level, comps)
 

@@ -14,10 +14,10 @@ truncated product, `series_product`.
 
 Each term of the paper's pro-systems is a tuple over one context at a
 level m that restricts to lower levels.  `LevelTuple` is that shape,
-with components `comps`: the base of F_m elements, Witt vectors, forms
-over F_m (`FormOnTrunc`, its two kinds of parts interleaved) and
-`FormTuple`, the tuples (w_1..w_m) of n-forms behind canonical relative
-forms and de Rham-Witt forms.
+with components `comps`: the base of F_m elements, Witt vectors and
+`FormTuple`, the tuples of forms.  These are the tuples (w_1..w_m) of
+n-forms behind canonical relative forms and de Rham-Witt forms, and the
+forms over F_m (`FormOnTrunc`), whose two kinds of parts interleave.
 """
 
 from __future__ import annotations
@@ -208,11 +208,10 @@ def dlog_wedge(ctx, values) -> DiffForm:
 class LevelTuple:
     """A term of a pro-system at level m >= 1: a tuple of level * width +
     extra components over one context (width 1 and extra 0 by default).
-    The base of F_m elements (extra 1), Witt vectors, forms over F_m
-    (width 2, extra 1) and form tuples; equality, hashing, the level
-    check, componentwise sums and negatives, restriction and the JSON list
-    live here.  Results keep the subclass, and tuples of different
-    subclasses never compare equal.  Immutable."""
+    The base of F_m elements (extra 1), Witt vectors and tuples of forms;
+    equality, hashing, the level check, componentwise sums and negatives,
+    restriction and the JSON list live here.  Results keep the subclass,
+    and tuples of different subclasses never compare equal.  Immutable."""
 
     __slots__ = ("ctx", "level", "comps")
     width, extra = 1, 0
@@ -281,14 +280,17 @@ class LevelTuple:
 
 
 class FormTuple(LevelTuple):
-    """A tuple (w_1..w_m) of n-forms over F; the shared shape of canonical
-    relative forms and de Rham-Witt ghost tuples."""
+    """A tuple of forms over F whose component i has degree
+    degree - i % width: the tuples (w_1..w_m) of n-forms behind canonical
+    relative forms and de Rham-Witt ghost tuples, and (width 2) the forms
+    over F_m.  The degree check, zero, scaling and the rebuild of results
+    live here."""
 
     __slots__ = ("degree",)
 
     def __init__(self, ctx, degree, level, comps):
         super().__init__(ctx, level, comps)
-        if any(w.degree != degree for w in self.comps):
+        if any(w.degree != degree - i % self.width for i, w in enumerate(self.comps)):
             raise ValueError("component degree mismatch")
         self.degree = degree
 
@@ -298,7 +300,9 @@ class FormTuple(LevelTuple):
 
     @classmethod
     def zero(cls, ctx, degree, level):
-        return cls(ctx, degree, level, (DiffForm.zero(ctx, degree),) * level)
+        return cls(ctx, degree, level,
+                   [DiffForm.zero(ctx, degree - i % cls.width)
+                    for i in range(level * cls.width + cls.extra)])
 
     def scale(self, c):
         return self._like([w.scale(c) for w in self.comps])
@@ -315,40 +319,30 @@ class FormTuple(LevelTuple):
                    [DiffForm.from_json(ctx, data["degree"], w) for w in data[cls.json_key]])
 
 
-class FormOnTrunc(LevelTuple):
+class FormOnTrunc(FormTuple):
     """A k-form over F_m in the split shape: tparts[i] is the coefficient
     of t^i (x) -, i = 0..m, and dt[i] that of t^i dt ^ -, i < m.  The
     components interleave them, comps = (omega_0, eta_0, omega_1, ...,
-    eta_(m-1), omega_m), so that restriction keeps a prefix.  Immutable."""
+    eta_(m-1), omega_m), so that restriction keeps a prefix; `of` builds
+    one from its parts.  Immutable."""
 
-    __slots__ = ("degree",)
+    __slots__ = ()
     width, extra = 2, 1
 
-    def __init__(self, ctx, degree, level, tparts=None, dt=None):
+    @classmethod
+    def of(cls, ctx, degree, level, tparts=None, dt=None):
+        """The form with the given t^i parts and t^i dt parts; an omitted
+        kind of part is zero."""
         comps = [None] * (2 * level + 1)  # a wrong part count fails to fill it
         comps[0::2] = [DiffForm.zero(ctx, degree)] * (level + 1) if tparts is None else tparts
         comps[1::2] = [DiffForm.zero(ctx, degree - 1)] * level if dt is None else dt
-        super().__init__(ctx, level, comps)
-        if any(w.degree != degree - i % 2 for i, w in enumerate(self.comps)):
-            raise ValueError("degree mismatch in t-power or dt parts")
-        self.degree = degree
+        return cls(ctx, degree, level, comps)
 
     tparts = property(lambda self: self.comps[0::2])
     dt = property(lambda self: self.comps[1::2])
 
-    @classmethod
-    def zero(cls, ctx, degree, level):
-        return cls(ctx, degree, level)
-
-    def _like(self, comps, level=None):
-        return type(self)(self.ctx, self.degree, self.level if level is None else level,
-                          comps[0::2], comps[1::2])
-
     def is_relative(self):
         return self.comps[0].is_zero()
-
-    def scale(self, c):
-        return self._like([w.scale(c) for w in self.comps])
 
     def wedge(self, other):
         """(omega + dt ^ eta) ^ (omega' + dt ^ eta') with
@@ -363,15 +357,15 @@ class FormOnTrunc(LevelTuple):
         if self.degree % 2:
             left = [-w for w in left]
         right = series_product(self.dt, other.tparts, m, zero_k1)
-        return FormOnTrunc(self.ctx, degree, m, tparts,
-                           [a + b for a, b in zip(left, right)])
+        return FormOnTrunc.of(self.ctx, degree, m, tparts,
+                              [a + b for a, b in zip(left, right)])
 
     def d(self):
         """Differential with d(t^i) = i t^(i-1) dt and t^m dt = 0."""
         parts = self.tparts
         dt = [-eta.d() + parts[i + 1].scale(i + 1) for i, eta in enumerate(self.dt)]
-        return FormOnTrunc(self.ctx, self.degree + 1, self.level,
-                           [w.d() for w in parts], dt)
+        return FormOnTrunc.of(self.ctx, self.degree + 1, self.level,
+                              [w.d() for w in parts], dt)
 
     def __repr__(self):
         parts = []
@@ -391,9 +385,9 @@ class FormOnTrunc(LevelTuple):
     @classmethod
     def from_json(cls, ctx, data):
         n, m = data["degree"], data["level"]
-        return cls(ctx, n, m,
-                   [DiffForm.from_json(ctx, n, w) for w in data["tparts"]],
-                   [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
+        return cls.of(ctx, n, m,
+                      [DiffForm.from_json(ctx, n, w) for w in data["tparts"]],
+                      [DiffForm.from_json(ctx, n - 1, w) for w in data["dt"]])
 
 
 class CanonRelForm(FormTuple):
@@ -406,8 +400,8 @@ class CanonRelForm(FormTuple):
 
     def embed(self) -> FormOnTrunc:
         """The representative sum_i t^i (x) c_i as a relative form on F_m."""
-        return FormOnTrunc(self.ctx, self.degree, self.level,
-                           (DiffForm.zero(self.ctx, self.degree),) + self.comps)
+        return FormOnTrunc.of(self.ctx, self.degree, self.level,
+                              (DiffForm.zero(self.ctx, self.degree),) + self.comps)
 
     def to_json(self):
         return {"degree": self.degree + 1, "canon": super().to_json()}

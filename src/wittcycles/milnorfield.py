@@ -167,14 +167,17 @@ class Valuation:
         return total
 
 
+def _as_sum(terms):
+    terms = [terms] if isinstance(terms, FieldSymbol) else list(terms)
+    if not terms:
+        raise ValueError("empty symbol sum has no context")
+    return terms
+
+
 def dlog_realization(terms) -> DiffForm:
     """The form sum coef * dlog(y_1)^..^dlog(y_n) of a symbol sum; the
     canonical sound (but not complete) equality oracle."""
-    if isinstance(terms, FieldSymbol):
-        terms = [terms]
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty symbol sum has no context")
+    terms = _as_sum(terms)
     ctx = terms[0].ctx
     n = terms[0].degree
     total = DiffForm.zero(ctx, n)
@@ -246,9 +249,7 @@ def gersten_boundary(terms, upos):
     """Tame symbols of a symbol sum over F(u) at every rational point of
     its support (infinity included); returns (list of (Valuation, symbol
     sum), list of non-rational factors)."""
-    if isinstance(terms, FieldSymbol):
-        terms = [terms]
-    terms = list(terms)
+    terms = _as_sum(terms)
     vals, nonrational = rational_support(
         terms[0].ctx, [y for sym in terms for y in sym.entries], upos)
     # with non-rational support the point enumeration is incomplete, so
@@ -299,9 +300,7 @@ def weil_reciprocity_check(terms, upos):
     """Sum the Gersten boundary of a symbol sum over F(u) across all
     rational points including infinity and verify the total vanishes
     under the realization oracles.  Requires fully rational support."""
-    if isinstance(terms, FieldSymbol):
-        terms = [terms]
-    terms = list(terms)
+    terms = _as_sum(terms)
     bnd, nonrational = gersten_boundary(terms, upos)
     if nonrational:
         raise NonRationalSupport("support outside rational points: %s" % nonrational)

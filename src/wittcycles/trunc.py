@@ -148,13 +148,13 @@ def trunc_dlog(u: TruncElem) -> FormOnTrunc:
     quotients = {(j,): series_quotient(du, u.comps) for j, du in enumerate(dus) if any(du)}
     tparts = [DiffForm(ctx, 1, {s: q[k] for s, q in quotients.items()})
               for k in range(u.level + 1)]
-    return FormOnTrunc(ctx, 1, u.level, tparts,
-                       [DiffForm.scalar(c) for c in log_derivative(u).comps[1:]])
+    return FormOnTrunc.of(ctx, 1, u.level, tparts,
+                          [DiffForm.scalar(c) for c in log_derivative(u).comps[1:]])
 
 
 def embed_form(a: TruncElem) -> FormOnTrunc:
     """View a ring element as a degree-0 form over F_m."""
-    return FormOnTrunc(a.ctx, 0, a.level, [DiffForm.scalar(c) for c in a.comps])
+    return FormOnTrunc.of(a.ctx, 0, a.level, [DiffForm.scalar(c) for c in a.comps])
 
 
 def parse_trunc(ctx: Context, level: int, text: str) -> TruncElem:

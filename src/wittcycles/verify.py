@@ -73,10 +73,10 @@ class Sampler:
 
     def form_on_trunc(self, k, m):
         """A light relative k-form: zero t^0 part, sparse monomial parts."""
-        return FormOnTrunc(self.ctx, k, m,
-                           [DiffForm.zero(self.ctx, k)]
-                           + [self.form(k, True) for _ in range(m)],
-                           [self.form(k - 1, True) for _ in range(m)])
+        return FormOnTrunc.of(self.ctx, k, m,
+                              [DiffForm.zero(self.ctx, k)]
+                              + [self.form(k, True) for _ in range(m)],
+                              [self.form(k - 1, True) for _ in range(m)])
 
     def canon(self, n, m):
         return CanonRelForm(self.ctx, n, m, [self.form(n) for _ in range(m)])
@@ -404,17 +404,17 @@ def check_theta_roundtrip(ctx, seed, trials_per_cell, m_max=6):
                 got = relmilnor.normal_form(relmilnor.theta(a, bs))
                 want = embed_form(a)
                 for b in bs:
-                    want = want.wedge(FormOnTrunc(
+                    want = want.wedge(FormOnTrunc.of(
                         ctx, 1, m, (dlog(b),) + (DiffForm.zero(ctx, 1),) * m))
                 _require(got == reduce_mod_exact(want), "theta-roundtrip", a, bs)
                 yield
 
 
 @_check("product-and-restriction")
-def check_relmilnor_products(ctx, seed, trials, m_max=5):
+def check_relmilnor_products(ctx, seed, trials):
     s = Sampler(ctx, seed)
     for _ in range(trials):
-        m = s.rng.randint(1, m_max)
+        m = s.rng.randint(1, 5)
         u = s.principal_unit(m)
         w = s.trunc_unit(m)
         c = s.nonzero()
@@ -511,11 +511,11 @@ def suite_reciprocity(seed, trials, names):
 # -- cycle-iso suite ----------------------------------------------------
 
 @_check("cycle-class-dictionary")
-def check_cycle_dictionary(ctx, seed, trials, m_max=6):
+def check_cycle_dictionary(ctx, seed, trials):
     s = Sampler(ctx, seed)
     for _ in range(trials):
         n = s.rng.randint(1, ctx.r + 1)
-        m = s.rng.randint(1, m_max)
+        m = s.rng.randint(1, 6)
         z = s.cycle_gen(n, m)
         om = addchow.cycle_to_drw(z, m)
         via_drw = addchow.drw_to_milnor_diagonal(om)
@@ -525,12 +525,12 @@ def check_cycle_dictionary(ctx, seed, trials, m_max=6):
 
 
 @_check("tower-compatibility")
-def check_towers(ctx, seed, trials, m_max=6):
+def check_towers(ctx, seed, trials):
     s = Sampler(ctx, seed)
     for _ in range(trials):
         n = s.rng.randint(1, ctx.r + 1)
-        m = s.rng.randint(1, m_max - 1)
-        mp = s.rng.randint(m + 1, m_max)
+        m = s.rng.randint(1, 5)
+        mp = s.rng.randint(m + 1, 6)
         z = s.cycle_gen(n, mp)
         _require(addchow.tower_compat(z, mp, m), "tower-compatibility", z, mp, m)
         yield
@@ -596,7 +596,7 @@ def _curve_corpus(names, seed, count):
         if not addchow.modulus_check_curve(curve, m):
             continue
         try:
-            addchow.boundary(curve, m)
+            addchow.boundary(curve)
         except WittCyclesError:
             continue  # degenerate face configuration: resample
         out.append((curve, m))

@@ -13,7 +13,8 @@ from wittcycles.addchow import (CycleGen, ParamCurve, boundary, cyc_milnor,
 from wittcycles.drw import DRWForm, phi
 from wittcycles.errors import NonRationalBoundary
 from wittcycles.forms import dlog
-from wittcycles.milnorfield import FieldSymbol, gersten_boundary
+from wittcycles.milnorfield import (FieldSymbol, dlog_realization, gersten_boundary,
+                                    weil_reciprocity_check)
 from wittcycles.relmilnor import RelSymbol, normal_form
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, parse_trunc
@@ -135,7 +136,7 @@ def test_boundary_face_bookkeeping(ectx):
     x, y, u = ectx.gens()
     # g0 = x(1+u), g1 = u/(u-1): faces at u=0 (t=x, +1) and u=1 (t=2x, -1)
     curve = ParamCurve(ectx, 2, [x * (1 + u), u / (u - 1)])
-    gens = boundary(curve, 2)
+    gens = boundary(curve)
     bx = gens[0].ctx.var(0)
     got = {(g.f[1], g.coef) for g in gens}
     assert (-(1 / bx), Fraction(1)) in got
@@ -145,7 +146,7 @@ def test_boundary_face_bookkeeping(ectx):
 def test_boundary_of_constant_t_coordinate_cancels(ectx):
     x, y, u = ectx.gens()
     curve = ParamCurve(ectx, 2, [x + 1, u])
-    gens = boundary(curve, 2)
+    gens = boundary(curve)
     assert cyc_milnor(gens, 2).is_zero()
 
 
@@ -153,7 +154,7 @@ def test_boundary_requires_rational_support(ectx):
     x, y, u = ectx.gens()
     curve = ParamCurve(ectx, 2, [x, u * u + 1])
     with pytest.raises(NonRationalBoundary):
-        boundary(curve, 2)
+        boundary(curve)
 
 
 def test_modulus_check(ectx):
@@ -214,7 +215,7 @@ def test_boundary_and_gersten_boundary_share_support(ectx):
     # order 3 at infinity; g0 is a unit at all three points
     g0 = (u + 5) / (u + 3)
     g1 = (u - 1) ** 2 * (u + 2)
-    gens = boundary(ParamCurve(ectx, 2, [g0, g1]), 2)
+    gens = boundary(ParamCurve(ectx, 2, [g0, g1]))
     bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1]), 2)
     assert not nonrational
     assert sorted(str(v) for v, _ in bnd) == ["(u = -2)", "(u = 1)", "(u = infinity)"]
@@ -225,3 +226,14 @@ def test_boundary_and_gersten_boundary_share_support(ectx):
     for z, (v, parts) in zip(gens, bnd):
         assert z.f[1] == -v.ord_residue(g0)[1].inv()
         assert z.coef == v.ord(g1) == parts[0].coef
+
+
+@pytest.mark.parametrize("fn, args", [
+    (cyc_milnor, (2,)), (cycle_to_drw, (2,)), (gersten_boundary, (0,)),
+    (weil_reciprocity_check, (0,)), (normal_form, ()), (dlog_realization, ()),
+], ids=["cyc_milnor", "cycle_to_drw", "gersten_boundary", "weil_reciprocity_check",
+        "normal_form", "dlog_realization"])
+def test_empty_sums_raise_value_error(fn, args):
+    """An empty cycle or symbol sum has no context to work in."""
+    with pytest.raises(ValueError, match="^empty (cycle|symbol) sum has no context$"):
+        fn([], *args)

@@ -410,6 +410,30 @@ def test_unexpected_end_of_input(capsys):
         "type": "ParseError", "message": "unexpected end of input in '1+'"}
 
 
+@pytest.mark.parametrize("argv, kind, message", [
+    (["nf", "--symbol", "2{1+t,x}"], "ParseError", "bad symbol prefix '2'"),
+    (["nf", "--symbol", "{1+t,0^0}"], "ValueError", "0**0"),
+    (["witt", "ghost", "((x)"], "ParseError", "expected ')' in '(x'"),
+    (["witt", "ghost", "(x))"], "ParseError", "trailing input in 'x)'"),
+    (["drw", "f", "--s", "0", "--witt", "(1,2)"], "ValueError", "s must be >= 1"),
+    (["drw", "v", "--s", "0", "--witt", "(1,2)"], "ValueError", "s must be >= 1"),
+    (["drw", "v", "--s", "2", "--level", "9", "--witt", "(1,2)"], "ValueError",
+     "input level 2 too small for V_2 at level 9"),
+])
+def test_bad_input_exits_2_with_its_message(capsys, argv, kind, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": kind, "message": message}
+
+
+@pytest.mark.parametrize("signed, plain", [("{1+t,x^-1}", "{1+t,1/x}"),
+                                           ("{1+t,x^--2}", "{1+t,x^2}")])
+def test_exponent_signs(capsys, signed, plain):
+    """Each '-' after '^' flips the exponent's sign."""
+    got = run(capsys, "nf", "--symbol", signed)
+    assert got[0] == 0 and got == run(capsys, "nf", "--symbol", plain)
+
+
 @pytest.mark.parametrize("argv", [
     ["ghost", "--m", "3", "(x, 1/(x+1), 2)"],
     ["gamma", "(x, 1/(x+1), 2)"],

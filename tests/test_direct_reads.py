@@ -341,7 +341,7 @@ def test_nonrational_factor_strings(ectx):
     want = ["-2*u**2 + x", "3*u**2 + y"]
     assert old_nonrational([g1], 2) == want
     with pytest.raises(NonRationalBoundary) as err:
-        boundary(ParamCurve(ectx, 2, [(u + 5) / (u + 3), g1]), 2)
+        boundary(ParamCurve(ectx, 2, [(u + 5) / (u + 3), g1]))
     assert str(err.value) == "cube coordinates vanish outside rational points: %s" % want
     bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1, g2]), 2)
     assert nonrational == old_nonrational([g1, g2], 2) == want + ["-u**3 + y"]
@@ -382,7 +382,7 @@ def old_wedge(f, g):
             b = g.tparts[j]
             if not b.is_zero():
                 dtparts[i + j] = dtparts[i + j] + eta.wedge(b)
-    return FormOnTrunc(f.ctx, degree, m, tparts, dtparts)
+    return FormOnTrunc.of(f.ctx, degree, m, tparts, dtparts)
 
 
 def _form(ctx, rng, k):
@@ -396,8 +396,8 @@ def _form(ctx, rng, k):
 def _form_on_trunc(ctx, rng, k, m):
     """A k-form over F_m whose dt-part is nonzero when k >= 1."""
     while True:
-        f = FormOnTrunc(ctx, k, m, [_form(ctx, rng, k) for _ in range(m + 1)],
-                        [_form(ctx, rng, k - 1) for _ in range(m)])
+        f = FormOnTrunc.of(ctx, k, m, [_form(ctx, rng, k) for _ in range(m + 1)],
+                           [_form(ctx, rng, k - 1) for _ in range(m)])
         if k == 0 or any(f.dt):
             return f
 

@@ -131,10 +131,10 @@ def _level_tuple(ctx, cls):
         a = WittVector(ctx, 2, [x, y])
         return a, (2,), (a.comps,), a.to_json()["coords"]
     if cls is FormOnTrunc:
-        a = FormOnTrunc(ctx, 1, 2, [DiffForm.zero(ctx, 1)] + forms,
-                        [DiffForm.scalar(x), DiffForm.scalar(y)])
+        a = FormOnTrunc.of(ctx, 1, 2, [DiffForm.zero(ctx, 1)] + forms,
+                           [DiffForm.scalar(x), DiffForm.scalar(y)])
         data = a.to_json()
-        return a, (1, 2), (a.tparts, a.dt), data["tparts"] + data["dt"]
+        return a, (1, 2), (a.comps,), data["tparts"] + data["dt"]
     a = cls(ctx, 1, 2, forms)
     data = a.to_json()
     listed = data["ghost"] if cls is DRWForm else data["canon"]["comps"]
@@ -169,7 +169,7 @@ def test_forms_over_trunc_interleave_their_parts(ctx):
     assert a.comps == (omega[0], eta[0], omega[1], eta[1], omega[2])
     low = a.restrict(1)
     assert (low.tparts, low.dt, low.degree) == (omega[:2], eta[:1], 1)
-    assert FormOnTrunc.zero(ctx, 1, 2) == FormOnTrunc(ctx, 1, 2)
+    assert FormOnTrunc.zero(ctx, 1, 2) == FormOnTrunc.of(ctx, 1, 2)
     assert (a + a).dt == tuple(w.scale(2) for w in eta) and a.scale(2) == a + a
     with pytest.raises(ValueError):
         a + FormOnTrunc.zero(ctx, 2, 2)

@@ -41,9 +41,9 @@ def test_trunc_d_with_dt_term(ctx):
     x = ctx.var(0)
     m = 3
     # d(t^2 (x) x) = t^2 (x) dx + 2 t dt ^ x
-    alpha = FormOnTrunc(ctx, 0, m,
-                        tparts=[DiffForm.zero(ctx, 0), DiffForm.zero(ctx, 0),
-                                DiffForm.scalar(x), DiffForm.zero(ctx, 0)])
+    alpha = FormOnTrunc.of(ctx, 0, m,
+                           tparts=[DiffForm.zero(ctx, 0), DiffForm.zero(ctx, 0),
+                                   DiffForm.scalar(x), DiffForm.zero(ctx, 0)])
     got = alpha.d()
     assert got.tparts[2] == DiffForm(ctx, 1, {(0,): ctx.one})
     assert got.dt[1] == DiffForm.scalar(x).scale(2)
@@ -54,8 +54,8 @@ def test_trunc_wedge_truncates(ctx):
     m = 2
     dx = dlog(ctx.var(0)).scale(ctx.var(0))
     zero = DiffForm.zero(ctx, 1)
-    a = FormOnTrunc(ctx, 1, m, tparts=[zero, dx, zero])
-    b = FormOnTrunc(ctx, 1, m, tparts=[zero, zero, dlog(ctx.var(1))])
+    a = FormOnTrunc.of(ctx, 1, m, tparts=[zero, dx, zero])
+    b = FormOnTrunc.of(ctx, 1, m, tparts=[zero, zero, dlog(ctx.var(1))])
     # t * t^m = 0
     assert a.wedge(b).is_zero()
 
@@ -63,7 +63,7 @@ def test_trunc_wedge_truncates(ctx):
 def test_top_index_dt_term_is_zero_by_shape(ctx):
     # the split representation simply has no slot for t^m dt
     m = 2
-    f = FormOnTrunc(ctx, 1, m, dt=[DiffForm.zero(ctx, 0)] * m)
+    f = FormOnTrunc.of(ctx, 1, m, dt=[DiffForm.zero(ctx, 0)] * m)
     assert len(f.dt) == m and f.is_zero()
 
 
@@ -71,8 +71,8 @@ def test_reduce_dt_only_term(ctx):
     x, y = ctx.gens()
     m = 3
     eta = DiffForm(ctx, 0, {(): x * y})
-    alpha = FormOnTrunc(ctx, 1, m, dt=[eta, DiffForm.zero(ctx, 0),
-                                       DiffForm.zero(ctx, 0)])
+    alpha = FormOnTrunc.of(ctx, 1, m, dt=[eta, DiffForm.zero(ctx, 0),
+                                          DiffForm.zero(ctx, 0)])
     got = reduce_mod_exact(alpha)
     assert got.comps[0] == -eta.d()
     assert got.comps[1].is_zero() and got.comps[2].is_zero()
@@ -83,7 +83,7 @@ def test_reduce_kills_exact(ctx):
     m = 3
     omega = DiffForm(ctx, 1, {(0,): y ** 2, (1,): x})
     zero = DiffForm.zero(ctx, 1)
-    alpha = FormOnTrunc(ctx, 1, m, tparts=[zero, zero, omega, zero])
+    alpha = FormOnTrunc.of(ctx, 1, m, tparts=[zero, zero, omega, zero])
     assert reduce_mod_exact(alpha.d()).is_zero()
 
 
@@ -91,13 +91,13 @@ def test_reduce_fixes_canonical(ctx):
     closed = dlog(ctx.var(0))  # closed 1-form
     m = 2
     zero = DiffForm.zero(ctx, 1)
-    alpha = FormOnTrunc(ctx, 1, m, tparts=[zero, closed, zero])
+    alpha = FormOnTrunc.of(ctx, 1, m, tparts=[zero, closed, zero])
     got = reduce_mod_exact(alpha)
     assert got.comps == (closed, DiffForm.zero(ctx, 1))
 
 
 def test_reduce_rejects_absolute_part(ctx):
-    alpha = FormOnTrunc(ctx, 0, 1, tparts=[DiffForm.scalar(ctx.one), DiffForm.zero(ctx, 0)])
+    alpha = FormOnTrunc.of(ctx, 0, 1, tparts=[DiffForm.scalar(ctx.one), DiffForm.zero(ctx, 0)])
     with pytest.raises(NotRelative):
         reduce_mod_exact(alpha)
 
@@ -111,7 +111,20 @@ def test_canon_embed_restrict_roundtrip(ctx):
 
 def test_form_json_roundtrip(ctx):
     x, y = ctx.gens()
-    f = FormOnTrunc(ctx, 1, 2,
-                    tparts=[dlog(x), dlog(y), DiffForm.zero(ctx, 1)],
-                    dt=[DiffForm.scalar(x * y), DiffForm.zero(ctx, 0)])
+    f = FormOnTrunc.of(ctx, 1, 2,
+                       tparts=[dlog(x), dlog(y), DiffForm.zero(ctx, 1)],
+                       dt=[DiffForm.scalar(x * y), DiffForm.zero(ctx, 0)])
     assert FormOnTrunc.from_json(ctx, f.to_json()) == f
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx, one, two: CanonRelForm(ctx, 1, 2, [one, two]),
+    lambda ctx, one, two: FormOnTrunc.of(ctx, 1, 1, tparts=[one, two]),
+    lambda ctx, one, two: FormOnTrunc.of(ctx, 1, 1, dt=[one]),
+    lambda ctx, one, two: FormOnTrunc(ctx, 1, 1, [one] * 3),
+], ids=["canonical", "t-part", "dt-part", "interleaved"])
+def test_one_degree_rule_for_every_tuple_of_forms(ctx, build):
+    """Component i of a tuple of n-forms has degree n - i % width."""
+    one, two = dlog(ctx.var(0)), dlog_wedge(ctx, ctx.gens())
+    with pytest.raises(ValueError, match="^component degree mismatch$"):
+        build(ctx, one, two)
