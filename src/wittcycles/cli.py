@@ -92,11 +92,15 @@ def parse_generator(ctx, m, text, ring="q"):
     return addchow.CycleGen(list(fpoly.comps), bs, coef)
 
 
-def parse_tuple(ctx, text):
+def parse_tuple(ctx, text, extra=0):
+    """`(e_1, ..., e_n)`; n - extra is the level the tuple implies, checked
+    against MAX_LEVEL before any entry is parsed."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError("tuple must be parenthesized: %r" % text)
-    return [parse_elem(ctx, p) for p in _entries(text[1:-1], text)]
+    entries = _entries(text[1:-1], text)
+    _check_level(len(entries) - extra)
+    return [parse_elem(ctx, p) for p in entries]
 
 
 def _context(args):
@@ -115,7 +119,7 @@ def _coordinate_tuples(ctx, texts, m, extra=0):
     """The parsed tuples; with m given, each must have m + extra entries."""
     if m is not None and m < 1:
         raise ValueError("level must be >= 1")
-    tuples = [parse_tuple(ctx, text) for text in texts]
+    tuples = [parse_tuple(ctx, text, extra) for text in texts]
     for coords in tuples:
         if m is not None and len(coords) != m + extra:
             raise ParseError("expected %d coordinates, got %d" % (m + extra, len(coords)))

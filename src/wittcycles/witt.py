@@ -6,8 +6,9 @@ componentwise tuples over Q.  The group isomorphism gamma onto principal
 units of F_m uses the minus sign, gamma(a) = prod_i (1 - a_i t^i).  Ring
 operations go through ghost coordinates, which are plain tuples
 (g_1..g_m) of field elements; unghost is the triangular solve
-a_j = (g_j - lower terms)/j, valid only over Q.  gamma_inv is
-unghost(-t u'/u), read off the log derivative of the unit.
+a_j = (g_j - lower terms)/j, valid only over Q.  gamma_inv mirrors
+gamma: it divides the unit by its factors (1 - a_i t^i) in place, one i
+at a time, reading a_i off the lowest coefficient left.
 """
 
 from __future__ import annotations
@@ -95,15 +96,29 @@ def gamma(a: WittVector) -> TruncElem:
 
 def log_ghost(u: TruncElem) -> tuple:
     """The ghost tuple of gamma_inv(u) for a principal unit u: from
-    -t u'/u = sum_j g_j t^j, g_j = -(t u'/u)_j."""
+    -t u'/u = sum_j g_j t^j, g_j = -(t u'/u)_j.  One F_m division, the
+    route addchow.cycle_to_drw takes on its dense units."""
     return tuple(-c for c in log_derivative(u).comps[1:])
 
 
 def gamma_inv(u: TruncElem) -> WittVector:
-    """Inverse of gamma, as the unghost of log_ghost(u)."""
+    """Inverse of gamma, the mirror of its update: for i = 1..m, a_i is
+    -c_i; a nonzero a_i divides the coefficients by (1 - a_i t^i) in
+    place, c_i = 0 and c_k += a_i c_(k-i) for k from i + 1 up to m."""
     if not u.is_principal():
         raise BadConstantTerm("gamma_inv needs constant term 1")
-    return unghost(log_ghost(u))
+    m = u.level
+    c = list(u.comps)
+    coords = []
+    for i in range(1, m + 1):
+        ai = -c[i]
+        coords.append(ai)
+        if ai:
+            c[i] = u.ctx.zero
+            for k in range(i + 1, m + 1):
+                if c[k - i]:
+                    c[k] = c[k] + ai * c[k - i]
+    return WittVector(u.ctx, m, coords)
 
 
 def teichmuller(a: FieldElem, level: int) -> WittVector:

@@ -289,6 +289,11 @@ def test_level_zero_exits_2(capsys, argv):
     # drw v without --level reaches level s*m
     (["drw", "v", "--m", "1", "--witt", "(x)", "--s", "1000000000"], 1000000000),
     (["drw", "v", "--witt", "(x,1)", "--s", "129"], 258),
+    # without --m the level is the tuple's length, checked before any entry
+    # is parsed; gamma-inv reads m + 1 coefficients
+    (["witt", "ghost", "(%s)" % ",".join(["x"] * 257)], 257),
+    (["witt", "gamma-inv", "(%s)" % ",".join(["1"] * 258)], 257),
+    (["drw", "d", "--witt", "(%s)" % ",".join(["x"] * 257), "--bs", "x"], 257),
 ])
 def test_level_above_the_limit_exits_2(capsys, argv, level):
     code, out, err = run(capsys, *argv)
@@ -300,6 +305,8 @@ def test_level_above_the_limit_exits_2(capsys, argv, level):
 def test_level_at_the_limit_runs(capsys):
     code, out, _ = run(capsys, "drw", "v", "--m", "1", "--witt", "(x)", "--s", "256")
     assert code == 0 and json.loads(out)["level"] == 256
+    code, out, _ = run(capsys, "witt", "ghost", "(%s)" % ",".join(["1"] * 256))
+    assert code == 0 and len(json.loads(out)["ghost"]) == 256
 
 
 def test_monomial_entry_with_a_huge_exponent_is_fast(capsys):

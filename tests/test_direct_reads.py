@@ -659,8 +659,11 @@ def test_polynomial_units_divide_without_sympy_products(monkeypatch):
         return len(products)
 
     assert count(log_t, u) == count(TruncElem.inv, u) == count(log_ghost, u) == 0
-    # gamma_inv's only products are those of its unghost
-    assert count(gamma_inv, u) == count(unghost, log_ghost(u)) > 0
+    # gamma_inv makes one product a_i c_(k-i) per nonzero pair.  After step
+    # i, c_1..c_i are zero; on this dense unit every a_i and every other
+    # c_j is nonzero, so there is one product per i < j = k - i <= m - i
+    assert all(gamma_inv(u).comps)
+    assert count(gamma_inv, u) == sum(max(m - 2 * i, 0) for i in range(1, m + 1)) == 6
     # a fraction-tier unit takes the loop, and still divides correctly
     assert count(log_t, f) > 0
     assert log_t(f) == old_log_t(f) and f.inv() == old_inv(f)
@@ -684,6 +687,12 @@ def old_gamma(a):
             factor[i] = -ai
             result = result * TruncElem(a.ctx, m, factor)
     return result
+
+
+def old_gamma_inv(u):
+    """gamma_inv as it was: the unghost of log_ghost(u), one F_m division
+    followed by the triangular solve of the ghost map."""
+    return unghost(log_ghost(u))
 
 
 def _assert_same(got, want, *inputs):
@@ -726,6 +735,44 @@ def test_gamma_matches_the_product_of_factors(m):
     for shares in ((1, 0, 0), (0.3, 0.7, 0), (0, 1, 0), (0.2, 0.6, 0.2), (0, 0, 1)):
         a = WittVector(ctx, m, [rng.choices(draws, shares)[0]() for _ in range(m)])
         _assert_same(gamma(a), old_gamma(a), a)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_gamma_inv_matches_the_unghost_route(m):
+    ctx = Context(("x", "y"))
+    # the draws of test_gamma_matches_the_product_of_factors
+    rng = random.Random(2100 + m)
+    draws = (lambda: ctx.zero, lambda: _poly(ctx, rng, 2, maxdeg=1),
+             lambda: _fraction(ctx, rng))
+    for shares in ((1, 0, 0), (0.3, 0.7, 0), (0, 1, 0), (0.2, 0.6, 0.2), (0, 0, 1)):
+        a = WittVector(ctx, m, [rng.choices(draws, shares)[0]() for _ in range(m)])
+        u = gamma(a)
+        _assert_same(gamma_inv(u), a, u)
+        # the old route takes seconds on the all-fraction draws past m = 10
+        if m <= 10 or shares[2] < 1:
+            _assert_same(gamma_inv(u), old_gamma_inv(u), u)
+    # principal units that are not gamma of a short vector; past m = 8 the
+    # old route takes up to a second on each dense one
+    rng = random.Random(2400 + m)
+    for kind in UNIT_KINDS if m <= 8 else ("sparse",):
+        u = _unit(ctx, rng, m, kind)
+        p = u.scale(u.comps[0].inv())
+        _assert_same(gamma_inv(p), old_gamma_inv(p), p)
+
+
+def test_gamma_inv_matches_the_unghost_route_at_m_24():
+    # gamma of linear coordinates (p x + q y + r)/s, as the benchmark's
+    # gamma-inv calls read them
+    ctx = Context(("x", "y"))
+    x, y = ctx.gens()
+    rng = random.Random(2424)
+    m = 24
+    a = WittVector(ctx, m, [(rng.randint(-5, 5) * x + rng.randint(-5, 5) * y
+                             + rng.randint(-5, 5)).scale(Fraction(1, rng.randint(1, 3)))
+                            for _ in range(m)])
+    u = gamma(a)
+    _assert_same(gamma_inv(u), a, u)
+    _assert_same(gamma_inv(u), old_gamma_inv(u), u)
 
 
 # -- the derivative against the gcd over den^2 ------------------------------
