@@ -29,13 +29,13 @@ from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
 from .milnorfield import Valuation, rational_support
 from .relmilnor import RelSymbol, normal_form
-from .scalars import FieldElem, fraction_text, parse_fraction
+from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
 from .trunc import TruncElem
 from .witt import log_ghost
 from .drw import DRWForm, ghost_dlog
 
 
-class CycleGen:
+class CycleGen(JsonText):
     """A scaled 0-cycle generator (f(t), b_1..b_(n-1)). Immutable."""
 
     __slots__ = ("ctx", "f", "bs", "coef")
@@ -76,10 +76,8 @@ class CycleGen:
         return "%s*[(%s; %s)]" % (self.coef, fstr or "0",
                                   ", ".join(str(b) for b in self.bs))
 
-    def to_json(self):
-        return {"f": [c.to_json() for c in self.f],
-                "bs": [b.to_json() for b in self.bs],
-                "coef": fraction_text(self.coef)}
+    def json_shape(self):
+        return {"f": self.f, "bs": self.bs, "coef": fraction_text(self.coef)}
 
     @classmethod
     def from_json(cls, ctx, data):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import addchow, drw, relmilnor, verify, witt
 from .errors import ParseError, WittCyclesError
-from .scalars import Context, parse_elem, parse_fraction
+from .scalars import Context, parse_elem, parse_fraction, write_json
 from .trunc import TruncElem, parse_trunc
 
 # The highest level any subcommand accepts.  A level m allocates lists of
@@ -30,13 +30,13 @@ MAX_LEVEL = 256
 def _entries(body, text):
     """The comma-separated entries of body, split outside parentheses;
     an empty entry is a ParseError that names the whole input text."""
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(body):
-        depth += (c == "(") - (c == ")")
-        if c == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
+    parts, depth = [], 0
+    for piece in body.split(","):
+        if depth:  # the comma before piece is inside parentheses
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+        depth += piece.count("(") - piece.count(")")
     if not all(p.strip() for p in parts):
         raise ParseError("empty entry in %r" % text)
     return parts
@@ -126,17 +126,10 @@ def _coordinate_tuples(ctx, texts, m, extra=0):
     return tuples
 
 
-def _emit(payload):
-    print(json.dumps(payload, default=str))
-
-
-def _output(args, text, payload):
-    """Print text() under --pretty and the JSON of payload() otherwise;
-    only the one printed is built."""
-    if args.pretty:
-        print(text())
-    else:
-        _emit(payload())
+def _output(args, text, json_text):
+    """Print text() under --pretty and json_text() otherwise; only the
+    one printed is built."""
+    print(text() if args.pretty else json_text())
     return 0
 
 
@@ -151,7 +144,7 @@ def _class_output(args, parse, texts, to_class):
         raise ParseError("symbol degree %d does not match --n %d"
                          % (cls.degree + 1, args.n))
     return _output(args, lambda: "degree %d, level %d\ncanon: %s"
-                   % (cls.degree + 1, cls.level, cls), cls.to_json)
+                   % (cls.degree + 1, cls.level, cls), cls.json_text)
 
 
 def cmd_nf(args):
@@ -180,12 +173,12 @@ def cmd_witt(args):
     if op == "ghost":
         g = witt.ghost(vec())
         return _output(args, lambda: "G(" + ", ".join(str(c) for c in g) + ")",
-                       lambda: {"ghost": [c.to_json() for c in g]})
+                       lambda: write_json({"ghost": g}))
     if op == "decompose":
         pairs = witt.witt_decompose(vec())
         return _output(args,
                        lambda: ", ".join("V_%d[%s]" % (i, a) for i, a in pairs) or "0",
-                       lambda: [[i, a.to_json()] for i, a in pairs])
+                       lambda: write_json([[i, a] for i, a in pairs]))
     if op == "add":
         out = vec(0) + vec(1)
     elif op == "mul":
@@ -196,7 +189,7 @@ def cmd_witt(args):
         out = witt.gamma(vec())
     else:  # gamma-inv
         out = witt.gamma_inv(TruncElem(ctx, len(coords) - 1, coords))
-    return _output(args, lambda: repr(out), out.to_json)
+    return _output(args, lambda: repr(out), out.json_text)
 
 
 def cmd_drw(args):
@@ -220,7 +213,7 @@ def cmd_drw(args):
         if args.level is None:
             raise ParseError("restrict needs --level")
         out = form.restrict(args.level)
-    return _output(args, lambda: repr(out), out.to_json)
+    return _output(args, lambda: repr(out), out.json_text)
 
 
 def cmd_verify(args):
@@ -238,7 +231,7 @@ def cmd_verify(args):
                 print(line)
         print("overall: %s" % ("PASS" if report["ok"] else "FAIL"))
     else:
-        _emit(report)
+        print(json.dumps(report, default=str))
     return 0 if report["ok"] else 1
 
 

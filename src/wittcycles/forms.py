@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotRelative, ZeroArgument
-from .scalars import FieldElem
+from .scalars import FieldElem, JsonText
 
 
 def series_product(xs, ys, n, zero):
@@ -57,7 +57,7 @@ def _merge_sign(s, t):
     return merged, (-1) ** inversions
 
 
-class DiffForm:
+class DiffForm(JsonText):
     """A differential form of fixed degree over Q(x1..xr). Immutable.
 
     Degree -1 is allowed and forced to be the zero form; it appears as the
@@ -175,8 +175,8 @@ class DiffForm:
             parts.append(coef + ("*" + basis if basis else ""))
         return " + ".join(parts)
 
-    def to_json(self):
-        return [[list(s), v.to_json()] for s, v in sorted(self.coeffs.items())]
+    def json_shape(self):
+        return [[list(s), v] for s, v in sorted(self.coeffs.items())]
 
     @classmethod
     def from_json(cls, ctx, degree, data):
@@ -205,7 +205,7 @@ def dlog_wedge(ctx, values) -> DiffForm:
     return total
 
 
-class LevelTuple:
+class LevelTuple(JsonText):
     """A term of a pro-system at level m >= 1: a tuple of level * width +
     extra components over one context (width 1 and extra 0 by default).
     The base of F_m elements (extra 1), Witt vectors and tuples of forms;
@@ -270,8 +270,8 @@ class LevelTuple:
             raise ValueError("cannot restrict upward")
         return self._like(self.comps[:level * self.width + self.extra], level)
 
-    def to_json(self):
-        return {"level": self.level, self.json_key: [c.to_json() for c in self.comps]}
+    def json_shape(self):
+        return {"level": self.level, self.json_key: self.comps}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -310,8 +310,8 @@ class FormTuple(LevelTuple):
     def __repr__(self):
         return "(" + ", ".join(str(w) for w in self.comps) + ")"
 
-    def to_json(self):
-        return {"degree": self.degree, **super().to_json()}
+    def json_shape(self):
+        return {"degree": self.degree, **super().json_shape()}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -377,10 +377,9 @@ class FormOnTrunc(FormTuple):
                 parts.append("t^%d dt^[%s]" % (i, w))
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
+    def json_shape(self):
         return {"degree": self.degree, "level": self.level,
-                "tparts": [w.to_json() for w in self.tparts],
-                "dt": [w.to_json() for w in self.dt]}
+                "tparts": self.tparts, "dt": self.dt}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -403,8 +402,8 @@ class CanonRelForm(FormTuple):
         return FormOnTrunc.of(self.ctx, self.degree, self.level,
                               (DiffForm.zero(self.ctx, self.degree),) + self.comps)
 
-    def to_json(self):
-        return {"degree": self.degree + 1, "canon": super().to_json()}
+    def json_shape(self):
+        return {"degree": self.degree + 1, "canon": super().json_shape()}
 
     @classmethod
     def from_json(cls, ctx, data):

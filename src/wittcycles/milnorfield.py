@@ -33,12 +33,12 @@ from math import prod
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NonRationalSupport, NoUnitEntry, ZeroEntry)
 from .forms import DiffForm, dlog_wedge
-from .scalars import FieldElem, fraction_text, parse_fraction
+from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
 
 
 # -- symbols and valuations ---------------------------------------------
 
-class FieldSymbol:
+class FieldSymbol(JsonText):
     """A scaled Milnor symbol {y_1..y_n} of nonzero field elements; the
     empty symbol (n = 0) stands for its coefficient in Z or Q. Immutable."""
 
@@ -64,9 +64,8 @@ class FieldSymbol:
     def __repr__(self):
         return "%s*{%s}" % (self.coef, ", ".join(str(y) for y in self.entries))
 
-    def to_json(self):
-        return {"coef": fraction_text(self.coef),
-                "entries": [y.to_json() for y in self.entries]}
+    def json_shape(self):
+        return {"coef": fraction_text(self.coef), "entries": self.entries}
 
     @classmethod
     def from_json(cls, ctx, data):

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
 from .forms import CanonRelForm, dlog_wedge, reduce_mod_exact
-from .scalars import fraction_text, parse_fraction
+from .scalars import JsonText, fraction_text, parse_fraction
 from .trunc import TruncElem, embed_form, exp_t, log_t, trunc_dlog
 
 
-class RelSymbol:
+class RelSymbol(JsonText):
     """A scaled Milnor symbol {u_1..u_n} of units of F_m. Immutable."""
 
     __slots__ = ("ctx", "level", "entries", "coef")
@@ -53,9 +53,8 @@ class RelSymbol:
     def __repr__(self):
         return "%s*{%s}" % (self.coef, ", ".join(str(u) for u in self.entries))
 
-    def to_json(self):
-        return {"coef": fraction_text(self.coef),
-                "entries": [u.to_json() for u in self.entries]}
+    def json_shape(self):
+        return {"coef": fraction_text(self.coef), "entries": self.entries}
 
     @classmethod
     def from_json(cls, ctx, data):

@@ -53,19 +53,29 @@ w and v is in the polynomial tier, and by a loop over field elements
 otherwise.
 
 An element prints from ``num`` and ``den`` alone, with the bracketing of
-sympy's printer for its rational function field.  ``from_terms`` rebuilds
-a polynomial from terms for JSON input and for the differential tests.
-Rational coefficients are written "p/q" by ``fraction_text`` and read
-back by ``parse_fraction``.
+sympy's printer for its rational function field.  ``from_terms`` is the
+one rebuild of a polynomial from (monomial, rational) terms, for the
+reader, JSON input and the differential tests.  ``parse_elem`` reads the
+expression grammar in one pass: one regex finds the tokens, and the
+recursive descent keeps each value as a {monomial: int or Fraction} term
+dict until a division by a non-constant or a power of a sum needs field
+arithmetic.  ``JsonText`` is the one JSON writer: every serializable
+class writes its text in one pass, an element as its terms
+[monomial, "c/1"] with the monomials sorted, and ``to_json`` reads that
+text back.  Rational coefficients are written "p/q" by ``fraction_text``
+and read back by ``parse_fraction``.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, takewhile
 from math import gcd, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from sympy import ZZ, grlex
 from sympy.polys.rings import ring as _sympy_ring
@@ -140,7 +150,9 @@ class Context:
             mon = tuple(mon) or self.ring.zero_monom
             if len(mon) != width:
                 raise ParseError("monomial %r does not fit %r" % (mon, self))
-            acc[mon] = acc.get(mon, 0) + Fraction(c.numerator, c.denominator)
+            if type(c) not in (int, Fraction):
+                c = Fraction(c.numerator, c.denominator)
+            acc[mon] = acc[mon] + c if mon in acc else c
         den = lcm(*(c.denominator for c in acc.values()))
         num = {mon: c.numerator * (den // c.denominator)
                for mon, c in acc.items() if c}
@@ -251,10 +263,14 @@ CERT_MAX_DEGREE = 64
 def _image(poly, j, degree):
     """The x_j-coefficients of poly's image modulo _P, lowest degree first."""
     out = [0] * (degree + 1)
+    powers = {}  # _BASE**k modulo _P by k
     for mon, c in poly.items():
         for i, e in enumerate(mon):
             if e and i != j:
-                c = c * pow(_BASE, (i + 1) * e, _P)
+                k = (i + 1) * e
+                if k not in powers:
+                    powers[k] = pow(_BASE, k, _P)
+                c = c * powers[k]
         out[mon[j]] += c
     return [c % _P for c in out]
 
@@ -331,7 +347,34 @@ def _settled(ctx, num, den):
     return FieldElem(ctx, num, den)
 
 
-class FieldElem:
+class JsonText:
+    """A value that writes its JSON text in one pass: ``json_text`` writes
+    its ``json_shape``, a nest of dicts and lists with ints, strings and
+    JsonText values as leaves, and ``to_json`` reads that text back."""
+
+    __slots__ = ()
+
+    def json_text(self):
+        return write_json(self.json_shape())
+
+    def to_json(self):
+        return json.loads(self.json_text())
+
+
+def write_json(value):
+    """The text json.dumps gives for value, with each JsonText in it
+    written by its own json_text."""
+    if isinstance(value, JsonText):
+        return value.json_text()
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join("%s: %s" % (json.dumps(key), write_json(v))
+                                  for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ", ".join(map(write_json, value))
+    return json.dumps(value)
+
+
+class FieldElem(JsonText):
     """An element of Q(x1..xr) in canonical cancelled form. Immutable.
 
     num is a polynomial of ctx.ring; den is a positive int in the
@@ -517,9 +560,15 @@ class FieldElem:
 
     # -- serialization -------------------------------------------------
 
-    def to_json(self):
-        return {"num": _poly_to_json(self.num),
-                "den": _poly_to_json(self.den_poly())}
+    def json_text(self):
+        """{"num": terms, "den": terms}, the terms [monomial, "c/1"] in
+        sorted order; a polynomial-tier den is the one term of its int."""
+        zero = self.ctx.ring.zero_monom
+        term = '[[%s], "%%d/1"]' % ", ".join(["%d"] * len(zero))
+        den = {zero: self.den} if type(self.den) is int else self.den
+        num, den = ("[%s]" % ", ".join([term % (*mon, poly[mon]) for mon in sorted(poly)])
+                    for poly in (self.num, den))
+        return '{"num": %s, "den": %s}' % (num, den)
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -623,20 +672,20 @@ def parse_fraction(text):
     return Fraction(p, q)
 
 
-def _poly_to_json(poly):
-    return [[list(mon), fraction_text(coef)] for mon, coef in sorted(poly.items())]
-
-
 def _poly_from_json(ctx, data):
     return ctx.from_terms([(mon, parse_fraction(coef)) for mon, coef in data])
 
 
 # -- text syntax ------------------------------------------------------
 #
-#   elem   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*
-#   factor := ('-'|'+')* base ('^' exponent)?
-#   base   := integer | variable | '(' elem ')'
+#   elem     := term (('+'|'-') term)*
+#   term     := factor (('*'|'/')? factor)*    (juxtaposition multiplies)
+#   factor   := ('-'|'+')* base ('^' exponent)?
+#   exponent := ('-'|'+')* integer
+#   base     := integer | variable | '(' elem ')'
+#
+# Juxtaposition takes a factor that starts with an integer, a variable or
+# '(': 3t, 2(x+1), x y.
 
 _OPS = set("+-*/^(),")
 
@@ -645,120 +694,169 @@ _OPS = set("+-*/^(),")
 # Python's recursion limit; deeper input is a ParseError.
 MAX_NESTING = 100
 
+# A token is a run of decimal digits, a letter or '_' followed by letters,
+# digits and '_', or one other character that is not white space; re's
+# \d, \w and \s are exactly str.isdecimal, str.isalnum (with '_') and
+# str.isspace.  Text of ASCII letters, digits, white space and operators
+# alone has no bad token; other text is checked token by token.
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\S")
+_PLAIN = re.compile(r"[\w\s()*+,/^-]*\Z", re.ASCII)
+_DIGITS_BEFORE = re.compile(r"\d*\Z")
+
 
 def _tokenize(text):
+    """Integers as ints, variables and operators as strings.  Any other
+    character is a ParseError.  A digit that is not decimal ("²") ends in
+    int()'s ValueError on the run of digits it belongs to."""
+    if _PLAIN.match(text):
+        return [int(tok) if tok[0].isdecimal() else tok for tok in _TOKEN.findall(text)]
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _OPS:
-            tokens.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        c = tok[0]
+        if c.isdecimal():
+            tokens.append(int(tok))
+        elif c in _OPS or c.isalpha() or c == "_":
+            tokens.append(tok)
         else:
+            if c.isdigit():
+                int(_DIGITS_BEFORE.search(text, 0, match.start()).group()
+                    + "".join(takewhile(str.isdigit, tok)))
             raise ParseError("unexpected character %r in %r" % (c, text))
     return tokens
 
 
-class _Parser:
-    def __init__(self, ctx, tokens, text):
-        self.ctx = ctx
-        self.tokens = tokens
-        self.pos = 0
-        self.text = text
+def _times(a, b):
+    """The product of two term dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (mon, c), = b.items()
+        if c == 1:
+            return {tuple(map(add, m, mon)): k for m, k in a.items()}
+        return {tuple(map(add, m, mon)): k * c for m, k in a.items()}
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(map(add, m1, m2))
+            out[mon] = out.get(mon, 0) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+class _Reader:
+    """The recursive descent over the tokens of one text.  A value is a
+    {monomial: int or Fraction} term dict without zero terms for as long
+    as it is a polynomial; a division by a non-constant or a power of a
+    sum makes it a FieldElem, and FieldElem arithmetic takes over for
+    every operation with one.  Each error is raised where the token
+    stream reaches it, by the FieldElem operation that raised it before."""
 
-    def expect(self, tok):
-        if self.next() != tok:
-            raise ParseError("expected %r in %r" % (tok, self.text))
+    def __init__(self, ctx, text):
+        self.ctx, self.text, self.pos = ctx, text, 0
+        self.tokens = _tokenize(text) + [None]  # None marks the end
+        self.zero = zero = ctx.ring.zero_monom
+        self.vars = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(ctx.names)}
 
-    def parse(self):
-        depth = 0
-        for tok in self.tokens:
-            if tok == "(":
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise ParseError("parentheses nested deeper than %d" % MAX_NESTING)
-            elif tok == ")":
-                depth -= 1
+    def field(self, value):
+        return self.ctx.from_terms(value.items()) if type(value) is dict else value
+
+    def read(self):
+        tokens = self.tokens
+        depths = accumulate((tok == "(") - (tok == ")") for tok in tokens)
+        if tokens.count("(") > MAX_NESTING and any(d > MAX_NESTING for d in depths):
+            raise ParseError("parentheses nested deeper than %d" % MAX_NESTING)
         value = self.elem()
-        if self.peek() is not None:
+        if tokens[self.pos] is not None:
             raise ParseError("trailing input in %r" % self.text)
-        return value
+        return self.field(value)
 
     def elem(self):
         value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
+        tokens = self.tokens
+        while tokens[self.pos] in ("+", "-"):
+            op = tokens[self.pos]
+            self.pos += 1
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            if type(value) is not dict or type(rhs) is not dict:
+                value, rhs = self.field(value), self.field(rhs)
+                value = value + rhs if op == "+" else value - rhs
+                continue
+            for mon, c in rhs.items():  # in place: every value is a new dict
+                if op == "-":
+                    c = -c
+                if mon in value:
+                    c += value.pop(mon)
+                if c:
+                    value[mon] = c
         return value
 
     def term(self):
         value = self.factor()
+        tokens = self.tokens
         while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op = self.next()
-                value = value * self.factor() if op == "*" else value / self.factor()
-            elif isinstance(nxt, int) or nxt == "(" \
-                    or (isinstance(nxt, str) and nxt not in _OPS):
-                # juxtaposition: 3t, 2(x+1), x y
-                value = value * self.factor()
-            else:
+            op = tokens[self.pos]
+            if op in ("*", "/"):
+                self.pos += 1
+            elif not (type(op) is int or op == "(" or type(op) is str and op not in _OPS):
                 return value
+            rhs = self.factor()
+            terms = type(value) is dict and type(rhs) is dict
+            if terms and op != "/":
+                value = _times(value, rhs)
+            elif terms and list(rhs) == [self.zero]:  # a nonzero rational
+                value = {mon: Fraction(k, rhs[self.zero]) for mon, k in value.items()}
+            else:
+                value, rhs = self.field(value), self.field(rhs)
+                value = value / rhs if op == "/" else value * rhs
+
+    def signs(self):
+        """-1 for an odd run of '-' signs (mixed with '+'), else 1."""
+        sign = 1
+        while self.tokens[self.pos] in ("+", "-"):
+            if self.tokens[self.pos] == "-":
+                sign = -sign
+            self.pos += 1
+        return sign
 
     def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
+        sign = self.signs()
         value = self.base()
-        if self.peek() == "^":
-            self.next()
-            value = value ** self.exponent()
-        return value if sign == 1 else -value
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            n = self.signs()
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if type(tok) is not int:
+                raise ParseError("exponent must be an integer in %r" % self.text)
+            value = self.power(value, n * tok)
+        if sign == 1:
+            return value
+        return {mon: -c for mon, c in value.items()} if type(value) is dict else -value
 
-    def exponent(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        tok = self.next()
-        if not isinstance(tok, int):
-            raise ParseError("exponent must be an integer in %r" % self.text)
-        return sign * tok
+    def power(self, value, n):
+        """value^n; one term to a power n >= 0 and a rational to any power
+        stay term dicts."""
+        if type(value) is dict and len(value) == 1:
+            (mon, c), = value.items()
+            if n >= 0:
+                return {tuple([e * n for e in mon]): c ** n}
+            if mon == self.zero:
+                return {mon: Fraction(c) ** n}
+        return self.field(value) ** n
 
     def base(self):
-        tok = self.next()
-        if isinstance(tok, int):
-            return self.ctx.rational(tok)
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            return {self.zero: tok} if tok else {}
         if tok == "(":
             value = self.elem()
-            self.expect(")")
+            if self.tokens[self.pos] != ")":
+                raise ParseError("expected %r in %r" % (")", self.text))
+            self.pos += 1
             return value
-        if isinstance(tok, str) and tok in self.ctx.names:
-            return self.ctx.var(self.ctx.names.index(tok))
+        if tok in self.vars:
+            return {self.vars[tok]: 1}
         if tok is None:
             raise ParseError("unexpected end of input in %r" % self.text)
         raise ParseError("unknown token %r in %r" % (tok, self.text))
@@ -766,4 +864,4 @@ class _Parser:
 
 def parse_elem(ctx: Context, text: str) -> FieldElem:
     """Parse the element grammar: integers, p/q, variables, + - * / ^, parens."""
-    return _Parser(ctx, _tokenize(text), text).parse()
+    return _Reader(ctx, text).read()

@@ -12,14 +12,17 @@ replaced, Henrici's sum against the gcd over the whole product of the
 denominators, the one division on F_m against the inverse loop and the
 log recurrence it replaced, its packed kernel against its loop, dlog on
 F_m against the inverse wedged with du, gamma against the product of
-its factors, and the derivative against the gcd over the square of the
-denominator.  The last tests pin that no module of the
-package uses sympy's rational function field, that only ``scalars`` moves
-polynomials between contexts, writes the "p/q" coefficient text, reads
-polynomials on the u-line and calls sympy's polynomial gcd, and that no
-module reaches a private name of another."""
+its factors, the derivative against the gcd over the square of the
+denominator, the expression reader against the parser it replaced and
+the JSON writer against the to_json bodies it replaced.  The last tests
+pin that no module of the package uses sympy's rational function field,
+that only ``scalars`` moves polynomials between contexts, writes the
+"p/q" coefficient text, reads polynomials on the u-line and calls
+sympy's polynomial gcd, and that no module reaches a private name of
+another."""
 
 import ast
+import json
 import random
 import re
 from fractions import Fraction
@@ -29,16 +32,21 @@ from pathlib import Path
 import pytest
 from sympy.polys.rings import PolyElement
 
-from wittcycles.addchow import ParamCurve, boundary, modulus_check_curve
+from wittcycles import cli
+from wittcycles.addchow import CycleGen, ParamCurve, boundary, modulus_check_curve
 from wittcycles.drw import drw_d, phi
 from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
                                NonRationalPoint, NotAUnit, ParseError)
-from wittcycles.forms import DiffForm, FormOnTrunc
+from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc, FormTuple
 from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
-from wittcycles.scalars import Context, parse_elem, series_quotient
+from wittcycles.relmilnor import RelSymbol
+from wittcycles.scalars import (MAX_NESTING, Context, FieldElem, _tokenize, fraction_text,
+                                parse_elem, series_quotient, write_json)
 from wittcycles.trunc import TruncElem, embed_form, log_t, parse_trunc, trunc_dlog
-from wittcycles.witt import WittVector, gamma, gamma_inv, ghost, log_ghost, unghost
+from wittcycles.verify import Sampler
+from wittcycles.witt import (WittVector, gamma, gamma_inv, ghost, log_ghost, unghost,
+                             witt_decompose)
 
 from fracfield import to_frac
 
@@ -858,6 +866,328 @@ def test_diff_matches_the_gcd_over_den_squared(names):
             # times a factor that may cancel part of the denominator
             _assert_diff_matches(a * _factor(ctx, rng), i)
         _assert_diff_matches(_poly(ctx, rng, 3), rng.randrange(ctx.r), frac=True)
+
+
+# -- the reader against the parser it replaced --------------------------------
+
+OLD_OPS = set("+-*/^(),")
+
+
+def old_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in OLD_OPS:
+            tokens.append(c)
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(int(text[i:j]))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ParseError("unexpected character %r in %r" % (c, text))
+    return tokens
+
+
+class OldParser:
+    def __init__(self, ctx, tokens, text):
+        self.ctx = ctx
+        self.tokens = tokens
+        self.pos = 0
+        self.text = text
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, tok):
+        if self.next() != tok:
+            raise ParseError("expected %r in %r" % (tok, self.text))
+
+    def parse(self):
+        depth = 0
+        for tok in self.tokens:
+            if tok == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError("parentheses nested deeper than %d" % MAX_NESTING)
+            elif tok == ")":
+                depth -= 1
+        value = self.elem()
+        if self.peek() is not None:
+            raise ParseError("trailing input in %r" % self.text)
+        return value
+
+    def elem(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.next()
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            nxt = self.peek()
+            if nxt in ("*", "/"):
+                op = self.next()
+                value = value * self.factor() if op == "*" else value / self.factor()
+            elif isinstance(nxt, int) or nxt == "(" \
+                    or (isinstance(nxt, str) and nxt not in OLD_OPS):
+                # juxtaposition: 3t, 2(x+1), x y
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.next() == "-":
+                sign = -sign
+        value = self.base()
+        if self.peek() == "^":
+            self.next()
+            value = value ** self.exponent()
+        return value if sign == 1 else -value
+
+    def exponent(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.next() == "-":
+                sign = -sign
+        tok = self.next()
+        if not isinstance(tok, int):
+            raise ParseError("exponent must be an integer in %r" % self.text)
+        return sign * tok
+
+    def base(self):
+        tok = self.next()
+        if isinstance(tok, int):
+            return self.ctx.rational(tok)
+        if tok == "(":
+            value = self.elem()
+            self.expect(")")
+            return value
+        if isinstance(tok, str) and tok in self.ctx.names:
+            return self.ctx.var(self.ctx.names.index(tok))
+        if tok is None:
+            raise ParseError("unexpected end of input in %r" % self.text)
+        raise ParseError("unknown token %r in %r" % (tok, self.text))
+
+
+def old_parse(ctx, text):
+    """parse_elem as it was: a character loop for the tokens and field
+    element arithmetic at every step of the descent."""
+    return OldParser(ctx, old_tokenize(text), text).parse()
+
+
+def _outcome(call, *args):
+    """(value, repr) of call(*args), or (error type, message)."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+SIGNS = ("", "", "", "-", "+", "--", "-+", "- ")
+
+
+def _atom(rng, names):
+    """An integer, a variable, an integer juxtaposed with a variable (3x)
+    or a term (p/q)*x^a*y^b, with a signed exponent one time in five."""
+    r = rng.random()
+    if not names or r < 0.25:
+        text = str(rng.randint(0, 12))
+    elif r < 0.5:
+        text = rng.choice(names)
+    elif r < 0.6:
+        text = "%d%s" % (rng.randint(1, 9), rng.choice(names))
+    else:
+        text = "*".join(["(%d/%d)" % (rng.randint(-9, 9), rng.randint(1, 6))]
+                        + ["%s^%d" % (n, rng.randint(0, 3)) for n in names if rng.random() < 0.6])
+    if rng.random() < 0.2:
+        text += "^%s%d" % (rng.choice(SIGNS), rng.randint(0, 3))
+    return text
+
+
+def _expression(rng, names, depth):
+    """A seeded expression of sums, products, quotients, powers with signed
+    exponents, juxtaposition and unary signs, nested up to depth."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        text = _atom(rng, names)
+    elif r < 0.4:  # a sum of terms, the shape of the benchmark's entries
+        text = "+".join(_atom(rng, names) for _ in range(rng.randint(2, 6)))
+    else:
+        a, b = _expression(rng, names, depth - 1), _expression(rng, names, depth - 1)
+        op = rng.choice(("+", "-", "*", "/", " ", "", "^"))
+        if op == "^":
+            text = "(%s)^%s%d" % (a, rng.choice(SIGNS), rng.randint(0, 3))
+        elif op in (" ", ""):  # juxtaposition: x(y+1), (x)(y), x 3x
+            text = "%s%s(%s)" % (a, op, b) if rng.random() < 0.7 else "%s %s" % (a, _atom(rng, names))
+        elif rng.random() < 0.5:
+            text = "(%s)%s(%s)" % (a, op, b)
+        else:
+            text = "%s %s %s" % (a, op, b)
+    return rng.choice(SIGNS) + text
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("x", "y", "z")], ids=repr)
+def test_reader_matches_the_old_parser(names):
+    ctx = Context(names)
+    rng = random.Random(2501 + len(names))
+    kinds = set()
+    for _ in range(400):
+        text = _expression(rng, names, 3)
+        want = _outcome(old_parse, ctx, text)
+        assert _outcome(parse_elem, ctx, text) == want, text
+        kinds.add(want[0].is_polynomial() if isinstance(want[0], FieldElem) else want[0])
+    # both tiers (the fraction tier needs a variable) and some errors
+    assert kinds >= ({True, False} if names else {True}) | {DivisionByZero}, kinds
+
+
+EDGE_TEXTS = [
+    "0^0", "0^-1", "1/0", "(x-x)^-1", "(x-x)^0", "x/(x-x)", "0^3", "2^-2", "(2/3)^-2",
+    "(-2x)^-3", "x^-2", "(x+1)^-1", "(x+1)^0", "(x+y)^3", "x^10000000", "x^--2", "x^+-2",
+    "x)", "(x", "((x+1)", "x y )", "", "-", "+-", "x^", "x^y", "x^(2)", "()", "3x^2y",
+    "2(x+1)(x-1)", "x y", "1 2", "1,2", "x.y", "$", "x @ y", "z", "1/0 + )",
+    "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, "(" * 101 + "x",
+    ")" + "(" * 101 + "x" + ")" * 101, "1/0 + " + "(" * 101,
+    "²", "x²", "x²^2", "٣x", "٣٤", "3²", "²3", "x ²", "½", "3½", "é", "2é", "é x²",
+    "x + 1", "x\x1c+1", "1" * 5000, "1" * 5000 + "$", "$" + "1" * 5000,
+]
+
+
+def test_reader_edge_cases_match_the_old_parser():
+    for ctx in (Context(("x", "y")), Context(("é", "x²"))):
+        for text in EDGE_TEXTS:
+            assert _outcome(_tokenize, text) == _outcome(old_tokenize, text), text[:40]
+            assert _outcome(parse_elem, ctx, text) == _outcome(old_parse, ctx, text), text[:40]
+    ctx = Context(("x", "y"))
+    x = ctx.var(0)
+    assert _outcome(parse_elem, ctx, "²")[0] is ValueError
+    assert parse_elem(ctx, "٣x") == 3 * x
+    assert _outcome(parse_elem, ctx, "x²") == (ParseError, "unknown token 'x²' in 'x²'")
+    assert parse_elem(ctx, "(" * 100 + "x" + ")" * 100) == x
+    assert _outcome(parse_elem, ctx, "(" * 101 + "x" + ")" * 101) == (
+        ParseError, "parentheses nested deeper than 100")
+
+
+def test_variable_names_are_read_as_before():
+    for name in ("x", "_a1", "é", "x²", "٣", "3", "x y", "²", "½", "t'", "", "+"):
+        assert _outcome(Context, (name,)) == _outcome(_old_context, name), name
+
+
+def _old_context(name):
+    """Context((name,)) with the name check as it was."""
+    if name in OLD_OPS or old_tokenize(name) != [name]:
+        raise ParseError("variable name %r is not an identifier" % (name,))
+    return Context((name,))
+
+
+# -- the one JSON writer against the to_json bodies it replaced ---------------
+
+
+def _old_poly_json(poly):
+    return [[list(mon), fraction_text(coef)] for mon, coef in sorted(poly.items())]
+
+
+def old_to_json(x):
+    """to_json as each class wrote it, a structure for json.dumps."""
+    if isinstance(x, FieldElem):
+        return {"num": _old_poly_json(x.num), "den": _old_poly_json(x.den_poly())}
+    if isinstance(x, DiffForm):
+        return [[list(s), old_to_json(v)] for s, v in sorted(x.coeffs.items())]
+    if isinstance(x, (FieldSymbol, RelSymbol)):
+        return {"coef": fraction_text(x.coef), "entries": [old_to_json(y) for y in x.entries]}
+    if isinstance(x, CycleGen):
+        return {"f": [old_to_json(c) for c in x.f], "bs": [old_to_json(b) for b in x.bs],
+                "coef": fraction_text(x.coef)}
+    if isinstance(x, FormOnTrunc):
+        return {"degree": x.degree, "level": x.level,
+                "tparts": [old_to_json(w) for w in x.tparts],
+                "dt": [old_to_json(w) for w in x.dt]}
+    level = {"level": x.level, x.json_key: [old_to_json(c) for c in x.comps]}
+    if isinstance(x, CanonRelForm):
+        return {"degree": x.degree + 1, "canon": {"degree": x.degree, **level}}
+    if isinstance(x, FormTuple):
+        return {"degree": x.degree, **level}
+    return level
+
+
+def _serializable(ctx, seed, fraction):
+    """One seeded object of every serializable class; with fraction, each
+    is scaled by 1/(x + k), which puts its elements in the fraction tier."""
+    s = Sampler(ctx, seed)
+    c = 1 / (ctx.var(0) + s.rng.randint(1, 3)) if fraction else ctx.one
+    m = s.rng.randint(1, 4)
+    return [s.nonzero() * c, ctx.zero, s.form(0).scale(c), s.form(2).scale(c),
+            s.nilpotent(m).scale(c), WittVector(ctx, m, [c * s.fe(1) for _ in range(m)]),
+            s.form_on_trunc(1, m).scale(c), s.canon(1, m).scale(c), s.drw(2, m).scale(c),
+            FieldSymbol(ctx, [s.nonzero() * c, s.nonzero()], Fraction(-3, 2)),
+            RelSymbol([s.trunc_unit(m).scale(c), s.principal_unit(m)], 4),
+            CycleGen([s.nonzero() * c, s.fe()], [s.nonzero() * c], Fraction(2, 3))]
+
+
+def _round_trip(x):
+    ctx = x.ctx
+    if isinstance(x, DiffForm):
+        return DiffForm.from_json(ctx, x.degree, x.to_json())
+    return type(x).from_json(ctx, x.to_json())
+
+
+def _same(a, b):
+    """a == b; symbols and generators, which have no equality, field by field."""
+    if isinstance(a, (FieldSymbol, RelSymbol, CycleGen)):
+        return type(a) is type(b) and all(getattr(a, k) == getattr(b, k) for k in a.__slots__)
+    return a == b
+
+
+@pytest.mark.parametrize("fraction", [False, True], ids=["polynomial", "fraction"])
+def test_writer_matches_the_old_to_json(fraction):
+    for ctx in (Context(("x",)), Context(("x", "y", "z"))):
+        for seed in range(12):
+            objects = _serializable(ctx, seed, fraction)
+            assert objects[0].is_polynomial() is not fraction
+            for x in objects:
+                want = old_to_json(x)
+                assert x.json_text() == json.dumps(want), x
+                assert x.to_json() == want
+                assert _same(_round_trip(x), x), x
+
+
+def test_witt_payloads_match_the_old_json(capsys):
+    ctx = Context(("x", "y"))
+    a = WittVector(ctx, 3, [parse_elem(ctx, e) for e in ("x", "1/(x+1)", "2")])
+    g = ghost(a)
+    pairs = witt_decompose(a)
+    assert write_json({"ghost": g}) == json.dumps({"ghost": [old_to_json(c) for c in g]})
+    assert write_json([[i, b] for i, b in pairs]) == json.dumps(
+        [[i, old_to_json(b)] for i, b in pairs])
+    for subop, want in (("ghost", {"ghost": [old_to_json(c) for c in g]}),
+                        ("decompose", [[i, old_to_json(b)] for i, b in pairs])):
+        assert cli.main(["witt", subop, "--vars", "x,y", "(x, 1/(x+1), 2)"]) == 0
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+    # strings and nested lists as json.dumps writes them
+    data = {"a": 'x"y\\é', "b": [1, [2, "3/1"], []], "c": {}}
+    assert write_json(data) == json.dumps(data)
 
 
 # -- the polynomial backend stays in scalars --------------------------------

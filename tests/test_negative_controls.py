@@ -1,11 +1,12 @@
-"""Negative controls for the sub-properties that read forms over F_m: a
-planted fault in the form layer makes its check report `ok: false` under
-exactly that sub-property's name.  The checks run with their own draws;
-only the library they call is broken."""
+"""Negative controls: a planted fault in the library makes its check
+report `ok: false` under exactly that sub-property's name.  The faults sit
+in the form layer, for the sub-properties that read forms over F_m, and in
+the tame symbol, for the filtration rewriting's boundary agreement.  The
+checks run with their own draws; only the library they call is broken."""
 
 import pytest
 
-from wittcycles import relmilnor, verify
+from wittcycles import milnorfield, relmilnor, verify
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, exp_t
@@ -45,6 +46,13 @@ CONTROLS = {
     "principal-entry-independence": (
         lambda mp: plant(mp, verify, "trunc_dlog", lambda out, u: plus_form(out, 0)),
         lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # every tame symbol gains {x_1, .., x_(n-1)} over the residue field
+    # (the coefficient 1 for n = 1), so the boundary of the difference
+    # no longer vanishes
+    "filtration-tame-agreement": (
+        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: out + [
+            milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]),
+        lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
     # theta reads exp(a + t) for exp(a)
     "theta-roundtrip": (
         lambda mp: plant(mp, relmilnor, "theta", lambda out, a, bs: relmilnor.RelSymbol(

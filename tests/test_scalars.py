@@ -62,6 +62,13 @@ def test_parse_grammar(ctx):
         parse_elem(ctx, "z")
 
 
+def test_elem_coerces_text_through_the_reader(ctx):
+    x, y = ctx.gens()
+    assert ctx.elem("x/(y+1)") == x / (y + 1) and ctx.elem(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(ParseError, match="cannot coerce 1.5"):
+        ctx.elem(1.5)
+
+
 def test_division_by_zero(ctx):
     with pytest.raises(DivisionByZero):
         ctx.one / ctx.zero
