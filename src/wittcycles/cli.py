@@ -117,8 +117,6 @@ def _check_level(level):
 
 def _coordinate_tuples(ctx, texts, m, extra=0):
     """The parsed tuples; with m given, each must have m + extra entries."""
-    if m is not None and m < 1:
-        raise ValueError("level must be >= 1")
     tuples = [parse_tuple(ctx, text, extra) for text in texts]
     for coords in tuples:
         if m is not None and len(coords) != m + extra:
@@ -327,8 +325,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         # before any input is read; cmd_drw checks the level s*m of drw v
-        _check_level(getattr(args, "m", None))
-        _check_level(getattr(args, "level", None))
+        for level in (getattr(args, "m", None), getattr(args, "level", None)):
+            if level is not None and level < 1:
+                raise ValueError("level must be >= 1")
+            _check_level(level)
         return args.fn(args)
     except (WittCyclesError, ValueError) as exc:
         name = type(exc).__name__ if isinstance(exc, WittCyclesError) else "ValueError"

@@ -3,25 +3,29 @@
 A class in degree n is its unique representative in t F_m (x)
 Omega^(n-1)_F: a forms.CanonRelForm of form degree n - 1, whose
 components comps = (c_1..c_m) are the coefficients of t^1..t^m and whose
-JSON is {"degree": n, "canon": ...}.  The normal form of a symbol
-{u_1..u_n} with a principal entry u (one lying in 1 + t F_m) is
+JSON is {"degree": n, "canon": ...}.  A symbol {u_1..u_n} with a
+principal entry u (in 1 + t F_m) has the class of F = log(u) dlog(rest),
+signed by moving u to the front.  The map is well defined, as
+log(u)dlog(v) + log(v)dlog(u) = d(log(u)log(v)) is exact, and {exp(a),
+b_1..b_(n-1)} inverts it on decomposables a (x) dlog(b_1)^..^dlog(b_(n-1)).
 
-    reduce_mod_exact( log(u) dlog(u_2) ^ ... ^ dlog(u_n) )
-
-with the sign of moving u to the front.  The map is well defined because
-log(u)dlog(v) + log(v)dlog(u) = d(log(u)log(v)) is exact, and it is an
-isomorphism with inverse a (x) dlog(b_1)^..^dlog(b_(n-1)) |->
-{exp(a), b_1..b_(n-1)} on decomposables.
+normal_form reads c_i off dF = dlog(u_1)^..^dlog(u_n): FormOnTrunc.d
+gives (dF).dt_(i-1) = i omega_i - d(eta_(i-1)), i times the canonical
+c_i = omega_i - (1/i) d(eta_(i-1)).  Constant entries have dlogs without
+dt part, so that part is the dlog wedge of the moving entries (a nonzero
+t-coefficient) wedged with that of the constant ones, signed by moving
+the moving entries to the front; with no moving entry the class is 0.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
-from .forms import CanonRelForm, dlog_wedge, reduce_mod_exact
+from .forms import CanonRelForm, FormOnTrunc, dlog_wedge
 from .scalars import JsonText, fraction_text, parse_fraction
-from .trunc import TruncElem, embed_form, exp_t, log_t, trunc_dlog
+from .trunc import TruncElem, exp_t, trunc_dlog
 
 
 class RelSymbol(JsonText):
@@ -62,26 +66,9 @@ class RelSymbol(JsonText):
                    parse_fraction(data["coef"]))
 
 
-def symbol_form(sym: RelSymbol):
-    """The relative (n-1)-form log(u) dlog(rest) of one symbol, with the
-    sign of moving the first principal entry to the front."""
-    pos = next((i for i, u in enumerate(sym.entries) if u.is_principal()), None)
-    if pos is None:
-        raise NoPrincipalEntry("no entry in 1 + t F_m")
-    sign = (-1) ** pos
-    principal = sym.entries[pos]
-    rest = sym.entries[:pos] + sym.entries[pos + 1:]
-    form = embed_form(log_t(principal))
-    for v in rest:
-        form = form.wedge(trunc_dlog(v))
-    return form.scale(sym.coef * sign)
-
-
 def normal_form(terms) -> CanonRelForm:
     """Canonical coordinates of a formal sum of relative symbols."""
-    if isinstance(terms, RelSymbol):
-        terms = [terms]
-    terms = list(terms)
+    terms = [terms] if isinstance(terms, RelSymbol) else list(terms)
     if not terms:
         raise ValueError("empty symbol sum has no context")
     n, m, ctx = terms[0].degree, terms[0].level, terms[0].ctx
@@ -89,7 +76,19 @@ def normal_form(terms) -> CanonRelForm:
     for sym in terms:
         if sym.degree != n or sym.level != m:
             raise ValueError("mixed shapes in one symbol sum")
-        total = total + reduce_mod_exact(symbol_form(sym))
+        if not any(u.is_principal() for u in sym.entries):
+            raise NoPrincipalEntry("no entry in 1 + t F_m")
+        ctx.check(sym.ctx)
+        moving = [i for i, u in enumerate(sym.entries) if any(u.comps[1:])]
+        if not moving:
+            continue
+        # each moving entry passes the constant entries before it
+        coef = sym.coef * (-1) ** sum(i - k for k, i in enumerate(moving))
+        wedge = functools.reduce(FormOnTrunc.wedge,
+                                 [trunc_dlog(sym.entries[i]) for i in moving])
+        rest = dlog_wedge(ctx, [u.comps[0] for u in sym.entries if not any(u.comps[1:])])
+        total = total + CanonRelForm(ctx, n - 1, m, [
+            eta.wedge(rest).scale(coef / i) for i, eta in enumerate(wedge.dt, 1)])
     return total
 
 

@@ -3,10 +3,10 @@
 Elements are coefficient tuples comps = (c_0..c_m), forms.LevelTuples
 with extra = 1.  There is one truncated product (forms.series_product)
 and one division, scalars.series_quotient, solved degree by degree.
-log_t and witt.log_ghost read the log derivative t u'/u, and trunc_dlog
-reads dlog u from it and from the divisions d_j u / u.  exp_t and log_t
-are mutually inverse between the ideal (t) and the principal units
-1 + (t); they need denominators, so characteristic zero is baked in.
+log_t, trunc_dlog and witt.log_ghost read the log derivative t u'/u, the
+one division by u that each makes.  exp_t and log_t are mutually inverse
+between the ideal (t) and the principal units 1 + (t); they need
+denominators, so characteristic zero is baked in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadConstantTerm, NotAUnit, ParseError
-from .forms import DiffForm, FormOnTrunc, LevelTuple, series_product
+from .forms import DiffForm, FormOnTrunc, LevelTuple, dlog, series_product
 from .scalars import Context, FieldElem, parse_elem, series_quotient
 
 
@@ -137,19 +137,17 @@ def log_t(u: TruncElem) -> TruncElem:
 
 
 def trunc_dlog(u: TruncElem) -> FormOnTrunc:
-    """u^(-1) du as a 1-form over F_m, read off divisions by u: its
-    t^k part on dx_j is (d_j u / u)_k, for d_j u the derivative of each
-    coefficient by x_j, and its t^k dt part is (u'/u)_k = (t u'/u)_(k+1).
-    Additive in products of units."""
+    """u^(-1) du as a 1-form over F_m, read off the log derivative
+    L = t u'/u alone: dlog u = dlog(u_0) + d log(u/u_0), and log(u/u_0)
+    has t^k coefficient L_k / k.  So the t^0 part is dlog(u_0), the t^k
+    part d(L_k / k), and the t^k dt part (u'/u)_k = L_(k+1).  Additive in
+    products of units."""
     if not u.is_unit():
         raise NotAUnit("dlog of a non-unit")
-    ctx = u.ctx
-    dus = [[c.diff(j) for c in u.comps] for j in range(ctx.r)]
-    quotients = {(j,): series_quotient(du, u.comps) for j, du in enumerate(dus) if any(du)}
-    tparts = [DiffForm(ctx, 1, {s: q[k] for s, q in quotients.items()})
-              for k in range(u.level + 1)]
-    return FormOnTrunc.of(ctx, 1, u.level, tparts,
-                          [DiffForm.scalar(c) for c in log_derivative(u).comps[1:]])
+    ell = log_derivative(u).comps
+    tparts = [DiffForm.scalar(c.scale(Fraction(1, k))).d() for k, c in enumerate(ell) if k]
+    return FormOnTrunc.of(u.ctx, 1, u.level, [dlog(u.comps[0])] + tparts,
+                          [DiffForm.scalar(c) for c in ell[1:]])
 
 
 def embed_form(a: TruncElem) -> FormOnTrunc:

@@ -278,6 +278,23 @@ def test_level_zero_exits_2(capsys, argv):
         "type": "ValueError", "message": "level must be >= 1"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["nf", "--m", "0", "--symbol", "{(641^96645)^19}"],
+    ["cyc", "--m", "0", "--gen", "((641^96645)^19; x)"],
+    ["nf", "--m", "-3", "--symbol", "{1+t, x}"],
+])
+def test_level_below_one_exits_2_before_parsing(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("input parsed before the level check")
+
+    monkeypatch.setattr(cli, "parse_symbol", refuse)
+    monkeypatch.setattr(cli, "parse_generator", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "level must be >= 1"}
+
+
 @pytest.mark.parametrize("argv, level", [
     (["nf", "--m", "1000000000", "--symbol", "{1+t, x}"], 1000000000),
     (["cyc", "--m", "257", "--gen", "(1-3t; x)"], 257),

@@ -712,8 +712,8 @@ def _assert_same(got, want, *inputs):
 def test_trunc_dlog_matches_the_inverse_wedge(ctx):
     rng = random.Random(2000 + ctx.r)
     for m in range(1, 9):
-        # in three variables both routes take seconds a call on dense units
-        # from m = 6 on, so only sparse and constant ones go further
+        # in three variables the inverse wedge takes seconds a call on dense
+        # units from m = 6 on, so only sparse and constant ones go further
         for kind in UNIT_KINDS if ctx.r < 3 or m <= 5 else ("sparse", "constant"):
             u = _unit(ctx, rng, m, kind)
             # u_0 as drawn (not rational when ctx has variables), and u_0 = 1

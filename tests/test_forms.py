@@ -128,3 +128,13 @@ def test_one_degree_rule_for_every_tuple_of_forms(ctx, build):
     one, two = dlog(ctx.var(0)), dlog_wedge(ctx, ctx.gens())
     with pytest.raises(ValueError, match="^component degree mismatch$"):
         build(ctx, one, two)
+
+
+def test_level_tuples_check_their_level_and_length(ctx):
+    """The shape checks of every level-m tuple, met here directly since
+    the command line refuses a level below 1 before building one."""
+    zero = DiffForm.zero(ctx, 1)
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        CanonRelForm(ctx, 1, 0, [])
+    with pytest.raises(ValueError, match="^need exactly 2 components$"):
+        CanonRelForm(ctx, 1, 2, [zero])

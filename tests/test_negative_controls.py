@@ -1,8 +1,10 @@
 """Negative controls: a planted fault in the library makes its check
 report `ok: false` under exactly that sub-property's name.  The faults sit
-in the form layer, for the sub-properties that read forms over F_m, and in
-the tame symbol, for the filtration rewriting's boundary agreement.  The
-checks run with their own draws; only the library they call is broken."""
+in the form layer, for the sub-properties that read forms over F_m, in
+relmilnor.normal_form, for the identities of relative Milnor symbols, and
+in the tame symbol, for the filtration rewriting's boundary agreement.
+The checks run with their own draws; only the library they call is
+broken."""
 
 import pytest
 
@@ -28,6 +30,24 @@ def plant(monkeypatch, owner, name, fault):
     monkeypatch.setattr(owner, name, lambda *args: fault(real(*args), *args))
 
 
+def plant_nf(monkeypatch, when, fault=lambda out: plus_form(out, 0)):
+    """Apply fault to the results of relmilnor.normal_form on the symbol
+    sums, as lists of symbols, for which when holds; by default the class
+    gains dx_1^..^dx_k in c_1."""
+    plant(monkeypatch, relmilnor, "normal_form", lambda out, terms: fault(out) if when(
+        [terms] if isinstance(terms, relmilnor.RelSymbol) else list(terms)) else out)
+
+
+def drop_top(cls):
+    """cls with its top coefficient c_m set to zero."""
+    return CanonRelForm(cls.ctx, cls.degree, cls.level,
+                        cls.comps[:-1] + (DiffForm.zero(cls.ctx, cls.degree),))
+
+
+def constant_in_t(u):
+    return not any(u.comps[1:])
+
+
 CONTROLS = {
     # the canonical form of every relative form gains dx in c_1
     "reduce-kills-exact": (
@@ -46,6 +66,41 @@ CONTROLS = {
     "principal-entry-independence": (
         lambda mp: plant(mp, verify, "trunc_dlog", lambda out, u: plus_form(out, 0)),
         lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # every class gains dx in c_1, so {u, w} and -{w, u} differ by 2 dx
+    "antisymmetry": (
+        lambda mp: plant_nf(mp, lambda syms: True),
+        lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # a symbol with two equal entries gains dx
+    "square-vanishes": (
+        lambda mp: plant_nf(mp, lambda syms: any(
+            len(set(sym.entries)) < sym.degree for sym in syms)),
+        lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # a symbol with the entry -1 gains dx
+    "minus-one-vanishes": (
+        lambda mp: plant_nf(mp, lambda syms: any(
+            constant_in_t(u) and u.comps[0] == -u.ctx.one
+            for sym in syms for u in sym.entries)),
+        lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # a sum of several symbols gains dx
+    "bilinearity": (
+        lambda mp: plant_nf(mp, lambda syms: len(syms) > 1),
+        lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # a sum with a symbol whose first entry is a constant other than 1
+    # gains dx
+    "bilinearity-mixed-constant": (
+        lambda mp: plant_nf(mp, lambda syms: any(
+            constant_in_t(sym.entries[0]) and not sym.entries[0].is_principal()
+            for sym in syms)),
+        lambda: verify.check_normal_form_welldef(CTX, 2, 3)),
+    # a symbol of three entries gains dx^dy
+    "absolute-product": (
+        lambda mp: plant_nf(mp, lambda syms: syms[0].degree == 3),
+        lambda: verify.check_relmilnor_products(CTX, 4, 10)),
+    # every class loses its top coefficient c_m; products with absolute
+    # symbols lose it on both sides, restrictions below m do not
+    "restriction-square": (
+        lambda mp: plant_nf(mp, lambda syms: True, drop_top),
+        lambda: verify.check_relmilnor_products(CTX, 4, 10)),
     # every tame symbol gains {x_1, .., x_(n-1)} over the residue field
     # (the coefficient 1 for n = 1), so the boundary of the difference
     # no longer vanishes

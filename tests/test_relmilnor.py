@@ -1,14 +1,20 @@
 """Relative Milnor K-theory: normal forms, theta, products, restriction."""
 
+import itertools
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wittcycles.errors import NoPrincipalEntry, NotAUnit
-from wittcycles.forms import CanonRelForm, dlog
+from wittcycles import scalars, trunc
+from wittcycles.errors import ContextMismatch, NoPrincipalEntry, NotAUnit
+from wittcycles.forms import CanonRelForm, dlog, reduce_mod_exact
 from wittcycles.relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
-from wittcycles.scalars import Context
-from wittcycles.trunc import TruncElem, parse_trunc
+from wittcycles.scalars import Context, FieldElem, parse_elem
+from wittcycles.trunc import TruncElem, embed_form, log_t, parse_trunc, trunc_dlog
+from wittcycles.verify import Sampler
 
 
 @pytest.fixture
@@ -131,3 +137,168 @@ def test_json_roundtrip(ctx):
     assert CanonRelForm.from_json(ctx, xi.to_json()) == xi
     with pytest.raises(ValueError):
         CanonRelForm.from_json(ctx, {**xi.to_json(), "degree": 3})
+
+
+def old_symbol_form(sym):
+    """The relative (n-1)-form log(u) dlog(rest) of one symbol, with the
+    sign of moving the first principal entry to the front: the form whose
+    reduction normal_form took before it read the dt part of the dlog
+    wedge."""
+    pos = next((i for i, u in enumerate(sym.entries) if u.is_principal()), None)
+    if pos is None:
+        raise NoPrincipalEntry("no entry in 1 + t F_m")
+    sign = (-1) ** pos
+    principal = sym.entries[pos]
+    rest = sym.entries[:pos] + sym.entries[pos + 1:]
+    form = embed_form(log_t(principal))
+    for v in rest:
+        form = form.wedge(trunc_dlog(v))
+    return form.scale(sym.coef * sign)
+
+
+def old_normal_form(syms):
+    classes = [reduce_mod_exact(old_symbol_form(sym)) for sym in syms]
+    total = classes[0]
+    for cls in classes[1:]:
+        total = total + cls
+    return total
+
+
+def _entry(s, m, kind):
+    """A unit of F_m: principal, moving but not principal (its constant
+    term is not 1), constant, or 1."""
+    if kind == "principal":
+        return s.principal_unit(m, light=s.rng.random() < 0.5)
+    if kind == "moving":
+        while True:
+            u = TruncElem.constant(s.nonzero(1), m) * s.principal_unit(m, light=True)
+            if not u.is_principal():
+                return u
+    if kind == "constant":
+        return TruncElem.constant(s.nonzero(), m)
+    return TruncElem.one(s.ctx, m)
+
+
+def _drawn_symbols(seed, count):
+    """Seeded symbol sums in 1-3 variables, n = 1..3, m = 1..5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = Context(("x", "y", "z")[:rng.randint(1, 3)])
+        s = Sampler(ctx, rng.randrange(10 ** 6))
+        n, m = rng.randint(1, 3), rng.randint(1, 5)
+        syms = []
+        for _ in range(rng.randint(1, 3)):
+            kinds = rng.choices(["principal", "moving", "constant", "one"],
+                                [3, 3, 3, 1], k=n)
+            if "principal" not in kinds and rng.random() < 0.9:
+                kinds[rng.randrange(n)] = "principal"
+            syms.append(RelSymbol([_entry(s, m, k) for k in kinds],
+                                  rng.choice([1, -2, Fraction(3, 5)])))
+        yield syms
+
+
+def _placed_symbols():
+    """Symbols in x, y at m = 3 with the constant entries, or the
+    entries 1, at every position among principal and moving ones."""
+    ctx = Context(("x", "y"))
+    s = Sampler(ctx, 7)
+    for n in (1, 2, 3):
+        for kinds in itertools.product(
+                ["principal", "moving", "constant", "one"], repeat=n):
+            if "principal" in kinds or "one" in kinds:
+                yield [RelSymbol([_entry(s, 3, k) for k in kinds], Fraction(-3, 2))]
+
+
+def _same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def test_normal_form_matches_the_log_route():
+    """normal_form against reduce_mod_exact(old_symbol_form(sym)): value
+    and repr, or the same NoPrincipalEntry."""
+    seen = set()
+    for syms in list(_drawn_symbols(2701, 120)) + list(_placed_symbols()):
+        try:
+            want = old_normal_form(syms)
+        except NoPrincipalEntry as exc:
+            with pytest.raises(NoPrincipalEntry, match=re.escape(str(exc))):
+                normal_form(syms)
+            seen.add("no principal entry")
+            continue
+        _same(normal_form(syms), want)
+        for sym in syms:
+            moving = [u for u in sym.entries if any(u.comps[1:])]
+            seen.add(("moving", min(len(moving), 2),
+                      any(not u.is_principal() for u in moving)))
+        seen.add(("terms", min(len(syms), 2)))
+    assert seen >= {"no principal entry", ("moving", 0, False), ("moving", 1, False),
+                    ("moving", 2, False), ("moving", 2, True), ("terms", 2)}
+
+
+def test_symbols_without_a_moving_entry_vanish():
+    ctx = Context(("x", "y"))
+    x, y = ctx.gens()
+    one, cx = TruncElem.one(ctx, 2), TruncElem.constant(x, 2)
+    for syms in ([RelSymbol([one, cx])], [RelSymbol([cx, one])],
+                 [RelSymbol([parse_trunc(ctx, 2, "x+y"), one], 2)],
+                 [RelSymbol([one])], [RelSymbol([one, cx, TruncElem.constant(y, 2)], -1)]):
+        got = normal_form(syms)
+        assert got.is_zero() and got.level == 2
+        _same(got, old_normal_form(syms))
+
+
+def test_normal_form_errors():
+    ctx = Context(("x",))
+    x = ctx.var(0)
+    u = parse_trunc(ctx, 2, "1+t")
+    no_principal = RelSymbol([TruncElem.constant(x, 2), parse_trunc(ctx, 2, "2+t")])
+    with pytest.raises(NoPrincipalEntry, match="^no entry in 1 \\+ t F_m$"):
+        normal_form(no_principal)
+    with pytest.raises(NoPrincipalEntry, match="^no entry in 1 \\+ t F_m$"):
+        normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), no_principal])
+    for other in (RelSymbol([u]), RelSymbol([u.restrict(1), TruncElem.constant(x, 1)])):
+        with pytest.raises(ValueError, match="^mixed shapes in one symbol sum$"):
+            normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), other])
+    with pytest.raises(ValueError, match="^empty symbol sum has no context$"):
+        normal_form([])
+    # a sum over two contexts fails, also where the second symbol's class
+    # is zero, and a symbol without a principal entry fails first
+    other = Context(("x", "y"))
+    for sym in (RelSymbol([TruncElem.one(other, 2), TruncElem.constant(other.var(1), 2)]),
+                RelSymbol([parse_trunc(other, 2, "1+x*t"), parse_trunc(other, 2, "1+y*t")])):
+        with pytest.raises(ContextMismatch, match=re.escape(
+                "mixed contexts %r and %r" % (ctx, other))):
+            normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), sym])
+    with pytest.raises(NoPrincipalEntry):
+        normal_form([RelSymbol([u]), RelSymbol([TruncElem.constant(other.var(0), 2)])])
+
+
+# F_m divisions and field products of normal_form on the {u, b} of the
+# test below: 1 and 36, against 4 and 59 by the log route
+NF_QUOTIENTS, NF_PRODUCTS = 1, 36
+
+
+def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
+    """A dense principal u at m = 8 and a constant b, the shape of the
+    benchmark's {u, b} symbols; a route with more divisions or products
+    fails here."""
+    ctx, m = Context(("x", "y")), 8
+    u = parse_trunc(ctx, m, "1 + " + " + ".join(
+        "((%d*x - 2*y + %d)/%d)*t^%d" % (i, 4 - i, i % 3 + 1, i) for i in range(1, m + 1)))
+    sym = RelSymbol([u, TruncElem.constant(parse_elem(ctx, "(x+2)/(y-3)"), m)])
+    counts = Counter()
+    quotient, mul = trunc.series_quotient, FieldElem.__mul__
+
+    def counted(a, b):
+        counts["products"] += 1
+        return mul(a, b)
+
+    scalars._factors.cache_clear()
+    monkeypatch.setattr(trunc, "series_quotient",
+                        lambda w, v: counts.update(["quotients"]) or quotient(w, v))
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    got = normal_form(sym)
+    monkeypatch.undo()
+    assert counts["quotients"] <= NF_QUOTIENTS and counts["products"] <= NF_PRODUCTS
+    _same(got, old_normal_form([sym]))
