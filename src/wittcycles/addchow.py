@@ -2,19 +2,15 @@
 
 A generator is (f(t), b_1..b_(n-1)) with f(0) a unit of F and the b's
 nonzero.  Its Milnor class is the relative symbol
-{f(0)^(-1) f(t) mod t^(m+1), b_1..b_(n-1)}; its de Rham-Witt image is
-phi(gamma_inv of the same unit u, b's).  That image is computed by the
-log-derivative route, with no unghost/ghost round trip.  For u = gamma(a),
-
-    -t u'/u = sum_j ghost(a)_j t^j,
-
-so witt.log_ghost reads the ghost tuple of gamma_inv(u) off one division
-t u'/u on F_m; the tuple is then wedged with the dlog(b)'s as in phi.
-The same identity links the two routes by the diagonal
-c_i = -(1/i) omega_i.  Both images live in the one tuple shape
-forms.FormTuple: the class itself, a CanonRelForm of canonical components
-c_i, on the Milnor side, and ghost components omega_i on the de Rham-Witt
-side.
+{f(0)^(-1) f(t) mod t^(m+1), b_1..b_(n-1)}, which relmilnor.normal_form
+reads off the log derivative of the unit u = f(0)^(-1) f(t); its de
+Rham-Witt image is phi(gamma_inv(u), b's), which peels u into Witt
+coordinates with no F_m division and takes their ghost map.  The two
+routes share no step, and the invertible diagonal c_i = -(1/i) omega_i
+links them: for u = gamma(a), -t u'/u = sum_j ghost(a)_j t^j.  Both
+images live in the one tuple shape forms.FormTuple: the class itself, a
+CanonRelForm of canonical components c_i, on the Milnor side, and ghost
+components omega_i on the de Rham-Witt side.
 
 Parametrized curves (g_0..g_n) over F(u) supply boundaries: faces are cut
 at the rational zeros and poles of the cube coordinates g_1..g_n, with
@@ -31,8 +27,8 @@ from .milnorfield import Valuation, rational_support
 from .relmilnor import RelSymbol, normal_form
 from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
 from .trunc import TruncElem
-from .witt import log_ghost
-from .drw import DRWForm, ghost_dlog
+from .witt import gamma_inv
+from .drw import DRWForm, phi
 
 
 class CycleGen(JsonText):
@@ -109,14 +105,14 @@ def cyc_milnor(zs, m: int) -> CanonRelForm:
 
 
 def cycle_to_drw(zs, m: int) -> DRWForm:
-    """The de Rham-Witt form of a generator sum: phi(gamma_inv(unit), bs),
-    with the ghost tuple of gamma_inv(u) read off -t u'/u."""
+    """The de Rham-Witt form of a generator sum, the sum of
+    coef * phi(gamma_inv(unit), bs) over its generators."""
     zs = _as_sum(zs)
     n = zs[0].degree
     ctx = zs[0].ctx
     total = DRWForm.zero(ctx, n - 1, m)
     for z in zs:
-        total = total + ghost_dlog(log_ghost(z.unit(m)), z.bs).scale(z.coef)
+        total = total + phi(gamma_inv(z.unit(m)), z.bs).scale(z.coef)
     return total
 
 

@@ -324,11 +324,16 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        # before any input is read; cmd_drw checks the level s*m of drw v
+        # cheap checks before any input is read; cmd_drw checks the level
+        # s*m of drw v
         for level in (getattr(args, "m", None), getattr(args, "level", None)):
             if level is not None and level < 1:
                 raise ValueError("level must be >= 1")
             _check_level(level)
+        if getattr(args, "n", None) is not None and args.n < 1:
+            raise ParseError("--n must be >= 1")
+        if args.command == "drw" and args.subop in ("f", "v") and args.s < 1:
+            raise ValueError("s must be >= 1")
         return args.fn(args)
     except (WittCyclesError, ValueError) as exc:
         name = type(exc).__name__ if isinstance(exc, WittCyclesError) else "ValueError"

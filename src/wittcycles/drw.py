@@ -90,11 +90,6 @@ def phi(a: WittVector, bs) -> DRWForm:
     bs = list(bs)
     if any(b.is_zero() for b in bs):
         raise ZeroArgument("phi with a zero unit entry")
-    return ghost_dlog(ghost(a), bs)
-
-
-def ghost_dlog(g, bs) -> DRWForm:
-    """The form with ghost components g_j * dlog(b_1) ^ ... ^ dlog(b_k)."""
-    w = dlog_wedge(g[0].ctx, bs)
-    return DRWForm(w.ctx, w.degree, len(g), [w.scale(gj) for gj in g])
+    w = dlog_wedge(a.ctx, bs)
+    return DRWForm(w.ctx, w.degree, a.level, [w.scale(g) for g in ghost(a)])
 

@@ -3,10 +3,10 @@
 Elements are coefficient tuples comps = (c_0..c_m), forms.LevelTuples
 with extra = 1.  There is one truncated product (forms.series_product)
 and one division, scalars.series_quotient, solved degree by degree.
-log_t, trunc_dlog and witt.log_ghost read the log derivative t u'/u, the
-one division by u that each makes.  exp_t and log_t are mutually inverse
-between the ideal (t) and the principal units 1 + (t); they need
-denominators, so characteristic zero is baked in.
+log_t and trunc_dlog read the log derivative t u'/u, the one division by
+u that each makes.  exp_t and log_t are mutually inverse between the
+ideal (t) and the principal units 1 + (t); they need denominators, so
+characteristic zero is baked in.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import BadConstantTerm
 from .forms import LevelTuple
 from .scalars import FieldElem
-from .trunc import TruncElem, log_derivative
+from .trunc import TruncElem
 
 
 def _divisors(j):
@@ -92,13 +92,6 @@ def gamma(a: WittVector) -> TruncElem:
                 if c[k - i]:
                     c[k] = c[k] - ai * c[k - i]
     return TruncElem(a.ctx, m, c)
-
-
-def log_ghost(u: TruncElem) -> tuple:
-    """The ghost tuple of gamma_inv(u) for a principal unit u: from
-    -t u'/u = sum_j g_j t^j, g_j = -(t u'/u)_j.  One F_m division, the
-    route addchow.cycle_to_drw takes on its dense units."""
-    return tuple(-c for c in log_derivative(u).comps[1:])
 
 
 def gamma_inv(u: TruncElem) -> WittVector:

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from wittcycles import trunc
 from wittcycles.addchow import (CycleGen, ParamCurve, boundary, cyc_milnor,
                                 cycle_to_drw, drw_to_milnor_diagonal,
                                 milnor_to_drw_diagonal, modulus_check_curve,
                                 tower_compat, verify_boundary_vanishing)
 from wittcycles.drw import DRWForm, phi
 from wittcycles.errors import NonRationalBoundary
-from wittcycles.forms import dlog
+from wittcycles.forms import dlog, dlog_wedge
 from wittcycles.milnorfield import (FieldSymbol, dlog_realization, gersten_boundary,
                                     weil_reciprocity_check)
 from wittcycles.relmilnor import RelSymbol, normal_form
@@ -21,6 +22,7 @@ from wittcycles.trunc import TruncElem, parse_trunc
 from wittcycles.verify import Sampler
 from wittcycles.witt import WittVector, unghost
 
+from test_direct_reads import old_log_ghost
 from test_witt import peel_gamma_inv
 
 
@@ -196,9 +198,21 @@ def test_generator_json_roundtrip(ctx):
     assert back.f == z.f and back.bs == z.bs and back.coef == z.coef
 
 
+def old_cycle_to_drw(zs, m):
+    """cycle_to_drw as it was: the ghost tuple of gamma_inv(unit) read off
+    the log derivative, g_j = -(t u'/u)_j, wedged with the dlog(b)'s."""
+    ctx, n = zs[0].ctx, zs[0].degree
+    total = DRWForm.zero(ctx, n - 1, m)
+    for z in zs:
+        w = dlog_wedge(ctx, z.bs)
+        g = old_log_ghost(z.unit(m))
+        total = total + DRWForm(ctx, n - 1, m, [w.scale(gj) for gj in g]).scale(z.coef)
+    return total
+
+
 def test_cycle_to_drw_matches_gamma_inv_route(ctx):
-    # reference: phi of the peeled gamma_inv(unit), i.e. the unghost/ghost
-    # round trip through a route that does not share witt.log_ghost
+    # references: phi of gamma_inv peeled by F_m divisions, and the old
+    # route through the log derivative
     s = Sampler(ctx, 2024)
     for m in range(1, 13):
         n = 1 + m % 3
@@ -206,7 +220,25 @@ def test_cycle_to_drw_matches_gamma_inv_route(ctx):
         want = DRWForm.zero(ctx, n - 1, m)
         for z in zs:
             want = want + phi(peel_gamma_inv(z.unit(m)), z.bs).scale(z.coef)
-        assert cycle_to_drw(zs, m) == want
+        assert cycle_to_drw(zs, m) == want == old_cycle_to_drw(zs, m)
+
+
+def test_cycle_to_drw_makes_no_division(ctx, monkeypatch):
+    """The de Rham-Witt route peels the unit in place; the old route made
+    one F_m division per generator."""
+    calls = []
+    quotient = trunc.series_quotient
+    monkeypatch.setattr(trunc, "series_quotient",
+                        lambda w, v: calls.append(1) or quotient(w, v))
+    s = Sampler(ctx, 2828)
+    for m in range(1, 7):
+        for n in (1, 2, 3):
+            zs = [s.cycle_gen(n, m) for _ in range(3)]
+            calls.clear()
+            got = cycle_to_drw(zs, m)
+            assert not calls
+            assert got == old_cycle_to_drw(zs, m)
+            assert len(calls) == len(zs)
 
 
 def test_boundary_and_gersten_boundary_share_support(ectx):

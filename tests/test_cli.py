@@ -295,6 +295,32 @@ def test_level_below_one_exits_2_before_parsing(capsys, monkeypatch, argv):
         "type": "ValueError", "message": "level must be >= 1"}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["nf", "--n", "0", "--symbol", "{(641^96645)^19}"],
+     {"type": "ParseError", "message": "--n must be >= 1"}),
+    (["cyc", "--n", "-2", "--gen", "((641^96645)^19; x)"],
+     {"type": "ParseError", "message": "--n must be >= 1"}),
+    (["drw", "f", "--s", "0", "--witt", "((641^96645)^19)", "--bs", "(641^96645)^19"],
+     {"type": "ValueError", "message": "s must be >= 1"}),
+    (["drw", "v", "--s", "-1", "--level", "4", "--witt", "((641^96645)^19)"],
+     {"type": "ValueError", "message": "s must be >= 1"}),
+])
+def test_n_and_s_below_one_exit_2_before_parsing(capsys, monkeypatch, argv, error):
+    def refuse(*args):
+        raise AssertionError("input parsed before the --n and --s checks")
+
+    for name in ("parse_symbol", "parse_generator", "parse_tuple", "parse_elem"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_drw_phi_ignores_s(capsys):
+    code, out, _ = run(capsys, "drw", "phi", "--s", "0", "--witt", "(3,0)", "--bs", "x")
+    assert code == 0 and json.loads(out)["level"] == 2
+
+
 @pytest.mark.parametrize("argv, level", [
     (["nf", "--m", "1000000000", "--symbol", "{1+t, x}"], 1000000000),
     (["cyc", "--m", "257", "--gen", "(1-3t; x)"], 257),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wittcycles.drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
+from wittcycles.errors import ZeroArgument
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc, dlog
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem
@@ -53,10 +54,22 @@ def test_verschiebung_of_dlog_multiple(ctx):
     assert got.comps[1] == dlog(b).scale(2 * a)
 
 
+def test_v_and_f_refuse_indices_below_one(ctx):
+    # the CLI refuses --s below 1 before it builds a form
+    alpha = teich_dlog(ctx.var(0), 2)
+    for s in (0, -2):
+        with pytest.raises(ValueError, match="^s must be >= 1$"):
+            drw_V(s, alpha, 2)
+        with pytest.raises(ValueError, match="^s must be >= 1$"):
+            drw_F(s, alpha)
+
+
 def test_teich_dlog_values(ctx):
     x = ctx.var(0)
     assert teich_dlog(x, 3).comps == (dlog(x),) * 3
     assert teich_dlog(ctx.rational(5), 3).is_zero()
+    with pytest.raises(ZeroArgument, match=r"^teich_dlog\(0\)$"):
+        teich_dlog(ctx.zero, 3)
 
 
 def test_phi_values(ctx):

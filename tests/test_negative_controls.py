@@ -1,14 +1,16 @@
 """Negative controls: a planted fault in the library makes its check
 report `ok: false` under exactly that sub-property's name.  The faults sit
 in the form layer, for the sub-properties that read forms over F_m, in
-relmilnor.normal_form, for the identities of relative Milnor symbols, and
-in the tame symbol, for the filtration rewriting's boundary agreement.
+relmilnor.normal_form, for the identities of relative Milnor symbols, in
+the tame symbol, for the filtration rewriting's boundary agreement, and
+in the division on F_m and the class maps of addchow, for the cycle-iso
+suite.
 The checks run with their own draws; only the library they call is
 broken."""
 
 import pytest
 
-from wittcycles import milnorfield, relmilnor, verify
+from wittcycles import addchow, milnorfield, relmilnor, trunc, verify
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, exp_t
@@ -46,6 +48,11 @@ def drop_top(cls):
 
 def constant_in_t(u):
     return not any(u.comps[1:])
+
+
+def wrong_t2(q):
+    """q with q_1 added to its t^2 coefficient."""
+    return q[:2] + [q[2] + q[1]] + q[3:] if len(q) > 2 else q
 
 
 CONTROLS = {
@@ -114,6 +121,22 @@ CONTROLS = {
             [out.entries[0] * exp_t(TruncElem.t(a.ctx, a.level))]
             + list(out.entries[1:]))),
         lambda: verify.check_theta_roundtrip(CTX, 3, 1, m_max=3)),
+    # every division on F_m gets one wrong t^2 coefficient; the Milnor class
+    # reads it through the log derivative, the de Rham-Witt class makes no
+    # division
+    "diagonal-vs-symbol": (
+        lambda mp: plant(mp, trunc, "series_quotient", lambda out, w, v: wrong_t2(out)),
+        lambda: verify.check_cycle_dictionary(CTX, 106, 20)),
+    # the inverse diagonal gains dx_1^..^dx_k in omega_1
+    "diagonal-invertible": (
+        lambda mp: plant(mp, addchow, "milnor_to_drw_diagonal",
+                         lambda out, xi: plus_form(out, 0)),
+        lambda: verify.check_cycle_dictionary(CTX, 106, 20)),
+    # the Milnor class gains dx_1^..^dx_k in c_1 at odd levels only
+    "tower-compatibility": (
+        lambda mp: plant(mp, addchow, "cyc_milnor",
+                         lambda out, zs, m: plus_form(out, 0) if m % 2 else out),
+        lambda: verify.check_towers(CTX, 106, 20)),
 }
 
 

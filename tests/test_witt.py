@@ -113,6 +113,21 @@ def test_frobenius_verschiebung_is_multiplication_by_s(ctx):
     assert fv == unghost(tuple(2 * c for c in g))
 
 
+def test_v_and_f_refuse_bad_indices_and_levels(ctx):
+    a = WittVector(ctx, 2, [ctx.var(0), ctx.var(1)])
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="^s must be >= 1$"):
+            verschiebung(s, a, 2)
+        with pytest.raises(ValueError, match="^s must be >= 1$"):
+            frobenius(s, a)
+    # V_2 at level 6 reads a_1..a_3
+    with pytest.raises(ValueError, match="^input level 2 too small for V_2 at level 6$"):
+        verschiebung(2, a, 6)
+    assert verschiebung(2, a, 5).comps[3] == ctx.var(1)
+    with pytest.raises(ValueError, match="^F_3 empties a level-2 vector$"):
+        frobenius(3, a)
+
+
 def test_restrict(ctx):
     a = WittVector(ctx, 3, [ctx.var(0), ctx.var(1), ctx.one])
     assert a.restrict(2) == WittVector(ctx, 2, [ctx.var(0), ctx.var(1)])
