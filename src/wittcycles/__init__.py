@@ -11,7 +11,7 @@ from .witt import (WittVector, frobenius, gamma, gamma_inv, ghost, teichmuller,
 from .drw import DRWForm, drw_F, drw_V, drw_d, from_witt, phi, teich_dlog
 from .relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
 from .milnorfield import (FieldSymbol, Valuation, collect_terms,
-                          dlog_realization, elem_identity_instance,
+                          dlog_is_zero, elem_identity_instance,
                           gersten_boundary, rewrite_filtration, tame_symbol,
                           weil_reciprocity_check)
 from .addchow import (CycleGen, ParamCurve, boundary, cyc_milnor, cycle_to_drw,

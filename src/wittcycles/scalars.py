@@ -514,6 +514,22 @@ class FieldElem(JsonText):
         """Whether the element is in the polynomial tier."""
         return type(self.den) is int
 
+    def fraction(self):
+        """(num, den) as elements, den as an int in the polynomial tier."""
+        den = self.den
+        return FieldElem(self.ctx, self.num), den if type(den) is int else FieldElem(self.ctx, den)
+
+    def log_parts(self):
+        """[(b, e)]: the primitive parts b of the non-constant numerator
+        (e = 1) and denominator (e = -1), with positive leading
+        coefficients, in the polynomial tier; dlog self = sum e * dlog b."""
+        parts = []
+        for poly, e in ((self.num, 1), (self.den, -1)):
+            if type(poly) is not int and not poly.is_ground:
+                sign = 1 if poly.LC > 0 else -1
+                parts.append((FieldElem(self.ctx, _scaled(poly, sign, gcd(*poly.values()))), e))
+        return parts
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.rational(other)

@@ -14,7 +14,7 @@ from wittcycles.addchow import (CycleGen, ParamCurve, boundary, cyc_milnor,
 from wittcycles.drw import DRWForm, phi
 from wittcycles.errors import NonRationalBoundary
 from wittcycles.forms import dlog, dlog_wedge
-from wittcycles.milnorfield import (FieldSymbol, dlog_realization, gersten_boundary,
+from wittcycles.milnorfield import (FieldSymbol, dlog_is_zero, gersten_boundary,
                                     weil_reciprocity_check)
 from wittcycles.relmilnor import RelSymbol, normal_form
 from wittcycles.scalars import Context
@@ -262,9 +262,9 @@ def test_boundary_and_gersten_boundary_share_support(ectx):
 
 @pytest.mark.parametrize("fn, args", [
     (cyc_milnor, (2,)), (cycle_to_drw, (2,)), (gersten_boundary, (0,)),
-    (weil_reciprocity_check, (0,)), (normal_form, ()), (dlog_realization, ()),
+    (weil_reciprocity_check, (0,)), (normal_form, ()), (dlog_is_zero, ()),
 ], ids=["cyc_milnor", "cycle_to_drw", "gersten_boundary", "weil_reciprocity_check",
-        "normal_form", "dlog_realization"])
+        "normal_form", "dlog_is_zero"])
 def test_empty_sums_raise_value_error(fn, args):
     """An empty cycle or symbol sum has no context to work in."""
     with pytest.raises(ValueError, match="^empty (cycle|symbol) sum has no context$"):

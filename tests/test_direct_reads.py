@@ -225,6 +225,7 @@ def test_ord_residue_matches_from_terms(base):
             f = _fraction(ctx, rng) * lin ** rng.randint(-2, 2)
             for v in (Valuation.finite(ctx, upos, c), Valuation.infinity(ctx, upos)):
                 assert v.ord_residue(f) == old_ord_residue(v, f)
+                assert repr(v.ord_residue(f)) == repr(old_ord_residue(v, f))
 
 
 @pytest.mark.parametrize("base", BASES[1:], ids=repr)
@@ -251,6 +252,7 @@ def test_valuation_matches_synthetic_division(base):
                 want = old_ord_residue(v, f)
                 assert want[0] == k + old_ord_residue(v, g)[0]
                 assert v.ord_residue(f) == want and v.ord(f) == want[0]
+                assert repr(v.ord_residue(f)) == repr(want)
                 assert inf.ord_residue(f) == old_ord_residue(inf, f)
                 assert inf.ord(f) == inf.ord_residue(f)[0]
     # the support's valuations carry the factor as sympy returns it, here
@@ -263,6 +265,7 @@ def test_valuation_matches_synthetic_division(base):
         for k in (-2, -1, 1, 2):
             f = _fraction(ctx, rng) * lines[k % 3] ** k
             assert v.ord_residue(f) == old_ord_residue(v, f)
+            assert repr(v.ord_residue(f)) == repr(old_ord_residue(v, f))
     # a closed point of degree 2: ord only, counted against the reference
     # multiplicity loop on the FracField numerator and denominator
     quad = 2 * u ** 2 - x

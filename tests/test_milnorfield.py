@@ -1,10 +1,11 @@
 """Symbol calculus over F(u): valuations, tame symbols, reciprocity,
 and the two rewriting procedures.
 
-The two-entry identity, tame symbols and the filtration rewriting are
-checked against the routes they replaced, written out below: the
-identity built inline, the bitmask expansion with its ``while`` loop, and
-the rewriting through pi^(-m) round trips with its stack."""
+The two-entry identity, tame symbols, the filtration rewriting and the
+dlog zero test are checked against the routes they replaced, written out
+below: the identity built inline, the bitmask expansion with its
+``while`` loop, the rewriting through pi^(-m) round trips with its
+stack, and the dlog form built as a sum of wedges over the field."""
 
 import random
 from fractions import Fraction
@@ -16,13 +17,14 @@ import pytest
 from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
                                NonRationalSupport, NoUnitEntry, WittCyclesError,
                                ZeroEntry)
-from wittcycles.forms import dlog
-from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
-                                    dlog_realization, elem_identity_instance,
+from wittcycles import scalars
+from wittcycles.forms import DiffForm, dlog, dlog_wedge
+from wittcycles.milnorfield import (FieldSymbol, Valuation, _as_sum, collect_terms,
+                                    dlog_is_zero, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
                                     tame_symbol, two_entry,
                                     weil_reciprocity_check, zero_by_realizations)
-from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, _factors
+from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, FieldElem, _factors
 from wittcycles.verify import Sampler
 
 
@@ -170,9 +172,10 @@ def test_weil_reciprocity(ctx):
 def test_dlog_realization():
     b2 = Context(("x", "y"))
     x, y = b2.gens()
-    assert dlog_realization(FieldSymbol(b2, [x, 1 - x])).is_zero()
-    assert dlog_realization(FieldSymbol(b2, [x, y])) == dlog(x).wedge(dlog(y))
-    assert dlog_realization(FieldSymbol(b2, [b2.rational(-1), y])).is_zero()
+    assert dlog_is_zero(FieldSymbol(b2, [x, 1 - x]))
+    assert old_dlog_realization(FieldSymbol(b2, [x, y])) == dlog(x).wedge(dlog(y))
+    assert not dlog_is_zero(FieldSymbol(b2, [x, y]))
+    assert dlog_is_zero(FieldSymbol(b2, [b2.rational(-1), y]))
 
 
 def test_two_entry_identity():
@@ -182,7 +185,7 @@ def test_two_entry_identity():
                          (b2.rational(2), b2.one, x, x),
                          (x, y, x + 1, y - 2)]:
         lhs, rhs = elem_identity_instance(a, b, s, tau)
-        assert (dlog_realization([lhs]) - dlog_realization([rhs])).is_zero()
+        assert dlog_is_zero([lhs, rhs.scale(-1)])
 
 
 def test_two_entry_identity_degenerate_branch():
@@ -192,7 +195,7 @@ def test_two_entry_identity_degenerate_branch():
         elem_identity_instance(b2.one, -1 / x - 1, x, b2.one)
     # the left side alone realizes to zero in the degenerate case
     s = FieldSymbol(b2, [1 + x, -1 / x])
-    assert dlog_realization([s]).is_zero()
+    assert dlog_is_zero([s])
 
 
 @pytest.fixture
@@ -219,11 +222,7 @@ def test_filtration_two_entries(pctx):
         for e in res.entries:
             assert v.ord(e) == 0
     # realization agreement with the input
-    total = dlog_realization([sym]).scale(-1)
-    for w, res in out:
-        total = total + dlog_realization(
-            [FieldSymbol(pctx, (w,) + res.entries, res.coef)])
-    assert total.is_zero()
+    assert dlog_is_zero(_recombined(pctx, out) + [sym.scale(-1)])
     # pi-adic tame symbols agree as well
     tin = tame_symbol(v, sym)
     tout = []
@@ -231,7 +230,7 @@ def test_filtration_two_entries(pctx):
         tout.extend(tame_symbol(v, FieldSymbol(pctx, (w,) + res.entries, res.coef)))
     diff = tin + [t.scale(-1) for t in tout]
     if diff:
-        assert dlog_realization(diff).is_zero()
+        assert dlog_is_zero(diff)
     ok, ev = zero_by_realizations(_recombined(pctx, out) + [sym.scale(-1)], depth=2)
     assert ok, ev
 
@@ -290,12 +289,11 @@ def test_two_entry_degenerates_exactly_when_w_vanishes():
         if degenerate:
             with pytest.raises(DegenerateBranch):
                 two_entry(y1, y2)
-            assert dlog_realization([FieldSymbol(b2, [y1, y2])]).is_zero()
+            assert dlog_is_zero([FieldSymbol(b2, [y1, y2])])
             continue
         w, v = two_entry(y1, y2)
         assert not w.is_zero()
-        assert dlog_realization([FieldSymbol(b2, [y1, y2]),
-                                 FieldSymbol(b2, [w, v])]).is_zero()
+        assert dlog_is_zero([FieldSymbol(b2, [y1, y2]), FieldSymbol(b2, [w, v])])
     assert seen[True] >= 30 and seen[False] >= 60
 
 
@@ -541,3 +539,132 @@ def test_filtration_matches_the_old_rewriting(pctx):
         _assert_same_sum(_recombined(pctx, old), _recombined(pctx, new), depth=1)
         done += 1
     assert raised
+
+
+def old_dlog_realization(terms) -> DiffForm:
+    """The form sum coef * dlog(y_1)^..^dlog(y_n) of a symbol sum, built
+    by wedging dlog forms over the field."""
+    terms = _as_sum(terms)
+    ctx = terms[0].ctx
+    n = terms[0].degree
+    total = DiffForm.zero(ctx, n)
+    for sym in terms:
+        if sym.degree != n:
+            raise ValueError("mixed degrees in one symbol sum")
+        total = total + dlog_wedge(ctx, sym.entries).scale(sym.coef)
+    return total
+
+
+def _dlog_draws(rng, count):
+    """Seeded symbol sums in 1-3 variables and of degrees 1-3, whose
+    entries are rational multiples of products of one or two factors,
+    each to the power 1, 2 or -1.  Every other draw presents one symbol
+    twice (multiplicativity in an entry, antisymmetry, the two-entry
+    identity or {a, 1 - a}), so it is zero; the rest are random sums."""
+    for k in range(count):
+        ctx = Context(("x", "y", "z")[:k % 3 + 1])
+        gens = ctx.gens()
+        pool = [f for g in gens for h in gens
+                for f in (g, g + 1, 2 * g - 3, g * h + 1, g - 2 * h)]
+
+        def entry():
+            return ctx.rational(rng.choice((1, -1, 2, Fraction(3, 4)))) * prod(
+                rng.choice(pool) ** rng.choice((1, 1, 2, -1))
+                for _ in range(rng.randint(1, 2)))
+        n = rng.randint(1, 3)
+        ys = [entry() for _ in range(n)]
+        coef = rng.choice((1, -2, Fraction(3, 5)))
+        if k % 2:
+            yield [FieldSymbol(ctx, [entry() for _ in range(n)], rng.choice((1, -1, 2)))
+                   for _ in range(rng.randint(1, 3))]
+            continue
+        kind = rng.randrange(4)
+        if kind == 0 or n == 1:
+            i, f, g = rng.randrange(n), entry(), entry()
+            yield [FieldSymbol(ctx, ys[:i] + [y] + ys[i + 1:], c)
+                   for y, c in ((f * g, coef), (f, -coef), (g, -coef))]
+        elif kind == 1:
+            i, j = rng.sample(range(n), 2)
+            swapped = list(ys)
+            swapped[i], swapped[j] = ys[j], ys[i]
+            yield [FieldSymbol(ctx, ys, coef), FieldSymbol(ctx, swapped, coef)]
+        elif kind == 2 and not (ys[0] - 1).is_zero() and not (1 + (ys[0] - 1) * ys[1]).is_zero():
+            w, v = two_entry(ys[0], ys[1])
+            yield [FieldSymbol(ctx, ys, coef), FieldSymbol(ctx, [w, v] + ys[2:], coef)]
+        elif not (ys[0] - 1).is_zero():
+            yield [FieldSymbol(ctx, [ys[0], 1 - ys[0]] + ys[2:], coef)]
+
+
+def test_dlog_is_zero_matches_the_form():
+    rng = random.Random(2929)
+    seen = set()
+    for terms in _dlog_draws(rng, 180):
+        want = old_dlog_realization(terms).is_zero()
+        assert dlog_is_zero(terms) == want, terms
+        ctx = terms[0].ctx
+        seen.add((want, terms[0].degree <= ctx.r))
+        seen.update(y.is_polynomial() for sym in terms for y in sym.entries)
+    # both verdicts where the degree does not decide, and both tiers
+    assert seen == {(True, True), (True, False), (False, True), True, False}
+
+
+def test_dlog_zero_test_edge_cases():
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    assert dlog_is_zero([FieldSymbol(b2, [], 2), FieldSymbol(b2, [], -2)])
+    assert not dlog_is_zero([FieldSymbol(b2, [], 2)])
+    assert dlog_is_zero([FieldSymbol(b2, [x, y], Fraction(1, 2)),
+                         FieldSymbol(b2, [y * 4, x / 3], Fraction(1, 2))])
+    assert not dlog_is_zero([FieldSymbol(b2, [x, y], Fraction(1, 2)),
+                             FieldSymbol(b2, [y, x], Fraction(1, 3))])
+    with pytest.raises(ValueError, match="mixed degrees"):
+        dlog_is_zero([FieldSymbol(b2, [x]), FieldSymbol(b2, [x, y])])
+
+
+def _fail(*args):
+    raise AssertionError("the polynomial step was reached")
+
+
+def test_oracles_on_known_sums(monkeypatch):
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    for entries in ([x, y], [x, 1 + y]):
+        assert zero_by_realizations([FieldSymbol(b2, entries)], depth=2) == (
+            False, {"dlog_zero": False, "var_x": False, "var_y": False})
+    for entries in ([x, 1 - x], [x, x]):
+        assert zero_by_realizations([FieldSymbol(b2, entries)], depth=2) == (
+            True, {"dlog_zero": True, "var_x": True, "var_y": True})
+    b3 = Context(("x", "y", "z"))
+    x3, y3, z3 = b3.gens()
+    assert zero_by_realizations([FieldSymbol(b3, [x3, y3, z3])], depth=3) == (
+        False, {"dlog_zero": False, "var_x": False, "var_y": False, "var_z": False})
+    diffs = []
+    diff = FieldElem.diff
+    monkeypatch.setattr(FieldElem, "diff", lambda a, i: diffs.append(i) or diff(a, i))
+    # {x, y, x + y} has a nonzero m_K, and its dx^dy^dz coefficient is 0
+    assert dlog_is_zero(FieldSymbol(b3, [x3, y3, x3 + y3])) and diffs
+    # three entries over two variables: no entry is read
+    monkeypatch.setattr(FieldElem, "log_parts", _fail)
+    assert dlog_is_zero(FieldSymbol(b2, [x, y, x + y]))
+    assert zero_by_realizations([FieldSymbol(b2, [x, y, x + y])], depth=2) == (
+        True, {"dlog_zero": True, "var_x": True, "var_y": True})
+
+
+# scalars._cofactors calls in the dlog zero test of one two-entry identity
+# sum: none by dlog_is_zero, DLOG_COFACTORS by the wedge route it replaced
+DLOG_COFACTORS = 24
+
+
+def test_dlog_is_zero_makes_no_gcd(monkeypatch):
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    lhs, rhs = elem_identity_instance(x, y, x + 1, y - 2)
+    terms = [lhs, rhs.scale(-1)]
+    calls = []
+    cofactors = scalars._cofactors
+    monkeypatch.setattr(scalars, "_cofactors", lambda f, g: calls.append(f) or cofactors(f, g))
+    factored = _factor_list_calls(monkeypatch, x.num)
+    assert dlog_is_zero(terms)
+    assert (len(calls), len(factored)) == (0, 0)
+    assert old_dlog_realization(terms).is_zero()
+    assert (len(calls), len(factored)) == (DLOG_COFACTORS, 0)

@@ -2,7 +2,8 @@
 report `ok: false` under exactly that sub-property's name.  The faults sit
 in the form layer, for the sub-properties that read forms over F_m, in
 relmilnor.normal_form, for the identities of relative Milnor symbols, in
-the tame symbol, for the filtration rewriting's boundary agreement, and
+the tame symbol, for Weil reciprocity and the filtration rewriting's
+boundary agreement, in the rewriting's pairs, for its dlog agreement, and
 in the division on F_m and the class maps of addchow, for the cycle-iso
 suite.
 The checks run with their own draws; only the library they call is
@@ -114,6 +115,18 @@ CONTROLS = {
     "filtration-tame-agreement": (
         lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: out + [
             milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]),
+        lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
+    # every tame symbol at infinity gains {x_1, .., x_(n-1)} over the
+    # residue field, so the boundary no longer sums to zero
+    "weil-reciprocity": (
+        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: out + [
+            milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]
+            if v.fac is None else out),
+        lambda: verify.check_weil_reciprocity(("x", "y"), 1, 2)),
+    # the first pair of every rewriting gets a doubled coefficient
+    "filtration-dlog-agreement": (
+        lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
+            (w, res.scale(2)) for w, res in out[:1]] + out[1:]),
         lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
     # theta reads exp(a + t) for exp(a)
     "theta-roundtrip": (

@@ -60,8 +60,8 @@ def test_cell_check_counts_across_cells(monkeypatch):
 def test_retry_loop_check_counts_completed_trials(monkeypatch):
     _, instances = patch(monkeypatch, milnorfield, "elem_identity_instance")
     # with the realization test stubbed out, only a completed trial of the
-    # degenerate branch calls dlog_realization
-    _, degenerate = patch(monkeypatch, milnorfield, "dlog_realization")
+    # degenerate branch calls dlog_is_zero
+    _, degenerate = patch(monkeypatch, milnorfield, "dlog_is_zero")
     main_trials = []
 
     def zero_by_realizations(terms, depth):
