@@ -93,15 +93,13 @@ def cyc_milnor(zs, m: int) -> CanonRelForm:
     """The relative Milnor class of a generator sum at level m."""
     zs = _as_sum(zs)
     n = zs[0].degree
-    ctx = zs[0].ctx
-    total = CanonRelForm.zero(ctx, n - 1, m)
+    syms = []
     for z in zs:
         if z.degree != n:
             raise ValueError("mixed degrees in one cycle sum")
-        entries = [z.unit(m)]
-        entries.extend(TruncElem.constant(b, m) for b in z.bs)
-        total = total + normal_form(RelSymbol(entries, z.coef))
-    return total
+        entries = [z.unit(m)] + [TruncElem.constant(b, m) for b in z.bs]
+        syms.append(RelSymbol(entries, z.coef))
+    return normal_form(syms)
 
 
 def cycle_to_drw(zs, m: int) -> DRWForm:

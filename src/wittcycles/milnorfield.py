@@ -77,16 +77,11 @@ class FieldSymbol(JsonText):
 def collect_terms(terms):
     """Merge symbols with identical entry tuples and drop zero terms.
     Presentation-level bookkeeping only, not K-group equality."""
-    order = []
-    acc = {}
-    ctx = None
+    acc, ctx = {}, None
     for sym in terms:
         ctx = sym.ctx
-        if sym.entries not in acc:
-            order.append(sym.entries)
-            acc[sym.entries] = Fraction(0)
-        acc[sym.entries] += sym.coef
-    return [FieldSymbol(ctx, e, acc[e]) for e in order if acc[e] != 0]
+        acc[sym.entries] = acc.get(sym.entries, 0) + sym.coef
+    return [FieldSymbol(ctx, e, c) for e, c in acc.items() if c != 0]
 
 
 class Valuation:
@@ -161,9 +156,9 @@ class Valuation:
     def _at_point(self, poly, p, q):
         """(k, h, d) for poly = fac^k * g with g(c) != 0 of degree d in u
         and h = q^d * g(p/q), by the Horner rule homogeneous in p and q over
-        g's coefficients in u; fac is divided out only when poly(c) = 0."""
+        g's coefficients in u; fac is divided out once, where poly(c) = 0."""
         k = 0
-        while True:
+        for stripped in (False, True):
             coeffs = self.base.split(poly, self.upos)
             d = max(coeffs)
             h, qk = coeffs[d], 1
@@ -171,7 +166,7 @@ class Valuation:
                 qk, h = qk * q, h * p
                 if e in coeffs:
                     h = h + coeffs[e] * qk
-            if h:
+            if h or stripped:
                 return k, h, d
             k, poly = self.ctx.strip(poly, self.fac, self.upos)
 
@@ -267,9 +262,9 @@ def tame_symbol(v: Valuation, sym: FieldSymbol):
 
 
 def rational_support(ctx, values, upos):
-    """The valuations at the rational points of the u-line where some
-    value has a zero or a pole, in first-seen order, then at infinity if
-    some value has a zero or a pole there; and the non-rational factors."""
+    """The valuations at the rational points where some value has a zero
+    or a pole, then at infinity if some value has one there, and the
+    distinct non-rational factors, all in first-seen order."""
     base = ctx.drop(upos)
     points = {}
     nonrational = []
@@ -286,7 +281,7 @@ def rational_support(ctx, values, upos):
     inf = Valuation.infinity(ctx, upos)
     if any(inf.ord(y) for y in values):
         vals.append(inf)
-    return vals, nonrational
+    return vals, list(dict.fromkeys(nonrational))
 
 
 def gersten_boundary(terms, upos):
@@ -309,10 +304,10 @@ def gersten_boundary(terms, upos):
     return out, nonrational
 
 
-def zero_by_realizations(terms, depth):
+def zero_by_realizations(terms):
     """Necessary-condition test that a symbol sum over F vanishes: zero
-    dlog form, and zero boundary recursively in every variable.  Returns
-    (consistent, evidence)."""
+    dlog form, and zero boundary recursively in every variable down to Q.
+    Returns (consistent, evidence)."""
     terms = list(terms)
     evidence = {}
     if not terms:
@@ -323,18 +318,17 @@ def zero_by_realizations(terms, depth):
         total = sum((s.coef for s in terms), Fraction(0))
         return total == 0, {"coefficient_sum": str(total)}
     ok = evidence["dlog_zero"] = dlog_is_zero(terms)
-    if depth > 0:
-        for i in range(ctx.r):
-            bnd, nonrational = gersten_boundary(terms, i)
-            if nonrational:
-                evidence["var_%s" % ctx.names[i]] = "skipped: non-rational support"
-                continue
-            sub_ok = True
-            for v, parts in bnd:
-                good, _ = zero_by_realizations(parts, depth - 1)
-                sub_ok = sub_ok and good
-            evidence["var_%s" % ctx.names[i]] = sub_ok
-            ok = ok and sub_ok
+    for i in range(ctx.r):
+        bnd, nonrational = gersten_boundary(terms, i)
+        if nonrational:
+            evidence["var_%s" % ctx.names[i]] = "skipped: non-rational support"
+            continue
+        sub_ok = True
+        for v, parts in bnd:
+            good, _ = zero_by_realizations(parts)
+            sub_ok = sub_ok and good
+        evidence["var_%s" % ctx.names[i]] = sub_ok
+        ok = ok and sub_ok
     return ok, evidence
 
 
@@ -351,7 +345,7 @@ def weil_reciprocity_check(terms, upos):
         total.extend(parts)
     if not total:
         return True, {"boundary": "empty"}
-    ok, evidence = zero_by_realizations(total, depth=terms[0].ctx.r)
+    ok, evidence = zero_by_realizations(total)
     evidence["points"] = [str(v) for v, _ in bnd]
     return ok, evidence
 
@@ -393,11 +387,12 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
     residual symbols.
 
     Until some entry lies in 1 + pi^m, a unit y1 of the local ring moves
-    to the front and two_entry turns {y1, y2} into -{w, v}, with
-    ord(w - 1) = ord(y1 - 1) + ord(y2 - 1) since y1 is a unit.  The
-    residual entries are then cleared of pi-powers by the pi-adic
-    expansion, each pi becoming -u0 in place with the factor -1/e, by
-    {w, pi} = -(1/e){w, -u0} for w = 1 + u0 pi^e."""
+    to the front and two_entry turns {y1, y2} into -{w, v} = {v, w}; v
+    joins the residuals, and w, with ord(w - 1) = ord(y1 - 1) + ord(y2 - 1)
+    as y1 is a unit, replaces y1 and y2.  The residual entries are then
+    cleared of pi-powers by the pi-adic expansion, each pi becoming -u0 in
+    place with the factor -1/e, by {w, pi} = -(1/e){w, -u0} for
+    w = 1 + u0 pi^e."""
     ctx = sym.ctx
     one = ctx.one
     pi = ctx.var(upos)
@@ -407,12 +402,9 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
     ks = tuple(v.ord(y - one) for y in sym.entries)
     if sum(ks) < m:
         raise HypothesisViolated("sum of ord(y_i - 1) = %d < %d" % (sum(ks), m))
-
-    def recurse(entries, ks):
-        # (w, ord(w - 1), sign, residual) with {entries} = sum sign {w, residual}
-        for i, k in enumerate(ks):
-            if k >= m:
-                return [(entries[i], k, (-1) ** i, entries[:i] + entries[i + 1:])]
+    # the input is sign * {residuals, entries}, ks the orders of entries - 1
+    entries, residuals, sign = sym.entries, (), 1
+    while all(k < m for k in ks):
         if len(entries) == 1:
             raise HypothesisViolated("single entry below the filtration level")
         front = next((i for i, k in enumerate(ks)
@@ -425,15 +417,14 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
             w, res = two_entry(entries[0], entries[1])
         except DegenerateBranch:
             return []
-        # {y1, y2, r} = -{w, res, r} = {res}{w, r}, after (-1)^front to move y1
-        sign = (-1) ** front
-        inner = recurse((w,) + entries[2:], (ks[0] + ks[1],) + ks[2:])
-        return [(wk, ek, -sign * sk, (res,) + rk) for wk, ek, sk, rk in inner]
-
-    out = []
-    for w, e, sign, rest in recurse(sym.entries, ks):
-        minus_u0 = (one - w) * pi ** -e
-        parts = [(j, y * pi ** -j if j else y) for y, j in zip(rest, map(v.ord, rest))]
-        for mult, entries in _pi_expansion(parts, Fraction(-1, e), minus_u0):
-            out.append((w, FieldSymbol(ctx, entries, sym.coef * sign * mult)))
-    return out
+        sign *= (-1) ** front
+        residuals += (res,)
+        entries, ks = (w,) + entries[2:], (ks[0] + ks[1],) + ks[2:]
+    i = next(i for i, k in enumerate(ks) if k >= m)
+    w, e = entries[i], ks[i]
+    sign *= (-1) ** (len(residuals) + i)
+    rest = residuals + entries[:i] + entries[i + 1:]
+    minus_u0 = (one - w) * pi ** -e
+    parts = [(j, y * pi ** -j if j else y) for y, j in zip(rest, map(v.ord, rest))]
+    return [(w, FieldSymbol(ctx, ys, sym.coef * sign * mult))
+            for mult, ys in _pi_expansion(parts, Fraction(-1, e), minus_u0)]

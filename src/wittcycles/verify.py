@@ -486,7 +486,7 @@ def check_tame_basics(names, seed, trials):
         clift = ctx.lift(c)
         v = milnorfield.Valuation.finite(ctx, upos, base.zero)
         e1 = u ** s.rng.randint(1, 3) * clift
-        e2 = clift + u if not (clift + u).is_zero() else clift * 2 + u
+        e2 = clift + u
         lhs = milnorfield.collect_terms(
             milnorfield.tame_symbol(v, milnorfield.FieldSymbol(ctx, [e1 * e2])))
         rhs = milnorfield.collect_terms(
@@ -495,7 +495,7 @@ def check_tame_basics(names, seed, trials):
         _require(sum(t.coef for t in lhs) == sum(t.coef for t in rhs),
                  "tame-multilinearity-n1", e1, e2)
         # units-only symbols die
-        unit = clift + u * u if not (clift + u * u).is_zero() else 1 + u * u
+        unit = clift + u * u
         got = milnorfield.tame_symbol(
             v, milnorfield.FieldSymbol(ctx, [1 + u * clift, unit]))
         _require(not got, "tame-kills-units", unit)
@@ -593,8 +593,6 @@ def _curve_corpus(names, seed, count):
             extra = lift(s.rng.choice(pool_scale)) + lift(base.rational(4))
             gs = [u, ord3(s.rng.choice(pool_scale)), extra]
         curve = addchow.ParamCurve(ctx, upos, gs)
-        if not addchow.modulus_check_curve(curve, m):
-            continue
         try:
             addchow.boundary(curve)
         except WittCyclesError:
@@ -635,7 +633,7 @@ def check_elem_identity(names, seed, trials):
             lhs, rhs = milnorfield.elem_identity_instance(a, b, sv, tau)
         except (DegenerateBranch, ZeroEntry):
             continue
-        ok, _ = milnorfield.zero_by_realizations([lhs, rhs.scale(-1)], depth=ctx.r)
+        ok, _ = milnorfield.zero_by_realizations([lhs, rhs.scale(-1)])
         _require(ok, "two-entry-identity", a, b, sv, tau)
         done += 1
         yield
@@ -699,7 +697,7 @@ def check_rewrite_filtration(names, seed, trials):
                  "filtration-dlog-agreement", sym)
         tdiff = [term for t in diff for term in milnorfield.tame_symbol(v, t)]
         if tdiff:
-            ok, _ = milnorfield.zero_by_realizations(tdiff, depth=base.r)
+            ok, _ = milnorfield.zero_by_realizations(tdiff)
             _require(ok, "filtration-tame-agreement", sym)
         done += 1
         yield

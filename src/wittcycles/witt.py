@@ -70,13 +70,12 @@ def unghost(g) -> WittVector:
 def _lower_terms(coords, powers, j):
     """The terms d * a_d^(j/d) of g_j over the proper divisors d of j with
     a_d = coords[d - 1] nonzero.  powers[d - 1] holds a_d^(j/d - 1), left
-    by the last multiple of d, and moves on to a_d^(j/d): by one product
-    with a_d in the polynomial tier, by a fresh power in the fraction tier,
-    where a product would pay cross-cancellation gcds that a power does not."""
+    by the last multiple of d, and moves on to a_d^(j/d) by one product
+    with a_d."""
     for d in _divisors(j)[:-1]:
         a = coords[d - 1]
         if a:
-            powers[d - 1] = powers[d - 1] * a if a.is_polynomial() else a ** (j // d)
+            powers[d - 1] = powers[d - 1] * a
             yield d * powers[d - 1]
 
 

@@ -117,6 +117,22 @@ def test_form_json_roundtrip(ctx):
     assert FormOnTrunc.from_json(ctx, f.to_json()) == f
 
 
+@pytest.mark.parametrize("degree, subset, message", [
+    (1, (0, 1), "bad index subset"),
+    (2, (1, 0), "bad index subset"),
+    (2, (0, 0), "bad index subset"),
+    (1, (2,), "out of range"),
+    (1, (-1,), "out of range"),
+], ids=["length", "unsorted", "repeated", "above", "below"])
+def test_forms_refuse_bad_index_subsets(ctx, degree, subset, message):
+    """A nonzero coefficient on an index subset that is not a sorted set
+    of degree distinct variables is refused, built directly or read back."""
+    with pytest.raises(ValueError, match=message):
+        DiffForm(ctx, degree, {subset: ctx.one})
+    with pytest.raises(ValueError, match=message):
+        DiffForm.from_json(ctx, degree, [[list(subset), ctx.one.to_json()]])
+
+
 @pytest.mark.parametrize("build", [
     lambda ctx, one, two: CanonRelForm(ctx, 1, 2, [one, two]),
     lambda ctx, one, two: FormOnTrunc.of(ctx, 1, 1, tparts=[one, two]),

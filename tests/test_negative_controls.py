@@ -1,17 +1,19 @@
 """Negative controls: a planted fault in the library makes its check
 report `ok: false` under exactly that sub-property's name.  The faults sit
-in the form layer, for the sub-properties that read forms over F_m, in
-relmilnor.normal_form, for the identities of relative Milnor symbols, in
-the tame symbol, for Weil reciprocity and the filtration rewriting's
-boundary agreement, in the rewriting's pairs, for its dlog agreement, and
-in the division on F_m and the class maps of addchow, for the cycle-iso
-suite.
+in the Witt vector maps (gamma, log, Frobenius) for the witt suite, in the
+de Rham-Witt operators F and V for the drw suite, in the form layer, for
+the sub-properties that read forms over F_m, in relmilnor.normal_form, for
+the identities of relative Milnor symbols, in the tame symbol, for its
+multilinearity, Weil reciprocity and the filtration rewriting's boundary
+agreement, in the rewriting's pairs, for its ord bound and dlog
+agreement, and in the division on F_m and the class maps of addchow, for
+the cycle-iso suite.
 The checks run with their own draws; only the library they call is
 broken."""
 
 import pytest
 
-from wittcycles import addchow, milnorfield, relmilnor, trunc, verify
+from wittcycles import addchow, drw, milnorfield, relmilnor, trunc, verify, witt
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem, exp_t
@@ -49,6 +51,12 @@ def drop_top(cls):
 
 def constant_in_t(u):
     return not any(u.comps[1:])
+
+
+def plus_tame(out, v, sym):
+    """A tame symbol with {x_1, .., x_(n-1)} over the residue field added,
+    the coefficient 1 for n = 1."""
+    return out + [milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]
 
 
 def wrong_t2(q):
@@ -113,16 +121,24 @@ CONTROLS = {
     # (the coefficient 1 for n = 1), so the boundary of the difference
     # no longer vanishes
     "filtration-tame-agreement": (
-        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: out + [
-            milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]),
+        lambda mp: plant(mp, milnorfield, "tame_symbol", plus_tame),
         lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
     # every tame symbol at infinity gains {x_1, .., x_(n-1)} over the
     # residue field, so the boundary no longer sums to zero
     "weil-reciprocity": (
-        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: out + [
-            milnorfield.FieldSymbol(v.base, v.base.gens()[:sym.degree - 1])]
-            if v.fac is None else out),
+        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: plus_tame(
+            out, v, sym) if v.fac is None else out),
         lambda: verify.check_weil_reciprocity(("x", "y"), 1, 2)),
+    # every tame symbol of one entry gains the coefficient 1, once on the
+    # left of {e1 e2} = {e1} + {e2} and twice on the right
+    "tame-multilinearity-n1": (
+        lambda mp: plant(mp, milnorfield, "tame_symbol", plus_tame),
+        lambda: verify.check_tame_basics(("x", "y"), 1, 2)),
+    # every pair of the rewriting leads with w = 2, of order 0 in w - 1
+    "filtration-ord-bound": (
+        lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
+            (sym.ctx.rational(2), res) for w, res in out]),
+        lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
     # the first pair of every rewriting gets a doubled coefficient
     "filtration-dlog-agreement": (
         lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
@@ -150,6 +166,32 @@ CONTROLS = {
         lambda mp: plant(mp, addchow, "cyc_milnor",
                          lambda out, zs, m: plus_form(out, 0) if m % 2 else out),
         lambda: verify.check_towers(CTX, 106, 20)),
+    # gamma gains t^m, so gamma(a + b) and gamma(a) gamma(b) differ by t^m
+    "gamma-homomorphism": (
+        lambda mp: plant(mp, witt, "gamma", lambda out, a: out + TruncElem.t(
+            a.ctx, a.level) ** a.level),
+        lambda: verify.check_ghost_gamma(CTX, 1, 2)),
+    # log gains t
+    "log-of-exp": (
+        lambda mp: plant(mp, verify, "log_t", lambda out, u: out + TruncElem.t(
+            u.ctx, u.level)),
+        lambda: verify.check_explog(CTX, 1, 2)),
+    # F_s gains the Teichmuller lift [1]
+    "frobenius-verschiebung": (
+        lambda mp: plant(mp, witt, "frobenius", lambda out, s, a: out + witt.teichmuller(
+            out.ctx.one, out.level)),
+        lambda: verify.check_witt_vf(CTX, 1, 2)),
+    # F_s gains dx_1^..^dx_k in omega_1
+    "FdV-is-d": (
+        lambda mp: plant(mp, drw, "drw_F", lambda out, s, a: plus_form(out, 0)),
+        lambda: verify.check_drw_relations(CTX, 1, 2)),
+    # V_s gains dx_1^..^dx_k in omega_1, which restriction keeps
+    "V-dlog-identity": (
+        lambda mp: plant(mp, drw, "drw_V", lambda out, s, a, level: plus_form(out, 0)),
+        lambda: verify.check_drw_vdlog(CTX, 1, 2)),
+    "V-image-in-kernel": (
+        lambda mp: plant(mp, drw, "drw_V", lambda out, s, a, level: plus_form(out, 0)),
+        lambda: verify.check_drw_kernel(CTX, 1, 2)),
 }
 
 

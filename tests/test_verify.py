@@ -64,7 +64,7 @@ def test_retry_loop_check_counts_completed_trials(monkeypatch):
     _, degenerate = patch(monkeypatch, milnorfield, "dlog_is_zero")
     main_trials = []
 
-    def zero_by_realizations(terms, depth):
+    def zero_by_realizations(terms):
         main_trials.append(terms)
         return len(main_trials) < 4, {}
     monkeypatch.setattr(milnorfield, "zero_by_realizations", zero_by_realizations)
@@ -87,7 +87,7 @@ def test_corpus_check_reports_failing_curve(monkeypatch):
 
 def test_cli_verify_exits_1_with_the_failing_property(monkeypatch, capsys):
     monkeypatch.setattr(milnorfield, "zero_by_realizations",
-                        lambda terms, depth: (False, {}))
+                        lambda terms: (False, {}))
     argv = ["verify", "--suite", "rewriting", "--trials", "1", "--seed", "3"]
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
