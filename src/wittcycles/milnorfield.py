@@ -33,7 +33,7 @@ from itertools import combinations, permutations, product
 from math import lcm, prod
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
-                     NonRationalSupport, NoUnitEntry, ZeroEntry)
+                     NonRationalSupport, ZeroEntry)
 from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
 
 
@@ -381,18 +381,22 @@ def elem_identity_instance(a, b, s, tau):
 
 
 def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
-    """Rewrite a symbol with sum ord_pi(y_i - 1) >= m as a list of pairs
-    (w, residual symbol) with ord_pi(w - 1) >= m; the represented class is
-    sum coef * {w, residual entries...}, the coefficients living on the
-    residual symbols.
+    """Rewrite a symbol with sum ord_pi(y_i - 1) >= m, at a level m >= 1,
+    as a list of pairs (w, residual symbol) with ord_pi(w - 1) >= m; the
+    represented class is sum coef * {w, residual entries...}, the
+    coefficients living on the residual symbols.
 
     Until some entry lies in 1 + pi^m, a unit y1 of the local ring moves
     to the front and two_entry turns {y1, y2} into -{w, v} = {v, w}; v
     joins the residuals, and w, with ord(w - 1) = ord(y1 - 1) + ord(y2 - 1)
-    as y1 is a unit, replaces y1 and y2.  The residual entries are then
+    as y1 is a unit, replaces y1 and y2.  So the orders keep their sum
+    >= m: while all are below m >= 1, two entries or more are left and one
+    has positive order, a unit front.  The residual entries are then
     cleared of pi-powers by the pi-adic expansion, each pi becoming -u0 in
     place with the factor -1/e, by {w, pi} = -(1/e){w, -u0} for
     w = 1 + u0 pi^e."""
+    if m < 1:
+        raise HypothesisViolated("filtration level m = %d < 1" % m)
     ctx = sym.ctx
     one = ctx.one
     pi = ctx.var(upos)
@@ -405,12 +409,8 @@ def rewrite_filtration(sym: FieldSymbol, m: int, upos: int):
     # the input is sign * {residuals, entries}, ks the orders of entries - 1
     entries, residuals, sign = sym.entries, (), 1
     while all(k < m for k in ks):
-        if len(entries) == 1:
-            raise HypothesisViolated("single entry below the filtration level")
-        front = next((i for i, k in enumerate(ks)
-                      if k > 0 or k == 0 and v.ord(entries[i]) == 0), None)
-        if front is None:
-            raise NoUnitEntry("no entry is a unit of the local ring")
+        front = next(i for i, k in enumerate(ks)
+                     if k > 0 or k == 0 and v.ord(entries[i]) == 0)
         entries = (entries[front],) + entries[:front] + entries[front + 1:]
         ks = (ks[front],) + ks[:front] + ks[front + 1:]
         try:

@@ -6,9 +6,11 @@ Imports ``wittcycles`` from the given source directory, traces the
 tier-1 tests (pytest over ``tests/``, or over the pytest arguments given
 after ``--``) and, with ``--corpus``, every call of ``tests/cli_corpus.py``
 with and without ``--pretty``.  It then prints, per module, the
-executable lines that no run reached.  The executable lines are those
-that the code objects compiled from each module list in ``co_lines()``;
-the tracer is a ``sys.settrace`` hook, so ``coverage`` is not needed.
+executable lines that no run reached, and last the line ``unreached N``
+with their total, so that two trees compare by one number.  The
+executable lines are those that the code objects compiled from each
+module list in ``co_lines()``; the tracer is a ``sys.settrace`` hook, so
+``coverage`` is not needed.
 A traced tier-1 run takes about three times as long as an untraced one.
 The exit code is pytest's.  pytest does not collect this file.
 """
@@ -84,11 +86,14 @@ def main(argv=None):
     loaded = sys.modules.get("wittcycles")
     if loaded is not None and not loaded.__file__.startswith(package):
         sys.exit("line_coverage: wittcycles was imported from %s" % loaded.__file__)
+    total = 0
     for path, lines in files.items():
         missed = lines - hits[path]
+        total += len(missed)
         print("%s: %d of %d lines unreached%s" % (
             os.path.basename(path), len(missed), len(lines),
             ": " + ranges(missed) if missed else ""))
+    print("unreached %d" % total)
     return int(code)
 
 

@@ -303,6 +303,40 @@ def test_filtration_degenerate_branch(pctx):
     assert rewrite_filtration(FieldSymbol(pctx, [1 + pi, pctx.one]), 5, 1) == []
 
 
+def test_filtration_keeps_a_unit_front(pctx):
+    """Entries with a pole at pi (ord(y - 1) < 0) and units with
+    ord(y - 1) = 0 ahead of the entries of positive order.  Each step
+    keeps the sum of the orders, so while every order is below m >= 1 a
+    unit of positive or zero order leads: the only error is the top-level
+    hypothesis check, and the pairs realize the input."""
+    rng = random.Random(31)
+    px, pi = pctx.gens()
+    v = Valuation.finite(pctx, 1, pctx.drop(1).zero)
+
+    def c():
+        return pctx.rational(rng.choice((1, -1, 2, 3))) * rng.choice((pctx.one, px, px + 1))
+    poles = units = raised = 0
+    for _ in range(60):
+        head = [c() / pi ** rng.randint(1, 2) if rng.random() < 0.5 else 2 + c() * pi
+                for _ in range(rng.randint(1, 2))]
+        tail = [1 + c() * pi ** rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        sym = FieldSymbol(pctx, head + tail, rng.choice((1, -1)))
+        ks = [v.ord(y - 1) for y in sym.entries]
+        m = rng.randint(1, max(sum(ks), 1) + 1)
+        try:
+            out = rewrite_filtration(sym, m, 1)
+        except HypothesisViolated as exc:
+            assert str(exc) == "sum of ord(y_i - 1) = %d < %d" % (sum(ks), m)
+            raised += 1
+            continue
+        for w, res in out:
+            assert v.ord(w - 1) >= m and all(v.ord(e) == 0 for e in res.entries)
+        assert dlog_is_zero(_recombined(pctx, out) + [sym.scale(-1)])
+        poles += min(ks) < 0 and max(ks) < m
+        units += ks[0] == 0 and max(ks) < m
+    assert poles and units and raised
+
+
 def test_two_entry_degenerates_exactly_when_w_vanishes():
     b2 = Context(("x", "y"))
     s = Sampler(b2, 5)

@@ -1,18 +1,20 @@
 """Negative controls: a planted fault in the library makes its check
 report `ok: false` under exactly that sub-property's name.  The faults sit
-in the Witt vector maps (gamma, log, Frobenius) for the witt suite, in the
-de Rham-Witt operators F and V for the drw suite, in the form layer, for
-the sub-properties that read forms over F_m, in relmilnor.normal_form, for
-the identities of relative Milnor symbols, in the tame symbol, for its
-multilinearity, Weil reciprocity and the filtration rewriting's boundary
-agreement, in the rewriting's pairs, for its ord bound and dlog
-agreement, and in the division on F_m and the class maps of addchow, for
-the cycle-iso suite.
+in the Witt vector maps (gamma, log, Frobenius) and the log derivative
+for the witt suite, in the de Rham-Witt operators F and V for the drw
+suite, in the form layer, for the sub-properties that read forms over
+F_m, in relmilnor.normal_form, for the identities of relative Milnor
+symbols, in the tame symbol, for its multilinearity, Weil reciprocity and
+the filtration rewriting's boundary agreement, in the two-entry identity
+and the dlog test, for its degenerate branch, in the rewriting's pairs,
+for its ord bound and dlog agreement, and in the division on F_m and the
+class maps of addchow, for the cycle-iso suite.
 The checks run with their own draws; only the library they call is
 broken."""
 
 import pytest
 
+from wittcycles.errors import DegenerateBranch
 from wittcycles import addchow, drw, milnorfield, relmilnor, trunc, verify, witt
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc
 from wittcycles.scalars import Context
@@ -62,6 +64,23 @@ def plus_tame(out, v, sym):
 def wrong_t2(q):
     """q with q_1 added to its t^2 coefficient."""
     return q[:2] + [q[2] + q[1]] + q[3:] if len(q) > 2 else q
+
+
+def undetected(two_entry):
+    """two_entry that returns w = 1, v = -(y1 - 1) y2 in the degenerate
+    branch instead of raising DegenerateBranch."""
+    def run(y1, y2):
+        try:
+            return two_entry(y1, y2)
+        except DegenerateBranch:
+            return y1.ctx.one, (y1.ctx.one - y1) * y2
+    return run
+
+
+def degenerate(sym):
+    """Whether sym is {y1, y2} with 1 + (y1 - 1) y2 = 0, which is
+    -{y1, 1 - y1}."""
+    return sym.degree == 2 and ((sym.entries[0] - 1) * sym.entries[1] + 1).is_zero()
 
 
 CONTROLS = {
@@ -144,6 +163,16 @@ CONTROLS = {
         lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
             (w, res.scale(2)) for w, res in out[:1]] + out[1:]),
         lambda: verify.check_rewrite_filtration(("x", "y"), 1, 1)),
+    # the two-entry identity no longer detects its degenerate branch
+    "degenerate-branch-detected": (
+        lambda mp: mp.setattr(milnorfield, "two_entry", undetected(milnorfield.two_entry)),
+        lambda: verify.check_elem_identity(("x", "y"), 1, 2)),
+    # the dlog test reports a nonzero form on every sum with a symbol of
+    # the degenerate branch
+    "degenerate-branch-zero": (
+        lambda mp: plant(mp, milnorfield, "dlog_is_zero", lambda out, terms: out and not any(
+            degenerate(sym) for sym in terms)),
+        lambda: verify.check_elem_identity(("x", "y"), 1, 2)),
     # theta reads exp(a + t) for exp(a)
     "theta-roundtrip": (
         lambda mp: plant(mp, relmilnor, "theta", lambda out, a, bs: relmilnor.RelSymbol(
@@ -170,6 +199,11 @@ CONTROLS = {
     "gamma-homomorphism": (
         lambda mp: plant(mp, witt, "gamma", lambda out, a: out + TruncElem.t(
             a.ctx, a.level) ** a.level),
+        lambda: verify.check_ghost_gamma(CTX, 1, 2)),
+    # t u'/u gains t^m
+    "log-derivative-identity": (
+        lambda mp: plant(mp, trunc, "log_derivative", lambda out, u: out + TruncElem.t(
+            u.ctx, u.level) ** u.level),
         lambda: verify.check_ghost_gamma(CTX, 1, 2)),
     # log gains t
     "log-of-exp": (
