@@ -25,7 +25,7 @@ from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
 from .forms import CanonRelForm
 from .milnorfield import Valuation, rational_support
 from .relmilnor import RelSymbol, normal_form
-from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
+from .scalars import FieldElem, JsonText, as_sum, fraction_text, parse_fraction
 from .trunc import TruncElem
 from .witt import gamma_inv
 from .drw import DRWForm, phi
@@ -82,16 +82,9 @@ class CycleGen(JsonText):
                    parse_fraction(data["coef"]))
 
 
-def _as_sum(zs):
-    zs = [zs] if isinstance(zs, CycleGen) else list(zs)
-    if not zs:
-        raise ValueError("empty cycle sum has no context")
-    return zs
-
-
 def cyc_milnor(zs, m: int) -> CanonRelForm:
     """The relative Milnor class of a generator sum at level m."""
-    zs = _as_sum(zs)
+    zs = as_sum(zs, CycleGen, "cycle")
     n = zs[0].degree
     syms = []
     for z in zs:
@@ -105,7 +98,7 @@ def cyc_milnor(zs, m: int) -> CanonRelForm:
 def cycle_to_drw(zs, m: int) -> DRWForm:
     """The de Rham-Witt form of a generator sum, the sum of
     coef * phi(gamma_inv(unit), bs) over its generators."""
-    zs = _as_sum(zs)
+    zs = as_sum(zs, CycleGen, "cycle")
     n = zs[0].degree
     ctx = zs[0].ctx
     total = DRWForm.zero(ctx, n - 1, m)

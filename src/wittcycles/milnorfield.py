@@ -34,16 +34,16 @@ from math import lcm, prod
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NonRationalSupport, ZeroEntry)
-from .scalars import FieldElem, JsonText, fraction_text, parse_fraction
+from .scalars import FieldElem, ScaledSymbol, as_sum, parse_fraction
 
 
 # -- symbols and valuations ---------------------------------------------
 
-class FieldSymbol(JsonText):
+class FieldSymbol(ScaledSymbol):
     """A scaled Milnor symbol {y_1..y_n} of nonzero field elements; the
     empty symbol (n = 0) stands for its coefficient in Z or Q. Immutable."""
 
-    __slots__ = ("ctx", "entries", "coef")
+    __slots__ = ()
 
     def __init__(self, ctx, entries, coef=1):
         entries = tuple(entries)
@@ -51,22 +51,10 @@ class FieldSymbol(JsonText):
             ctx.check(y.ctx)
             if y.is_zero():
                 raise ZeroEntry("symbol entry is zero")
-        self.ctx = ctx
-        self.entries = entries
-        self.coef = Fraction(coef)
-
-    @property
-    def degree(self):
-        return len(self.entries)
+        super().__init__(ctx, entries, coef)
 
     def scale(self, c):
         return FieldSymbol(self.ctx, self.entries, self.coef * Fraction(c))
-
-    def __repr__(self):
-        return "%s*{%s}" % (self.coef, ", ".join(str(y) for y in self.entries))
-
-    def json_shape(self):
-        return {"coef": fraction_text(self.coef), "entries": self.entries}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -171,13 +159,6 @@ class Valuation:
             k, poly = self.ctx.strip(poly, self.fac, self.upos)
 
 
-def _as_sum(terms):
-    terms = [terms] if isinstance(terms, FieldSymbol) else list(terms)
-    if not terms:
-        raise ValueError("empty symbol sum has no context")
-    return terms
-
-
 def _sign(ks):
     """The sign of the permutation that sorts the distinct ks."""
     return (-1) ** sum(a > b for i, a in enumerate(ks) for b in ks[i + 1:])
@@ -192,7 +173,7 @@ def dlog_is_zero(terms) -> bool:
     coefficient sum).  Unless every m_K is 0, the form is zero when each
     sum_K m_K det(d_I b_K) prod_(j not in K) b_j is: its dx_I coefficient
     times the product of the b_j in a K with m_K != 0."""
-    terms = _as_sum(terms)
+    terms = as_sum(terms)
     ctx, n = terms[0].ctx, terms[0].degree
     for sym in terms:
         ctx.check(sym.ctx)
@@ -288,7 +269,7 @@ def gersten_boundary(terms, upos):
     """Tame symbols of a symbol sum over F(u) at every rational point of
     its support (infinity included); returns (list of (Valuation, symbol
     sum), list of non-rational factors)."""
-    terms = _as_sum(terms)
+    terms = as_sum(terms)
     vals, nonrational = rational_support(
         terms[0].ctx, [y for sym in terms for y in sym.entries], upos)
     # with non-rational support the point enumeration is incomplete, so
@@ -336,7 +317,7 @@ def weil_reciprocity_check(terms, upos):
     """Sum the Gersten boundary of a symbol sum over F(u) across all
     rational points including infinity and verify the total vanishes
     under the realization oracles.  Requires fully rational support."""
-    terms = _as_sum(terms)
+    terms = as_sum(terms)
     bnd, nonrational = gersten_boundary(terms, upos)
     if nonrational:
         raise NonRationalSupport("support outside rational points: %s" % nonrational)

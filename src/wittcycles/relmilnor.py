@@ -20,45 +20,31 @@ the moving entries to the front; with no moving entry the class is 0.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
 from .forms import CanonRelForm, FormOnTrunc, dlog_wedge
-from .scalars import JsonText, fraction_text, parse_fraction
+from .scalars import ScaledSymbol, as_sum, parse_fraction
 from .trunc import TruncElem, exp_t, trunc_dlog
 
 
-class RelSymbol(JsonText):
+class RelSymbol(ScaledSymbol):
     """A scaled Milnor symbol {u_1..u_n} of units of F_m. Immutable."""
 
-    __slots__ = ("ctx", "level", "entries", "coef")
+    __slots__ = ("level",)
 
     def __init__(self, entries, coef=1):
         entries = tuple(entries)
         if not entries:
             raise ValueError("a symbol needs at least one entry")
-        ctx = entries[0].ctx
-        level = entries[0].level
+        ctx, level = entries[0].ctx, entries[0].level
         for u in entries:
             ctx.check(u.ctx)
             if u.level != level:
                 raise ValueError("mixed levels in one symbol")
             if not u.is_unit():
                 raise NotAUnit("symbol entry with zero constant term")
-        self.ctx = ctx
+        super().__init__(ctx, entries, coef)
         self.level = level
-        self.entries = entries
-        self.coef = Fraction(coef)
-
-    @property
-    def degree(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return "%s*{%s}" % (self.coef, ", ".join(str(u) for u in self.entries))
-
-    def json_shape(self):
-        return {"coef": fraction_text(self.coef), "entries": self.entries}
 
     @classmethod
     def from_json(cls, ctx, data):
@@ -68,9 +54,7 @@ class RelSymbol(JsonText):
 
 def normal_form(terms) -> CanonRelForm:
     """Canonical coordinates of a formal sum of relative symbols."""
-    terms = [terms] if isinstance(terms, RelSymbol) else list(terms)
-    if not terms:
-        raise ValueError("empty symbol sum has no context")
+    terms = as_sum(terms)
     n, m, ctx = terms[0].degree, terms[0].level, terms[0].ctx
     total = CanonRelForm.zero(ctx, n - 1, m)
     for sym in terms:

@@ -63,7 +63,10 @@ arithmetic.  ``JsonText`` is the one JSON writer: every serializable
 class writes its text in one pass, an element as its terms
 [monomial, "c/1"] with the monomials sorted, and ``to_json`` reads that
 text back.  Rational coefficients are written "p/q" by ``fraction_text``
-and read back by ``parse_fraction``.
+and read back by ``parse_fraction``.  ``ScaledSymbol`` is the one shape
+of a Milnor symbol coef * {entries}, over F and over F_m alike: its
+degree, repr and JSON; ``as_sum`` reads one term or a list of them as a
+formal sum.
 """
 
 from __future__ import annotations
@@ -361,6 +364,38 @@ class JsonText:
         return json.loads(self.json_text())
 
 
+class ScaledSymbol(JsonText):
+    """A scaled Milnor symbol coef * {entries} over one context: the shape
+    of symbols over F (milnorfield) and over F_m (relmilnor), which check
+    their entries and then call this with entries as a tuple."""
+
+    __slots__ = ("ctx", "entries", "coef")
+
+    def __init__(self, ctx, entries, coef):
+        self.ctx = ctx
+        self.entries = entries
+        self.coef = Fraction(coef)
+
+    @property
+    def degree(self):
+        return len(self.entries)
+
+    def __repr__(self):
+        return "%s*{%s}" % (self.coef, ", ".join(str(y) for y in self.entries))
+
+    def json_shape(self):
+        return {"coef": fraction_text(self.coef), "entries": self.entries}
+
+
+def as_sum(terms, kind=ScaledSymbol, noun="symbol"):
+    """A formal sum given as one term of type kind or an iterable of
+    terms, as a nonempty list."""
+    terms = [terms] if isinstance(terms, kind) else list(terms)
+    if not terms:
+        raise ValueError("empty %s sum has no context" % noun)
+    return terms
+
+
 def write_json(value):
     """The text json.dumps gives for value, with each JsonText in it
     written by its own json_text."""
@@ -447,7 +482,10 @@ class FieldElem(JsonText):
         return self + (-other)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

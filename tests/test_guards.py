@@ -1,18 +1,20 @@
 """The argument guards of the public API, one row each: the call, the
 typed error it raises and its message.  In the arithmetic rows an
 operand of an unknown type gets NotImplemented back, so Python raises
-its own TypeError.  Three rows are values that no other test reads: a
-reflected subtraction, a repr and a suite's default trial counts."""
+its own TypeError, with the operands in the order written.  Three rows
+are values that no other test reads: a reflected subtraction, a repr and
+a suite's default trial counts."""
 
 import pytest
 
 from wittcycles import verify
-from wittcycles.addchow import CycleGen, ParamCurve, boundary, tower_compat
+from wittcycles.addchow import CycleGen, ParamCurve, boundary, cyc_milnor, tower_compat
 from wittcycles.errors import (HypothesisViolated, NotAdmissible, ParseError,
                                ZeroArgument, ZeroEntry)
 from wittcycles.forms import dlog
-from wittcycles.milnorfield import FieldSymbol, Valuation, rewrite_filtration
-from wittcycles.relmilnor import RelSymbol
+from wittcycles.milnorfield import (FieldSymbol, Valuation, rewrite_filtration,
+                                    weil_reciprocity_check)
+from wittcycles.relmilnor import RelSymbol, normal_form
 from wittcycles.scalars import Context
 from wittcycles.trunc import TruncElem
 
@@ -52,6 +54,12 @@ GUARDS = [
      ValueError, "mixed levels in one symbol"),
     ("rel-symbol-repr", lambda: repr(RelSymbol([U2], -2)),
      None, "-2*{(1) + (x)*t + (1)*t^2}"),
+    ("normal-form-empty-sum", lambda: normal_form([]),
+     ValueError, "empty symbol sum has no context"),
+    ("weil-reciprocity-empty-sum", lambda: weil_reciprocity_check([], 1),
+     ValueError, "empty symbol sum has no context"),
+    ("cyc-milnor-empty-sum", lambda: cyc_milnor([], 2),
+     ValueError, "empty cycle sum has no context"),
     ("from-terms-monomial-width", lambda: CTX.from_terms([((1,), 1)]),
      ParseError, "monomial (1,) does not fit Context(x, u)"),
     ("diff-index-out-of-range", lambda: X.diff(2),
@@ -61,7 +69,10 @@ GUARDS = [
     ("field-mul-float", lambda: X * 0.5, TypeError, unsupported("*", "FieldElem")),
     ("field-div-float", lambda: X / 0.5, TypeError, unsupported("/", "FieldElem")),
     ("field-pow-float", lambda: X ** 0.5, TypeError, unsupported("** or pow()", "FieldElem")),
+    ("field-rsub-float", lambda: 0.5 - X, TypeError,
+     "unsupported operand type(s) for -: 'float' and 'FieldElem'"),
     ("trunc-pow-float", lambda: U2 ** 0.5, TypeError, unsupported("** or pow()", "TruncElem")),
+    ("trunc-rsub-float", lambda: 0.5 - U2, TypeError, "cannot combine TruncElem with float"),
     ("trunc-one-minus", lambda: str(1 - U2), None, "(-x)*t + (-1)*t^2"),
     ("suite-zero-trials", lambda: verify.run_suite("witt", trials=0),
      ParseError, "trials must be at least 1, got 0"),

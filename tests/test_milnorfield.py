@@ -20,12 +20,12 @@ from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
                                ZeroEntry)
 from wittcycles import scalars
 from wittcycles.forms import DiffForm, dlog, dlog_wedge
-from wittcycles.milnorfield import (FieldSymbol, Valuation, _as_sum, collect_terms,
+from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_is_zero, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
                                     tame_symbol, two_entry,
                                     weil_reciprocity_check, zero_by_realizations)
-from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, FieldElem, _factors
+from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, FieldElem, _factors, as_sum
 from wittcycles.verify import Sampler
 
 
@@ -606,7 +606,7 @@ def test_filtration_matches_the_old_rewriting(pctx):
 def old_dlog_realization(terms) -> DiffForm:
     """The form sum coef * dlog(y_1)^..^dlog(y_n) of a symbol sum, built
     by wedging dlog forms over the field."""
-    terms = _as_sum(terms)
+    terms = as_sum(terms)
     ctx = terms[0].ctx
     n = terms[0].degree
     total = DiffForm.zero(ctx, n)

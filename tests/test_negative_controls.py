@@ -1,16 +1,24 @@
 """Negative controls: a planted fault in the library makes its check
 report `ok: false` under exactly that sub-property's name.  The faults sit
-in the Witt vector maps (gamma, log, Frobenius) and the log derivative
-for the witt suite, in the de Rham-Witt operators F and V for the drw
-suite, in the form layer, for the sub-properties that read forms over
-F_m, in relmilnor.normal_form, for the identities of relative Milnor
-symbols, in the tame symbol, for its multilinearity, Weil reciprocity and
-the filtration rewriting's boundary agreement, in the two-entry identity
-and the dlog test, for its degenerate branch, in the rewriting's pairs,
-for its ord bound and dlog agreement, and in the division on F_m and the
-class maps of addchow, for the cycle-iso suite.
+in the Witt vector maps (gamma, ghost, unghost, log, Frobenius, the
+decomposition, product and restriction) and the log derivative for the
+witt suite, in the de Rham-Witt operators d, F, V, the Teichmuller dlog,
+product and restriction for the drw suite, in the form layer, for the
+sub-properties that read forms over F_m, in relmilnor.normal_form, for
+the identities of relative Milnor symbols, in the tame symbol, for its
+multilinearity, its vanishing on units, Weil reciprocity and the
+filtration rewriting's boundary agreement, in the two-entry identity and
+the dlog test, for its degenerate branch, in the rewriting's pairs, for
+its ord bound, unit residuals and dlog agreement, and in the division on
+F_m and the class maps of addchow, for the cycle-iso suite.  The exp/log
+checks see faults in the equality, product and restriction of F_m.
 The checks run with their own draws; only the library they call is
-broken."""
+broken.  A guard test reads every sub-property name of verify.py and
+requires a control for each, here or in test_verify.py, unless the name
+is on NO_CONTROL_YET."""
+
+import ast
+import os
 
 import pytest
 
@@ -75,6 +83,18 @@ def undetected(two_entry):
         except DegenerateBranch:
             return y1.ctx.one, (y1.ctx.one - y1) * y2
     return run
+
+
+def top(u):
+    """t^m at the level m of u, built without a product."""
+    return TruncElem(u.ctx, u.level, (u.ctx.zero,) * u.level + (u.ctx.one,))
+
+
+class Twin(witt.WittVector):
+    """A Witt vector that gamma and ghost read as usual but that never
+    equals a WittVector."""
+
+    __slots__ = ()
 
 
 def degenerate(sym):
@@ -153,6 +173,19 @@ CONTROLS = {
     "tame-multilinearity-n1": (
         lambda mp: plant(mp, milnorfield, "tame_symbol", plus_tame),
         lambda: verify.check_tame_basics(("x", "y"), 1, 2)),
+    # every tame symbol of two entries gains {x_1} over the residue field,
+    # so the units {1 + u c, c + u^2} no longer have zero boundary
+    "tame-kills-units": (
+        lambda mp: plant(mp, milnorfield, "tame_symbol", lambda out, v, sym: plus_tame(
+            out, v, sym) if sym.degree == 2 else out),
+        lambda: verify.check_tame_basics(("x", "y"), 1, 2)),
+    # every residual entry of the rewriting gains a factor pi (the first
+    # trial has no residual entry)
+    "filtration-unit-residuals": (
+        lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
+            (w, milnorfield.FieldSymbol(sym.ctx, [y * sym.ctx.var(upos) for y in res.entries],
+                                        res.coef)) for w, res in out]),
+        lambda: verify.check_rewrite_filtration(("x", "y"), 1, 2)),
     # every pair of the rewriting leads with w = 2, of order 0 in w - 1
     "filtration-ord-bound": (
         lambda mp: plant(mp, milnorfield, "rewrite_filtration", lambda out, sym, m, upos: [
@@ -210,6 +243,51 @@ CONTROLS = {
         lambda mp: plant(mp, verify, "log_t", lambda out, u: out + TruncElem.t(
             u.ctx, u.level)),
         lambda: verify.check_explog(CTX, 1, 2)),
+    # principal units never compare equal; log-of-exp compares nilpotents.
+    # exp and log see equal arguments in both lines, so no fault in them
+    # fails exp-of-log alone
+    "exp-of-log": (
+        lambda mp: plant(mp, TruncElem, "__eq__", lambda out, a, b: out
+                         and not a.is_principal()),
+        lambda: verify.check_explog(CTX, 1, 2)),
+    # every product of F_m gains t^m; the lines before exp-additive make none
+    "exp-additive": (
+        lambda mp: plant(mp, TruncElem, "__mul__", lambda out, a, b: out + top(a)),
+        lambda: verify.check_explog(CTX, 1, 2)),
+    # a principal unit gains t^k when restricted to level k, a nilpotent
+    # does not
+    "log-multiplicative": (
+        lambda mp: plant(mp, TruncElem, "restrict", lambda out, u, level: out + top(
+            out) if u.is_principal() else out),
+        lambda: verify.check_explog(CTX, 1, 2)),
+    # unghost returns a Twin: sums and products still read right through
+    # gamma and ghost, but unghost(ghost(a)) != a.  a + b runs through
+    # unghost and gamma is injective, so a wrong value would fail
+    # gamma-homomorphism first
+    "unghost-of-ghost": (
+        lambda mp: plant(mp, witt, "unghost", lambda out, g: Twin(
+            out.ctx, out.level, out.comps)),
+        lambda: verify.check_ghost_gamma(CTX, 1, 2)),
+    # ghost returns a list, which never equals the tuple of sums; a + b
+    # reads it as before
+    "ghost-additive": (
+        lambda mp: plant(mp, witt, "ghost", lambda out, a: list(out)),
+        lambda: verify.check_ghost_gamma(CTX, 1, 2)),
+    # the product of Witt vectors gains the Teichmuller lift [1]; the
+    # lines before ghost-multiplicative take no product
+    "ghost-multiplicative": (
+        lambda mp: plant(mp, witt.WittVector, "__mul__", lambda out, a, b: out
+                         + witt.teichmuller(out.ctx.one, out.level)),
+        lambda: verify.check_ghost_gamma(CTX, 1, 2)),
+    # the decomposition loses its first term
+    "decompose-resum": (
+        lambda mp: plant(mp, witt, "witt_decompose", lambda out, a: out[1:]),
+        lambda: verify.check_witt_vf(CTX, 1, 2)),
+    # restriction of a Witt vector gains the Teichmuller lift [1]
+    "restrict-verschiebung": (
+        lambda mp: plant(mp, witt.WittVector, "restrict", lambda out, a, level: out
+                         + witt.teichmuller(out.ctx.one, level)),
+        lambda: verify.check_witt_vf(CTX, 1, 2)),
     # F_s gains the Teichmuller lift [1]
     "frobenius-verschiebung": (
         lambda mp: plant(mp, witt, "frobenius", lambda out, s, a: out + witt.teichmuller(
@@ -226,6 +304,37 @@ CONTROLS = {
     "V-image-in-kernel": (
         lambda mp: plant(mp, drw, "drw_V", lambda out, s, a, level: plus_form(out, 0)),
         lambda: verify.check_drw_kernel(CTX, 1, 2)),
+    # the product gains dx_1^..^dx_k in omega_1, which V moves to omega_s
+    "V-projection-formula": (
+        lambda mp: plant(mp, drw.DRWForm, "__mul__", lambda out, a, b: plus_form(out, 0)),
+        lambda: verify.check_drw_relations(CTX, 1, 2)),
+    # d of a nonzero closed form of positive degree gains dx_1^..^dx_k in
+    # omega_1 when k <= r; the first trial at seed 2 draws 0-forms, so
+    # FdV-is-d meets no closed 1-form there
+    "d-squared-zero": (
+        lambda mp: plant(mp, drw, "drw_d", lambda out, a: plus_form(out, 0) if (
+            out.is_zero() and not a.is_zero() and 0 < a.degree < a.ctx.r) else out),
+        lambda: verify.check_drw_relations(CTX, 2, 2)),
+    # a product of total form degree k is scaled by 2^k, which keeps the
+    # projection formula (both sides have the same degrees) and breaks
+    # Leibniz (d raises the degree of one factor)
+    "leibniz": (
+        lambda mp: plant(mp, drw.DRWForm, "__mul__", lambda out, a, b: out.scale(
+            2 ** out.degree)),
+        lambda: verify.check_drw_relations(CTX, 1, 2)),
+    # V_s doubles its top component, which restriction drops
+    "kernel-in-V-image": (
+        lambda mp: plant(mp, drw, "drw_V", lambda out, s, a, level: out._like(
+            out.comps[:-1] + (out.comps[-1].scale(2),))),
+        lambda: verify.check_drw_kernel(CTX, 1, 2)),
+    # restriction gains dx_1^..^dx_k in omega_1, which d kills
+    "restrict-commutes-d": (
+        lambda mp: plant(mp, drw.DRWForm, "restrict", lambda out, a, level: plus_form(out, 0)),
+        lambda: verify.check_drw_relations(CTX, 1, 2)),
+    # dlog of a Teichmuller lift doubles; phi does not read it
+    "zeta-coherence": (
+        lambda mp: plant(mp, drw, "teich_dlog", lambda out, b, level: out.scale(2)),
+        lambda: verify.check_drw_vdlog(CTX, 1, 2)),
 }
 
 
@@ -237,3 +346,28 @@ def test_planted_fault_fails_its_sub_property(monkeypatch, name):
     prop = run()
     assert (prop["name"], prop["ok"]) == (name, False)
     assert prop["counterexample"]
+
+
+# sub-properties that no test forces to fail yet; the list can only shrink.
+# No single fault fails these two alone: V-image-support reads the
+# components that V-image-in-kernel restricts to just before, and
+# kernel-support restricts a form shaped like the V image restricted in
+# the same trial, so each needs a second fault in restriction as well.
+NO_CONTROL_YET = ["V-image-support", "kernel-support"]
+
+
+def parse(path):
+    with open(path) as source:
+        return ast.walk(ast.parse(source.read()))
+
+
+def test_every_sub_property_has_a_control_or_is_listed():
+    names = {node.args[1].value for node in parse(verify.__file__)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"}
+    # test_verify.py fails these through a broken library call
+    failed = {node.comparators[0].value
+              for node in parse(os.path.join(os.path.dirname(__file__), "test_verify.py"))
+              if isinstance(node, ast.Compare) and ast.unparse(node.left) == "prop['name']"}
+    controlled = set(CONTROLS) | failed
+    assert controlled <= names and set(NO_CONTROL_YET) <= names
+    assert sorted(names - controlled) == NO_CONTROL_YET

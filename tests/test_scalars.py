@@ -177,6 +177,36 @@ def test_symbols_read_slash_free_coefficients(ctx):
             cls.from_json(ctx, data)
 
 
+SX, SY = Context(("x", "y")).gens()
+
+SYMBOLS = [
+    # (id, symbol, repr, JSON text), one symbol over F and one over F_m
+    ("field", FieldSymbol(SX.ctx, [SX, (1 + SY) / (SX - 2)], Fraction(-3, 2)),
+     "-3/2*{x, (y + 1)/(x - 2)}",
+     '{"coef": "-3/2", "entries": [{"num": [[[1, 0], "1/1"]], "den": [[[0, 0], "1/1"]]}, '
+     '{"num": [[[0, 0], "1/1"], [[0, 1], "1/1"]], '
+     '"den": [[[0, 0], "-2/1"], [[1, 0], "1/1"]]}]}'),
+    ("relative", RelSymbol([TruncElem(SX.ctx, 2, [SX.ctx.one, SX, SX.ctx.one]),
+                            TruncElem.constant(SY / 2, 2)], 5),
+     "5*{(1) + (x)*t + (1)*t^2, (y/2)}",
+     '{"coef": "5/1", "entries": [{"level": 2, "coeffs": ['
+     '{"num": [[[0, 0], "1/1"]], "den": [[[0, 0], "1/1"]]}, '
+     '{"num": [[[1, 0], "1/1"]], "den": [[[0, 0], "1/1"]]}, '
+     '{"num": [[[0, 0], "1/1"]], "den": [[[0, 0], "1/1"]]}]}, '
+     '{"level": 2, "coeffs": [{"num": [[[0, 1], "1/1"]], "den": [[[0, 0], "2/1"]]}, '
+     '{"num": [], "den": [[[0, 0], "1/1"]]}, {"num": [], "den": [[[0, 0], "1/1"]]}]}]}'),
+]
+
+
+@pytest.mark.parametrize("sym, text, json_text", [row[1:] for row in SYMBOLS],
+                         ids=[row[0] for row in SYMBOLS])
+def test_symbol_repr_json_and_roundtrip(sym, text, json_text):
+    assert repr(sym) == text and sym.json_text() == json_text
+    back = type(sym).from_json(sym.ctx, sym.to_json())
+    assert (back.entries, back.coef, back.degree) == (sym.entries, sym.coef, 2)
+    assert back.json_text() == json_text
+
+
 def test_json_roundtrip(ctx):
     x, y = ctx.gens()
     a = (x ** 2 + 3 * y) / (x - y)

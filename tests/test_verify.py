@@ -4,8 +4,11 @@ and the witness."""
 
 import json
 
+import pytest
+
 from wittcycles import addchow, milnorfield, relmilnor, verify, witt
 from wittcycles.cli import main
+from wittcycles.errors import NotAdmissible
 from wittcycles.scalars import Context
 
 CTX = Context(("x", "y"))
@@ -83,6 +86,23 @@ def test_corpus_check_reports_failing_curve(monkeypatch):
     assert prop["trials"] == 2 and len(calls) == 2
     curve, m = calls[-1]
     assert prop["counterexample"] == repr((curve, m, {"sum": "1"}))
+
+
+def test_corpus_check_cuts_each_drawn_curve_once(monkeypatch):
+    _, cuts = patch(monkeypatch, addchow, "boundary")
+    _, drawn = patch(monkeypatch, addchow, "ParamCurve")
+    prop = verify.check_boundary_vanishing(("x", "y"), 113, 30)
+    assert prop["ok"] and prop["trials"] == 30
+    # some curves were degenerate and drawn again
+    assert len(drawn) > 30 and len(cuts) == len(drawn)
+
+
+def test_corpus_check_redraws_only_degenerate_faces(monkeypatch):
+    def inadmissible(curve, m):
+        raise NotAdmissible("face point meets the divisor t = 0")
+    monkeypatch.setattr(addchow, "verify_boundary_vanishing", inadmissible)
+    with pytest.raises(NotAdmissible, match="meets the divisor"):
+        verify.check_boundary_vanishing(("x", "y"), 113, 30)
 
 
 def test_cli_verify_exits_1_with_the_failing_property(monkeypatch, capsys):
