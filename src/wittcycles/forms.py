@@ -185,15 +185,19 @@ class DiffForm(JsonText):
 
 
 def dlog(u: FieldElem) -> DiffForm:
-    """du/u as a 1-form; rejects u = 0.  dlog(c) = 0 for rational c."""
+    """du/u as a 1-form, the sum of e * db/b over u.log_parts(); rejects
+    u = 0.  dlog(c) = 0 for rational c.  Each db/b cancels only what b
+    and its derivative share, so the quotient du/u, whose factors cancel
+    across numerator and denominator, is never formed."""
     if u.is_zero():
         raise ZeroArgument("dlog(0)")
     ctx = u.ctx
     coeffs = {}
-    for i in range(ctx.r):
-        du = u.diff(i)
-        if not du.is_zero():
-            coeffs[(i,)] = du / u
+    for b, e in u.log_parts():
+        for i in range(ctx.r):
+            db = b.diff(i)
+            if not db.is_zero():
+                coeffs[(i,)] = coeffs.get((i,), ctx.zero) + (db if e > 0 else -db) / b
     return DiffForm(ctx, 1, coeffs)
 
 

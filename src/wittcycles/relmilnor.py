@@ -15,16 +15,26 @@ c_i = omega_i - (1/i) d(eta_(i-1)).  Constant entries have dlogs without
 dt part, so that part is the dlog wedge of the moving entries (a nonzero
 t-coefficient) wedged with that of the constant ones, signed by moving
 the moving entries to the front; with no moving entry the class is 0.
+The dlog of the j-th moving entry u is alpha_j + dt ^ beta_j, read off
+its log derivative L = t u'/u: beta_j = (L_1..L_m) are 0-forms and
+alpha_j has t^0 part dlog(u_0) and t^k part d(L_k / k).  As each alpha
+is a 1-form, the dt part of the wedge of the k moving dlogs is
+
+    sum_j (-1)^(j-1) beta_j alpha_1^..(no alpha_j)..^alpha_k ,
+
+products by forms.series_product.  For one moving entry the product is
+empty and the dt part is beta_1: no alpha and no derivative is built.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 from .errors import NoPrincipalEntry, NotAUnit
-from .forms import CanonRelForm, FormOnTrunc, dlog_wedge
+from .forms import CanonRelForm, DiffForm, dlog, dlog_wedge, series_product
 from .scalars import ScaledSymbol, as_sum, parse_fraction
-from .trunc import TruncElem, exp_t, trunc_dlog
+from .trunc import TruncElem, exp_t, log_derivative
 
 
 class RelSymbol(ScaledSymbol):
@@ -52,6 +62,31 @@ class RelSymbol(ScaledSymbol):
                    parse_fraction(data["coef"]))
 
 
+def _dlog_wedge_dt(entries):
+    """The dt part (eta_0..eta_(m-1)) of dlog(u_1)^..^dlog(u_k) over F_m,
+    by the alpha/beta sum above.  Each alpha_j is built once, when a term
+    first reads it, and without its t^m part, which no product of dt
+    parts reaches."""
+    ctx, m = entries[0].ctx, entries[0].level
+    ells = [log_derivative(u).comps for u in entries]
+
+    @functools.cache
+    def alpha(j):
+        return [dlog(entries[j].comps[0])] + [
+            DiffForm.scalar(c.scale(Fraction(1, i))).d() for i, c in enumerate(ells[j][1:m], 1)]
+
+    total = None
+    for j, ell in enumerate(ells):
+        part = [DiffForm.scalar(c) for c in ell[1:]]
+        others = [i for i in range(len(ells)) if i != j]
+        for degree, i in enumerate(others, 1):
+            part = series_product(part, alpha(i), m, DiffForm.zero(ctx, degree))
+        if j % 2:
+            part = [-w for w in part]
+        total = part if total is None else [a + b for a, b in zip(total, part)]
+    return total
+
+
 def normal_form(terms) -> CanonRelForm:
     """Canonical coordinates of a formal sum of relative symbols."""
     terms = as_sum(terms)
@@ -68,11 +103,10 @@ def normal_form(terms) -> CanonRelForm:
             continue
         # each moving entry passes the constant entries before it
         coef = sym.coef * (-1) ** sum(i - k for k, i in enumerate(moving))
-        wedge = functools.reduce(FormOnTrunc.wedge,
-                                 [trunc_dlog(sym.entries[i]) for i in moving])
+        dt = _dlog_wedge_dt([sym.entries[i] for i in moving])
         rest = dlog_wedge(ctx, [u.comps[0] for u in sym.entries if not any(u.comps[1:])])
         total = total + CanonRelForm(ctx, n - 1, m, [
-            eta.wedge(rest).scale(coef / i) for i, eta in enumerate(wedge.dt, 1)])
+            eta.wedge(rest).scale(coef / i) for i, eta in enumerate(dt, 1)])
     return total
 
 

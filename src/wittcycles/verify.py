@@ -613,7 +613,9 @@ def suite_cycle_iso(seed, trials, names):
 @_check("two-entry-identity-both-branches")
 def check_elem_identity(names, seed, trials):
     """The two-entry identity under dlog and boundary realizations,
-    both branches."""
+    both branches.  Each pass yields twice, once per branch, and the
+    count is checked only between passes, so an odd trial count rounds
+    up to the next even one."""
     ctx = Context(names)
     s = Sampler(ctx, seed)
     done = 0

@@ -1,8 +1,14 @@
-"""Differential forms over F and over F_m, and the canonical reduction."""
+"""Differential forms over F and over F_m, and the canonical reduction.
+
+dlog is checked against the route it replaced, the quotient du/u."""
+
+import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
-from wittcycles.errors import NotRelative
+from wittcycles.errors import NotRelative, ZeroArgument
 from wittcycles.forms import (CanonRelForm, DiffForm, FormOnTrunc, dlog,
                               dlog_wedge, reduce_mod_exact)
 from wittcycles.scalars import Context
@@ -20,6 +26,54 @@ def test_dlog_basics(ctx):
     assert dlog((1 + x) * (1 + y)) == DiffForm(
         ctx, 1, {(0,): 1 / (1 + x), (1,): 1 / (1 + y)})
     assert dlog(ctx.rational(7)).is_zero()
+
+
+def old_dlog(u):
+    """du/u as a 1-form, each coefficient the one quotient du/u: the
+    route dlog took before it summed over log parts."""
+    if u.is_zero():
+        raise ZeroArgument("dlog(0)")
+    coeffs = {}
+    for i in range(u.ctx.r):
+        du = u.diff(i)
+        if not du.is_zero():
+            coeffs[(i,)] = du / u
+    return DiffForm(u.ctx, 1, coeffs)
+
+
+def _dlog_args(rng, count):
+    """Seeded elements in 1-3 variables: rational constants, and rational
+    multiples of products of factors, some with negative leading
+    coefficients, each to the power 1, 2 or -1."""
+    for k in range(count):
+        ctx = Context(("x", "y", "z")[:k % 3 + 1])
+        gens = ctx.gens()
+        pool = [f for g in gens for h in gens
+                for f in (g, g + 1, 3 - 2 * g, -g * h + 1, g - 2 * h, g * g - h)]
+        c = ctx.rational(rng.choice((1, -1, 2, Fraction(-3, 4), 5)))
+        if rng.random() < 0.15:
+            yield c
+            continue
+        yield c * prod(rng.choice(pool) ** rng.choice((1, 1, 2, -1))
+                       for _ in range(rng.randint(1, 3)))
+
+
+def test_dlog_matches_the_quotient_route():
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    fixed = [(x + 1) ** 2 / y, -x, -(x + 1) ** 2 / (2 * y), (1 - x) / (y + 3) ** 2,
+             b2.rational(7), b2.rational(Fraction(-3, 4)), (x + 2) / (y - 3)]
+    seen = set()
+    for u in fixed + list(_dlog_args(random.Random(3301), 150)):
+        got, want = dlog(u), old_dlog(u)
+        assert got == want and repr(got) == repr(want), u
+        seen.add((u.is_polynomial(), got.is_zero(), u.ctx.r))
+    assert {(True, True, 1), (True, False, 1), (False, False, 1)} <= seen
+    assert {(p, False, r) for p in (True, False) for r in (1, 2, 3)} <= seen
+    for ctx in (b2, Context(("x",))):
+        for route in (dlog, old_dlog):
+            with pytest.raises(ZeroArgument, match="^dlog\\(0\\)$"):
+                route(ctx.zero)
 
 
 def test_d_of_x_dy(ctx):

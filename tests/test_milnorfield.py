@@ -5,11 +5,13 @@ The two-entry identity, tame symbols, the filtration rewriting and the
 dlog zero test are checked against the routes they replaced, written out
 below: the identity built inline, the bitmask expansion with its
 ``while`` loop, the rewriting through pi^(-m) round trips with its
-stack, and the dlog form built as a sum of wedges over the field."""
+stack, and the dlog form built as a sum of wedges over the field, of
+dlog forms taken as the quotient du/u (``test_forms.old_dlog``)."""
 
 import random
 import signal
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import prod
 
@@ -19,7 +21,7 @@ from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
                                NonRationalSupport, NoUnitEntry, WittCyclesError,
                                ZeroEntry)
 from wittcycles import scalars
-from wittcycles.forms import DiffForm, dlog, dlog_wedge
+from wittcycles.forms import DiffForm, dlog
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_is_zero, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
@@ -27,6 +29,8 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     weil_reciprocity_check, zero_by_realizations)
 from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, FieldElem, _factors, as_sum
 from wittcycles.verify import Sampler
+
+from test_forms import old_dlog
 
 
 @pytest.fixture
@@ -605,7 +609,7 @@ def test_filtration_matches_the_old_rewriting(pctx):
 
 def old_dlog_realization(terms) -> DiffForm:
     """The form sum coef * dlog(y_1)^..^dlog(y_n) of a symbol sum, built
-    by wedging dlog forms over the field."""
+    by wedging the quotients dy/y over the field."""
     terms = as_sum(terms)
     ctx = terms[0].ctx
     n = terms[0].degree
@@ -613,7 +617,8 @@ def old_dlog_realization(terms) -> DiffForm:
     for sym in terms:
         if sym.degree != n:
             raise ValueError("mixed degrees in one symbol sum")
-        total = total + dlog_wedge(ctx, sym.entries).scale(sym.coef)
+        total = total + reduce(DiffForm.wedge, map(old_dlog, sym.entries),
+                               DiffForm.scalar(ctx.one)).scale(sym.coef)
     return total
 
 

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from wittcycles import scalars, trunc
+from sympy.polys.rings import PolyElement
+
+from wittcycles import relmilnor, scalars, trunc
 from wittcycles.errors import ContextMismatch, NoPrincipalEntry, NotAUnit
-from wittcycles.forms import CanonRelForm, dlog, reduce_mod_exact
+from wittcycles.forms import CanonRelForm, FormOnTrunc, dlog, reduce_mod_exact
 from wittcycles.relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
 from wittcycles.scalars import Context, FieldElem, parse_elem
 from wittcycles.trunc import TruncElem, embed_form, log_t, parse_trunc, trunc_dlog
@@ -199,7 +201,10 @@ def _drawn_symbols(seed, count):
 
 def _placed_symbols():
     """Symbols in x, y at m = 3 with the constant entries, or the
-    entries 1, at every position among principal and moving ones."""
+    entries 1, at every position among principal and moving ones; then
+    symbols at m = 8 with two moving entries in x, y and three in x, y, z,
+    a constant entry between moving ones, so that the sign of each moving
+    dlog's dt part is read at the benchmark's level."""
     ctx = Context(("x", "y"))
     s = Sampler(ctx, 7)
     for n in (1, 2, 3):
@@ -207,6 +212,13 @@ def _placed_symbols():
                 ["principal", "moving", "constant", "one"], repeat=n):
             if "principal" in kinds or "one" in kinds:
                 yield [RelSymbol([_entry(s, 3, k) for k in kinds], Fraction(-3, 2))]
+    for names, shapes in ((("x", "y"), [("principal", "constant", "moving"),
+                                        ("moving", "constant", "principal")]),
+                          (("x", "y", "z"), [("principal", "constant", "moving", "moving"),
+                                             ("moving", "principal", "constant", "moving")])):
+        s = Sampler(Context(names), 15)
+        for kinds in shapes:
+            yield [RelSymbol([_entry(s, 8, k) for k in kinds], Fraction(5, 3))]
 
 
 def _same(got, want):
@@ -273,21 +285,29 @@ def test_normal_form_errors():
         normal_form([RelSymbol([u]), RelSymbol([TruncElem.constant(other.var(0), 2)])])
 
 
-# F_m divisions and field products of normal_form on the {u, b} of the
-# test below: 1 and 36, against 4 and 59 by the log route
-NF_QUOTIENTS, NF_PRODUCTS = 1, 36
-
-
-def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
+def _fixed_symbol():
     """A dense principal u at m = 8 and a constant b, the shape of the
-    benchmark's {u, b} symbols; a route with more divisions or products
-    fails here."""
+    benchmark's {u, b} symbols."""
     ctx, m = Context(("x", "y")), 8
     u = parse_trunc(ctx, m, "1 + " + " + ".join(
         "((%d*x - 2*y + %d)/%d)*t^%d" % (i, 4 - i, i % 3 + 1, i) for i in range(1, m + 1)))
-    sym = RelSymbol([u, TruncElem.constant(parse_elem(ctx, "(x+2)/(y-3)"), m)])
+    return RelSymbol([u, TruncElem.constant(parse_elem(ctx, "(x+2)/(y-3)"), m)])
+
+
+# F_m divisions and field products of normal_form on the {u, b} of the
+# test below: 1 and 36, against 2 and 43 by old_normal_form's log route.
+# Its derivatives are the 4 of dlog b, one per log part of b and
+# variable, and no gcd falls back to sympy's
+NF_QUOTIENTS, NF_PRODUCTS, NF_DIFFS, NF_FALLBACKS = 1, 36, 4, 0
+
+
+def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
+    """A route with more divisions, products, derivatives or sympy gcds
+    fails here."""
+    sym = _fixed_symbol()
     counts = Counter()
-    quotient, mul = trunc.series_quotient, FieldElem.__mul__
+    quotient, mul, diff = trunc.series_quotient, FieldElem.__mul__, FieldElem.diff
+    cofactors = PolyElement.cofactors
 
     def counted(a, b):
         counts["products"] += 1
@@ -298,7 +318,33 @@ def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
                         lambda w, v: counts.update(["quotients"]) or quotient(w, v))
     monkeypatch.setattr(FieldElem, "__mul__", counted)
     monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    monkeypatch.setattr(FieldElem, "diff", lambda a, i: counts.update(["diffs"]) or diff(a, i))
+    monkeypatch.setattr(PolyElement, "cofactors",
+                        lambda f, g: counts.update(["fallbacks"]) or cofactors(f, g))
     got = normal_form(sym)
     monkeypatch.undo()
     assert counts["quotients"] <= NF_QUOTIENTS and counts["products"] <= NF_PRODUCTS
+    assert counts["diffs"] <= NF_DIFFS and counts["fallbacks"] == NF_FALLBACKS
     _same(got, old_normal_form([sym]))
+
+
+def _fail(*args):
+    raise AssertionError("normal_form built a dlog form over F_m")
+
+
+def test_normal_form_builds_no_dlog_form_over_f_m(monkeypatch):
+    """normal_form reads the dt part of the dlog wedge off the log
+    derivatives, with no trunc_dlog and no wedge over F_m, for one moving
+    entry and for two with a constant entry between them."""
+    sym = _fixed_symbol()
+    u, b = sym.entries
+    v = parse_trunc(sym.ctx, 8, "x - 2 + (y + 1)*t - 3*t^4 + x*y*t^8")
+    syms = [sym, RelSymbol([v, b, u], Fraction(-2, 7))]
+    monkeypatch.setattr(trunc, "trunc_dlog", _fail)
+    monkeypatch.setattr(relmilnor, "trunc_dlog", _fail, raising=False)
+    monkeypatch.setattr(FormOnTrunc, "wedge", _fail)
+    got = [normal_form(s) for s in syms]
+    monkeypatch.undo()
+    assert not got[1].is_zero()
+    for g, s in zip(got, syms):
+        _same(g, old_normal_form([s]))
