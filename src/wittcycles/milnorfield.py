@@ -267,22 +267,20 @@ def rational_support(ctx, values, upos):
 
 def gersten_boundary(terms, upos):
     """Tame symbols of a symbol sum over F(u) at every rational point of
-    its support (infinity included); returns (list of (Valuation, symbol
-    sum), list of non-rational factors)."""
+    its support (infinity included), as a list of (Valuation, symbol sum).
+    Raises NonRationalSupport before any tame symbol when the support has
+    a factor of degree > 1 in u."""
     terms = as_sum(terms)
     vals, nonrational = rational_support(
         terms[0].ctx, [y for sym in terms for y in sym.entries], upos)
-    # with non-rational support the point enumeration is incomplete, so
-    # only the sound finite rational points are returned and infinity is
-    # left out; individual values remain available via tame_symbol
     if nonrational:
-        vals = [v for v in vals if v.fac is not None]
+        raise NonRationalSupport("support outside rational points: %s" % nonrational)
     out = []
     for v in vals:
         parts = [part for sym in terms for part in tame_symbol(v, sym)]
         if parts:
             out.append((v, parts))
-    return out, nonrational
+    return out
 
 
 def zero_by_realizations(terms):
@@ -300,8 +298,9 @@ def zero_by_realizations(terms):
         return total == 0, {"coefficient_sum": str(total)}
     ok = evidence["dlog_zero"] = dlog_is_zero(terms)
     for i in range(ctx.r):
-        bnd, nonrational = gersten_boundary(terms, i)
-        if nonrational:
+        try:
+            bnd = gersten_boundary(terms, i)
+        except NonRationalSupport:
             evidence["var_%s" % ctx.names[i]] = "skipped: non-rational support"
             continue
         sub_ok = True
@@ -316,14 +315,10 @@ def zero_by_realizations(terms):
 def weil_reciprocity_check(terms, upos):
     """Sum the Gersten boundary of a symbol sum over F(u) across all
     rational points including infinity and verify the total vanishes
-    under the realization oracles.  Requires fully rational support."""
-    terms = as_sum(terms)
-    bnd, nonrational = gersten_boundary(terms, upos)
-    if nonrational:
-        raise NonRationalSupport("support outside rational points: %s" % nonrational)
-    total = []
-    for _v, parts in bnd:
-        total.extend(parts)
+    under the realization oracles.  Requires fully rational support:
+    gersten_boundary raises NonRationalSupport otherwise."""
+    bnd = gersten_boundary(terms, upos)
+    total = [part for _v, parts in bnd for part in parts]
     if not total:
         return True, {"boundary": "empty"}
     ok, evidence = zero_by_realizations(total)

@@ -106,7 +106,7 @@ def normal_form(terms) -> CanonRelForm:
         dt = _dlog_wedge_dt([sym.entries[i] for i in moving])
         rest = dlog_wedge(ctx, [u.comps[0] for u in sym.entries if not any(u.comps[1:])])
         total = total + CanonRelForm(ctx, n - 1, m, [
-            eta.wedge(rest).scale(coef / i) for i, eta in enumerate(dt, 1)])
+            eta.scale(coef / i).wedge(rest) for i, eta in enumerate(dt, 1)])
     return total
 
 

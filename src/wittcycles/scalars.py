@@ -530,7 +530,10 @@ class FieldElem(JsonText):
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return self.ctx.elem(other) / self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if not isinstance(n, int):

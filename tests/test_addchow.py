@@ -248,8 +248,7 @@ def test_boundary_and_gersten_boundary_share_support(ectx):
     g0 = (u + 5) / (u + 3)
     g1 = (u - 1) ** 2 * (u + 2)
     gens = boundary(ParamCurve(ectx, 2, [g0, g1]))
-    bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1]), 2)
-    assert not nonrational
+    bnd = gersten_boundary(FieldSymbol(ectx, [g1]), 2)
     assert sorted(str(v) for v, _ in bnd) == ["(u = -2)", "(u = 1)", "(u = infinity)"]
     assert str(bnd[-1][0]) == "(u = infinity)"
     # one face per point, in the same order: f(t) = 1 - t / g0(point),

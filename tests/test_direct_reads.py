@@ -35,8 +35,8 @@ from sympy.polys.rings import PolyElement
 from wittcycles import cli
 from wittcycles.addchow import CycleGen, ParamCurve, boundary, modulus_check_curve
 from wittcycles.drw import drw_d, phi
-from wittcycles.errors import (DivisionByZero, NonRationalBoundary,
-                               NonRationalPoint, NotAUnit, ParseError)
+from wittcycles.errors import (DivisionByZero, NonRationalBoundary, NonRationalPoint,
+                               NonRationalSupport, NotAUnit, ParseError)
 from wittcycles.forms import CanonRelForm, DiffForm, FormOnTrunc, FormTuple
 from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
                                     gersten_boundary)
@@ -354,9 +354,11 @@ def test_nonrational_factor_strings(ectx):
     with pytest.raises(NonRationalBoundary) as err:
         boundary(ParamCurve(ectx, 2, [(u + 5) / (u + 3), g1]))
     assert str(err.value) == "cube coordinates vanish outside rational points: %s" % want
-    bnd, nonrational = gersten_boundary(FieldSymbol(ectx, [g1, g2]), 2)
+    _, nonrational = rational_support(ectx, [g1, g2], 2)
     assert nonrational == old_nonrational([g1, g2], 2) == want + ["-u**3 + y"]
-    assert [str(v) for v, _ in bnd] == ["(u = x/2)", "(u = -1)"]
+    with pytest.raises(NonRationalSupport) as err:
+        gersten_boundary(FieldSymbol(ectx, [g1, g2]), 2)
+    assert str(err.value) == "support outside rational points: %s" % (want + ["-u**3 + y"])
 
 
 # -- the wedge over F_m, as three truncated loops ----------------------------

@@ -71,6 +71,8 @@ GUARDS = [
     ("field-pow-float", lambda: X ** 0.5, TypeError, unsupported("** or pow()", "FieldElem")),
     ("field-rsub-float", lambda: 0.5 - X, TypeError,
      "unsupported operand type(s) for -: 'float' and 'FieldElem'"),
+    ("field-rtruediv-float", lambda: 0.5 / X, TypeError,
+     "unsupported operand type(s) for /: 'float' and 'FieldElem'"),
     ("trunc-pow-float", lambda: U2 ** 0.5, TypeError, unsupported("** or pow()", "TruncElem")),
     ("trunc-rsub-float", lambda: 0.5 - U2, TypeError, "cannot combine TruncElem with float"),
     ("trunc-one-minus", lambda: str(1 - U2), None, "(-x)*t + (-1)*t^2"),

@@ -10,6 +10,7 @@ dlog forms taken as the quotient du/u (``test_forms.old_dlog``)."""
 
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -20,7 +21,7 @@ import pytest
 from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
                                NonRationalSupport, NoUnitEntry, WittCyclesError,
                                ZeroEntry)
-from wittcycles import scalars
+from wittcycles import milnorfield, scalars
 from wittcycles.forms import DiffForm, dlog
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_is_zero, elem_identity_instance,
@@ -168,19 +169,18 @@ def test_gersten_boundary(ctx):
     x, y, u = ctx.gens()
     base = ctx.drop(UPOS)
     bx = base.var(0)
-    bnd, nonrat = gersten_boundary(FieldSymbol(ctx, [u]), UPOS)
-    assert not nonrat
+    bnd = gersten_boundary(FieldSymbol(ctx, [u]), UPOS)
     totals = {repr(v): sum(s.coef for s in parts) for v, parts in bnd}
     assert totals == {"(u = 0)": 1, "(u = infinity)": -1}
     # {u^2, x}: 2{x} at (u), -2{x} at infinity
-    bnd, nonrat = gersten_boundary(
-        FieldSymbol(ctx, [u * u, ctx.lift(bx)]), UPOS)
+    bnd = gersten_boundary(FieldSymbol(ctx, [u * u, ctx.lift(bx)]), UPOS)
     per = {repr(v): parts for v, parts in bnd}
     assert sum(t.coef for t in per["(u = 0)"] if t.entries == (bx,)) == 2
     assert sum(t.coef for t in per["(u = infinity)"] if t.entries == (bx,)) == -2
-    # no rational roots: empty boundary plus a report
-    bnd, nonrat = gersten_boundary(FieldSymbol(ctx, [u * u + 1]), UPOS)
-    assert nonrat and not bnd
+    # no rational roots: the points do not cover the support
+    with pytest.raises(NonRationalSupport, match=r"^support outside rational points: "
+                       r"\['u\*\*2 \+ 1'\]$"):
+        gersten_boundary(FieldSymbol(ctx, [u * u + 1]), UPOS)
 
 
 def test_weil_reciprocity(ctx):
@@ -199,6 +199,26 @@ def test_weil_reciprocity(ctx):
     with pytest.raises(NonRationalSupport, match=r"^support outside rational points: "
                        r"\['u\*\*2 \+ 1'\]$"):
         weil_reciprocity_check(FieldSymbol(ctx, [u * u + 1, (u * u + 1) * (u - 1)]), UPOS)
+
+
+def test_realizations_take_no_tame_symbol_on_non_rational_support(monkeypatch):
+    """{x^2 + y, x - y} has the non-rational factor x^2 + y on the x-line
+    and only rational points on the y-line: zero_by_realizations skips the
+    x-line without taking a single tame symbol there."""
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    lines = Counter()
+
+    def counted(v, sym):
+        if v.ctx is b2:
+            lines[b2.names[v.upos]] += 1
+        return tame_symbol(v, sym)
+
+    monkeypatch.setattr(milnorfield, "tame_symbol", counted)
+    ok, ev = zero_by_realizations([FieldSymbol(b2, [x * x + y, x - y])])
+    assert ev["var_x"] == "skipped: non-rational support"
+    assert ev["var_y"] is False and not ok
+    assert lines["x"] == 0 and lines["y"] > 0
 
 
 def test_dlog_realization():

@@ -295,10 +295,10 @@ def _fixed_symbol():
 
 
 # F_m divisions and field products of normal_form on the {u, b} of the
-# test below: 1 and 36, against 2 and 43 by old_normal_form's log route.
+# test below: 1 and 28, against 2 and 43 by old_normal_form's log route.
 # Its derivatives are the 4 of dlog b, one per log part of b and
 # variable, and no gcd falls back to sympy's
-NF_QUOTIENTS, NF_PRODUCTS, NF_DIFFS, NF_FALLBACKS = 1, 36, 4, 0
+NF_QUOTIENTS, NF_PRODUCTS, NF_DIFFS, NF_FALLBACKS = 1, 28, 4, 0
 
 
 def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
