@@ -15,10 +15,9 @@ c_i = omega_i - (1/i) d(eta_(i-1)).  Constant entries have dlogs without
 dt part, so that part is the dlog wedge of the moving entries (a nonzero
 t-coefficient) wedged with that of the constant ones, signed by moving
 the moving entries to the front; with no moving entry the class is 0.
-The dlog of the j-th moving entry u is alpha_j + dt ^ beta_j, read off
-its log derivative L = t u'/u: beta_j = (L_1..L_m) are 0-forms and
-alpha_j has t^0 part dlog(u_0) and t^k part d(L_k / k).  As each alpha
-is a 1-form, the dt part of the wedge of the k moving dlogs is
+The dlog of the j-th moving entry is alpha_j + dt ^ beta_j, as
+trunc.dlog_split writes it.  As each alpha is a 1-form, the dt part of
+the wedge of the k moving dlogs is
 
     sum_j (-1)^(j-1) beta_j alpha_1^..(no alpha_j)..^alpha_k ,
 
@@ -28,13 +27,10 @@ empty and the dt part is beta_1: no alpha and no derivative is built.
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
-
 from .errors import NoPrincipalEntry, NotAUnit
-from .forms import CanonRelForm, DiffForm, dlog, dlog_wedge, series_product
+from .forms import CanonRelForm, DiffForm, dlog_wedge, series_product
 from .scalars import ScaledSymbol, as_sum, parse_fraction
-from .trunc import TruncElem, exp_t, log_derivative
+from .trunc import TruncElem, dlog_split, exp_t
 
 
 class RelSymbol(ScaledSymbol):
@@ -64,23 +60,15 @@ class RelSymbol(ScaledSymbol):
 
 def _dlog_wedge_dt(entries):
     """The dt part (eta_0..eta_(m-1)) of dlog(u_1)^..^dlog(u_k) over F_m,
-    by the alpha/beta sum above.  Each alpha_j is built once, when a term
-    first reads it, and without its t^m part, which no product of dt
-    parts reaches."""
+    by the alpha/beta sum above, each entry split once by trunc.dlog_split.
+    The alphas lack their t^m part, which no product of dt parts reaches,
+    and with k = 1 none is read, so none is built."""
     ctx, m = entries[0].ctx, entries[0].level
-    ells = [log_derivative(u).comps for u in entries]
-
-    @functools.cache
-    def alpha(j):
-        return [dlog(entries[j].comps[0])] + [
-            DiffForm.scalar(c.scale(Fraction(1, i))).d() for i, c in enumerate(ells[j][1:m], 1)]
-
+    splits = [dlog_split(u, m if len(entries) > 1 else 0) for u in entries]
     total = None
-    for j, ell in enumerate(ells):
-        part = [DiffForm.scalar(c) for c in ell[1:]]
-        others = [i for i in range(len(ells)) if i != j]
-        for degree, i in enumerate(others, 1):
-            part = series_product(part, alpha(i), m, DiffForm.zero(ctx, degree))
+    for j, (_, part) in enumerate(splits):
+        for degree, (alpha, _) in enumerate(splits[:j] + splits[j + 1:], 1):
+            part = series_product(part, alpha, m, DiffForm.zero(ctx, degree))
         if j % 2:
             part = [-w for w in part]
         total = part if total is None else [a + b for a, b in zip(total, part)]

@@ -498,10 +498,11 @@ class FieldElem(JsonText):
             return FieldElem(self.ctx, *_coprime(self.num * other.num, a * b))
         if not self.num or not other.num:
             return self.ctx.zero
-        # cross-cancellation; each factor's own num and den are coprime
+        # cross-cancellation; each factor's own num and den are coprime, and
+        # a numerator 1 (of a reciprocal such as a dlog coefficient) is skipped
         n1, d2 = _coprime(self.num, b)
         n2, d1 = _coprime(other.num, a)
-        return _settled(self.ctx, n1 * n2, d1 * d2)
+        return _settled(self.ctx, n2 if n1 == 1 else n1 if n2 == 1 else n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 

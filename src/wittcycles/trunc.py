@@ -3,10 +3,12 @@
 Elements are coefficient tuples comps = (c_0..c_m), forms.LevelTuples
 with extra = 1.  There is one truncated product (forms.series_product)
 and one division, scalars.series_quotient, solved degree by degree.
-log_t and trunc_dlog read the log derivative t u'/u, the one division by
-u that each makes.  exp_t and log_t are mutually inverse between the
-ideal (t) and the principal units 1 + (t); they need denominators, so
-characteristic zero is baked in.
+log_t and dlog_split read the log derivative t u'/u, the one division by
+u that each makes.  dlog_split writes the dlog of a unit once, as its t
+parts and its dt parts; trunc_dlog and relmilnor.normal_form read it.
+exp_t and log_t are mutually inverse between the ideal (t) and the
+principal units 1 + (t); they need denominators, so characteristic zero
+is baked in.
 """
 
 from __future__ import annotations
@@ -136,18 +138,25 @@ def log_t(u: TruncElem) -> TruncElem:
                                       for k, c in enumerate(log_derivative(u).comps)])
 
 
-def trunc_dlog(u: TruncElem) -> FormOnTrunc:
-    """u^(-1) du as a 1-form over F_m, read off the log derivative
-    L = t u'/u alone: dlog u = dlog(u_0) + d log(u/u_0), and log(u/u_0)
-    has t^k coefficient L_k / k.  So the t^0 part is dlog(u_0), the t^k
-    part d(L_k / k), and the t^k dt part (u'/u)_k = L_(k+1).  Additive in
-    products of units."""
+def dlog_split(u: TruncElem, n: int):
+    """The parts of dlog u = u^(-1) du = alpha + dt ^ beta over F_m, read off
+    the log derivative L = t u'/u alone: dlog u = dlog(u_0) + d log(u/u_0),
+    and log(u/u_0) has t^k coefficient L_k / k.  So alpha has t^0 part
+    dlog(u_0) and t^k part d(L_k / k), and beta's t^k part is
+    (u'/u)_k = L_(k+1).  Returns the first n t^k parts of alpha and all m
+    parts of beta, L_1..L_m as 0-forms; with n = 0 no derivative is taken."""
     if not u.is_unit():
         raise NotAUnit("dlog of a non-unit")
     ell = log_derivative(u).comps
-    tparts = [DiffForm.scalar(c.scale(Fraction(1, k))).d() for k, c in enumerate(ell) if k]
-    return FormOnTrunc.of(u.ctx, 1, u.level, [dlog(u.comps[0])] + tparts,
-                          [DiffForm.scalar(c) for c in ell[1:]])
+    tparts = [dlog(u.comps[0])] if n else []
+    tparts += [DiffForm.scalar(ell[k].scale(Fraction(1, k))).d() for k in range(1, n)]
+    return tparts, [DiffForm.scalar(c) for c in ell[1:]]
+
+
+def trunc_dlog(u: TruncElem) -> FormOnTrunc:
+    """u^(-1) du as a 1-form over F_m, all its parts from dlog_split.
+    Additive in products of units."""
+    return FormOnTrunc.of(u.ctx, 1, u.level, *dlog_split(u, u.level + 1))
 
 
 def embed_form(a: TruncElem) -> FormOnTrunc:

@@ -319,10 +319,8 @@ def check_drw_kernel(ctx, seed, trials):
         n = s.rng.randint(0, ctx.r)
         v_img = drw.drw_V(m + 1, s.drw(n, 1), m + 1)
         _require(v_img.restrict(m).is_zero(), "V-image-in-kernel", v_img)
-        _require(all(w.is_zero() for w in v_img.comps[:m]), "V-image-support", v_img)
         ker = drw.DRWForm(ctx, n, m + 1,
                           [DiffForm.zero(ctx, n)] * m + [s.form(n)])
-        _require(ker.restrict(m).is_zero(), "kernel-support", ker)
         # every kernel element is V_(m+1) of something: solve top component
         top = ker.comps[m].scale(Fraction(1, m + 1))
         _require(drw.drw_V(m + 1, drw.DRWForm(ctx, n, 1, [top]), m + 1) == ker,

@@ -43,8 +43,8 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, rational_support,
 from wittcycles.relmilnor import RelSymbol
 from wittcycles.scalars import (MAX_NESTING, Context, FieldElem, _tokenize, fraction_text,
                                 parse_elem, series_quotient, write_json)
-from wittcycles.trunc import (TruncElem, embed_form, log_derivative, log_t, parse_trunc,
-                              trunc_dlog)
+from wittcycles.trunc import (TruncElem, dlog_split, embed_form, log_derivative, log_t,
+                              parse_trunc, trunc_dlog)
 from wittcycles.verify import Sampler
 from wittcycles.witt import WittVector, gamma, gamma_inv, ghost, unghost, witt_decompose
 
@@ -735,6 +735,24 @@ def test_trunc_dlog_matches_the_inverse_wedge(ctx):
                 _assert_same(trunc_dlog(unit), old_trunc_dlog(unit), unit)
 
 
+@pytest.mark.parametrize("ctx", BASES, ids=repr)
+def test_dlog_split_gives_the_parts_of_trunc_dlog(ctx):
+    """dlog_split(u, m + 1) is trunc_dlog's tparts and dt, which the test
+    above compares with the inverse wedge; a shorter split keeps the first
+    n t-parts."""
+    rng = random.Random(3500 + ctx.r)
+    for m in range(1, 7):
+        for kind in UNIT_KINDS:
+            u = _unit(ctx, rng, m, kind)
+            p = u.scale(u.comps[0].inv() * (1 if m % 2 else Fraction(-3, 7)))
+            for unit in (u, p):
+                tparts, dt = dlog_split(unit, m + 1)
+                got = trunc_dlog(unit)
+                assert (tuple(tparts), tuple(dt)) == (got.tparts, got.dt), unit
+                n = rng.randint(0, m)
+                assert dlog_split(unit, n) == (tparts[:n], dt), (unit, n)
+
+
 def test_polynomial_dlog_makes_no_sympy_products(monkeypatch):
     ctx = Context(("x", "y"))
     rng = random.Random(1906)
@@ -1259,6 +1277,16 @@ def test_only_cofactors_calls_the_polynomial_gcd():
     scalars = Path(__file__).resolve().parent.parent / "src" / "wittcycles" / "scalars.py"
     calls = [line.strip() for line in scalars.read_text().splitlines() if gcd.search(line)]
     assert calls == ["return f.cofactors(g)"]
+
+
+def test_only_trunc_reads_the_log_derivative():
+    """t u'/u is named in trunc, whose dlog_split writes every dlog over
+    F_m from it, and in verify's ghost identity that checks it, so no
+    other module derives the split again."""
+    offenders = [line for line in _offenders(re.compile(r"\blog_derivative\b"))
+                 if not line.startswith("trunc.py:")]
+    assert [(line.split(":")[0], line.split(": ", 1)[1]) for line in offenders] == [
+        ("verify.py", "_require(-trunc.log_derivative(witt.gamma(a))")]
 
 
 def test_only_scalars_factors_calls_factor_list():

@@ -348,12 +348,9 @@ def test_planted_fault_fails_its_sub_property(monkeypatch, name):
     assert prop["counterexample"]
 
 
-# sub-properties that no test forces to fail yet; the list can only shrink.
-# No single fault fails these two alone: V-image-support reads the
-# components that V-image-in-kernel restricts to just before, and
-# kernel-support restricts a form shaped like the V image restricted in
-# the same trial, so each needs a second fault in restriction as well.
-NO_CONTROL_YET = ["V-image-support", "kernel-support"]
+# sub-properties that no test forces to fail yet; the list can only shrink,
+# and every sub-property has a control now
+NO_CONTROL_YET = []
 
 
 def parse(path):

@@ -328,6 +328,24 @@ def test_normal_form_cost_on_a_fixed_symbol(monkeypatch):
     _same(got, old_normal_form([sym]))
 
 
+def test_normal_form_multiplies_no_polynomial_by_one(monkeypatch):
+    """A product of a polynomial-tier element by a reciprocal such as a
+    dlog coefficient 1/(x + 2) takes no sympy product with the numerator 1."""
+    sym = _fixed_symbol()
+    ones = []
+    mul = PolyElement.__mul__
+
+    def counted(p1, p2):
+        if p1 == p1.ring.one or (isinstance(p2, PolyElement) and p2 == p2.ring.one):
+            ones.append((p1, p2))
+        return mul(p1, p2)
+
+    monkeypatch.setattr(PolyElement, "__mul__", counted)
+    normal_form(sym)
+    monkeypatch.undo()
+    assert not ones
+
+
 def _fail(*args):
     raise AssertionError("normal_form built a dlog form over F_m")
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from wittcycles import trunc
 from wittcycles.errors import BadConstantTerm, NotAUnit, ParseError
 from wittcycles.forms import DiffForm
-from wittcycles.scalars import Context
-from wittcycles.trunc import (TruncElem, embed_form, exp_t, log_t,
+from wittcycles.scalars import Context, FieldElem
+from wittcycles.trunc import (TruncElem, dlog_split, embed_form, exp_t, log_t,
                               parse_trunc, trunc_dlog)
 
 
@@ -89,8 +90,25 @@ def test_trunc_d_leibniz(ctx):
 
 
 def test_non_unit_dlog(ctx):
-    with pytest.raises(NotAUnit):
-        trunc_dlog(TruncElem.t(ctx, 2))
+    for call in (trunc_dlog, lambda u: dlog_split(u, 0), lambda u: dlog_split(u, 3)):
+        with pytest.raises(NotAUnit, match="^dlog of a non-unit$"):
+            call(TruncElem.t(ctx, 2))
+
+
+def _fail(*args):
+    raise AssertionError("dlog_split took a derivative with no t-part asked for")
+
+
+def test_dlog_split_without_t_parts_takes_no_derivative(monkeypatch):
+    """With n = 0 the split reads only the dt parts: no dlog of u_0 and no
+    derivative of any L_k / k."""
+    ctx = Context(("x", "y"))
+    u = parse_trunc(ctx, 4, "(x + 2)/(y - 1) + x*t - (y/3)*t^2 + (x - y)*t^4")
+    monkeypatch.setattr(trunc, "dlog", _fail)
+    monkeypatch.setattr(FieldElem, "diff", _fail)
+    tparts, dt = dlog_split(u, 0)
+    monkeypatch.undo()
+    assert tparts == [] and tuple(dt) == trunc_dlog(u).dt
 
 
 def test_parse_trunc(ctx):
