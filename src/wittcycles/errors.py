@@ -37,10 +37,6 @@ class NoPrincipalEntry(WittCyclesError):
     """A relative symbol has no entry in 1 + t*F_m."""
 
 
-class NoUnitEntry(WittCyclesError):
-    """A symbol manipulation would need a non-unit entry."""
-
-
 class ZeroEntry(WittCyclesError):
     pass
 

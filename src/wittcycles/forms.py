@@ -18,11 +18,14 @@ with components `comps`: the base of F_m elements, Witt vectors and
 `FormTuple`, the tuples of forms.  These are the tuples (w_1..w_m) of
 n-forms behind canonical relative forms and de Rham-Witt forms, and the
 forms over F_m (`FormOnTrunc`), whose two kinds of parts interleave.
+`dlog_sum` writes dlog y_1 ^ .. ^ dlog y_n once, for every caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import prod
 
 from .errors import NotRelative, ZeroArgument
 from .scalars import FieldElem, JsonText
@@ -201,12 +204,53 @@ def dlog(u: FieldElem) -> DiffForm:
     return DiffForm(ctx, 1, coeffs)
 
 
+def _sign(ks):
+    """The sign of the permutation that sorts the distinct ks."""
+    return (-1) ** sum(a > b for i, a in enumerate(ks) for b in ks[i + 1:])
+
+
+def dlog_sum(ctx, terms, n):
+    """Yields (I, num, den) for each nonzero dx_I coefficient num / den of
+    the sum of coef * dlog(y_1) ^ .. ^ dlog(y_n) over the (coef, (y_1..y_n))
+    in terms, with no gcd.  Over the log parts b of the y's the form is
+    sum_K m_K dlog b_K: den is the product of the b_j in the K with
+    m_K det(d_I b_K) != 0, and num the sum over those K of m_K det(d_I b_K)
+    times the parts of den outside K."""
+    if n > ctx.r:
+        return
+    basis, m = {}, {}
+    for coef, values in terms:
+        for pick in product(*([(basis.setdefault(b, len(basis)), e) for b, e in y.log_parts()]
+                              for y in values)):
+            ks = [k for k, _ in pick]
+            if len(set(ks)) == n:
+                K = tuple(sorted(ks))
+                m[K] = m.get(K, 0) + coef * prod(e for _, e in pick) * _sign(ks)
+    bs, m = list(basis), {K: c for K, c in m.items() if c}
+    grads = {k: [bs[k].diff(i) for i in range(ctx.r)] for k in set().union(*m)}
+    for idx in combinations(range(ctx.r), n):
+        dets = {}
+        for K, c in m.items():
+            det = sum((prod((grads[k][i] for k, i in zip(K, sigma)), start=c * _sign(sigma))
+                       for sigma in permutations(idx)), start=ctx.zero)
+            if det:
+                dets[K] = det
+        used = sorted(set().union(*dets))
+        num = sum((prod((bs[j] for j in used if j not in K), start=w) for K, w in dets.items()),
+                  start=ctx.zero)
+        if num:
+            yield idx, num, prod((bs[j] for j in used[1:]), start=bs[used[0]]) if used else ctx.one
+
+
 def dlog_wedge(ctx, values) -> DiffForm:
-    """dlog(v1) ^ ... ^ dlog(vk); the empty product is the 0-form 1."""
-    total = DiffForm.scalar(ctx.one)
-    for v in values:
-        total = total.wedge(dlog(v))
-    return total
+    """dlog(v1) ^ ... ^ dlog(vk); the empty product is the 0-form 1.  From
+    k = 2 on, each coefficient is one quotient num / den of dlog_sum."""
+    if not all(ctx.check(v.ctx) or v for v in values):
+        raise ZeroArgument("dlog(0)")
+    if len(values) < 2:
+        return dlog(values[0]) if values else DiffForm.scalar(ctx.one)
+    return DiffForm(ctx, len(values), {I: num / den for I, num, den
+                                       in dlog_sum(ctx, [(1, values)], len(values))})
 
 
 class LevelTuple(JsonText):

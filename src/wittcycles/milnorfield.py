@@ -21,19 +21,19 @@ an irreducible integer polynomial, or the point at infinity; the pi-adic
 valuation is the rational point c = 0.  Orders are counted by exact
 division by the point's polynomial, at closed points of any degree.
 Residues exist only at the rational points u = c and at infinity, where
-the residue field is F.  Residues at c = p/q and the dlog oracle work
-over integer polynomials, with one field division per residue and none
-in the dlog test.
+the residue field is F.  Residues at c = p/q work over integer
+polynomials, with one field division per residue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import lcm, prod
+from itertools import product
+from math import prod
 
 from .errors import (DegenerateBranch, HypothesisViolated, NonRationalPoint,
                      NonRationalSupport, ZeroEntry)
+from .forms import dlog_sum
 from .scalars import FieldElem, ScaledSymbol, as_sum, parse_fraction
 
 
@@ -159,53 +159,17 @@ class Valuation:
             k, poly = self.ctx.strip(poly, self.fac, self.upos)
 
 
-def _sign(ks):
-    """The sign of the permutation that sorts the distinct ks."""
-    return (-1) ** sum(a > b for i, a in enumerate(ks) for b in ks[i + 1:])
-
-
 def dlog_is_zero(terms) -> bool:
     """Whether the form sum coef * dlog(y_1)^..^dlog(y_n) of a symbol sum
-    is zero; the canonical sound (but not complete) equality oracle.
-
-    dlog y is a signed sum of dlog b over the parts b of y (log_parts), so
-    the form is sum m_K dlog b_K over sorted index sets K (in degree 0, the
-    coefficient sum).  Unless every m_K is 0, the form is zero when each
-    sum_K m_K det(d_I b_K) prod_(j not in K) b_j is: its dx_I coefficient
-    times the product of the b_j in a K with m_K != 0."""
+    is zero; the canonical sound (but not complete) equality oracle.  It
+    reads the numerators of forms.dlog_sum, so it takes no gcd."""
     terms = as_sum(terms)
     ctx, n = terms[0].ctx, terms[0].degree
     for sym in terms:
         ctx.check(sym.ctx)
         if sym.degree != n:
             raise ValueError("mixed degrees in one symbol sum")
-    if n > ctx.r:
-        return True
-    basis, m = {}, {}
-    for sym in terms:
-        for pick in product(*([(basis.setdefault(b, len(basis)), e) for b, e in y.log_parts()]
-                              for y in sym.entries)):
-            ks = [k for k, _ in pick]
-            if len(set(ks)) == n:
-                K = tuple(sorted(ks))
-                m[K] = m.get(K, 0) + sym.coef * prod(e for _, e in pick) * _sign(ks)
-    m = {K: c for K, c in m.items() if c}
-    if not m:
-        return True
-    bs, used = list(basis), set().union(*m)
-    grads = {k: [bs[k].diff(i) for i in range(ctx.r)] for k in used}
-    scale = lcm(*(c.denominator for c in m.values()))
-    rest = {K: prod((bs[j] for j in used.difference(K)), start=ctx.one) * int(c * scale)
-            for K, c in m.items()}
-    for idx in combinations(range(ctx.r), n):
-        total = ctx.zero
-        for K, rk in rest.items():
-            for sigma in permutations(idx):
-                term = prod((grads[k][i] for k, i in zip(K, sigma)), start=rk)
-                total = total + (term if _sign(sigma) > 0 else -term)
-        if total:
-            return False
-    return True
+    return not any(dlog_sum(ctx, [(sym.coef, sym.entries) for sym in terms], n))
 
 
 def _pi_expansion(parts, pi_factor, pi_value):

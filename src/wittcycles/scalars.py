@@ -552,10 +552,6 @@ class FieldElem(JsonText):
             raise DivisionByZero("inverse of zero")
         return _settled(self.ctx, self.den_poly(), self.num)
 
-    def is_polynomial(self):
-        """Whether the element is in the polynomial tier."""
-        return type(self.den) is int
-
     def fraction(self):
         """(num, den) as elements, den as an int in the polynomial tier."""
         den = self.den

@@ -1,6 +1,6 @@
 """A fixed corpus of in-process CLI calls and one digest over their results.
 
-    PYTHONHASHSEED=0 python tests/cli_corpus.py src [--dump FILE]
+    PYTHONHASHSEED=0 python tests/cli_corpus.py src [--dump FILE] [--update]
 
 Imports ``wittcycles`` from the given source directory and runs every
 call of the corpus through ``cli.main``, once without and once with
@@ -10,6 +10,9 @@ second line, ``src lines N``, counts the lines of the package's ``*.py``
 files.  The times that ``verify`` reports are masked, so two source
 trees whose outputs agree print the same digest.  ``--dump`` writes one
 JSON line per call, to find the first call where two trees differ.
+``--update`` rewrites ``tests/golden/corpus.jsonl``, which
+``tests/test_golden.py`` checks: one line per call outside ``verify``,
+its argv and the sha256 of its (exit code, stdout, stderr).
 
 The corpus covers ``nf`` and ``cyc`` at levels 1..8 with polynomial- and
 fraction-tier units, every ``witt`` and ``drw`` subop, every ``verify``
@@ -173,6 +176,21 @@ def repeated_factors():
     return calls
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "corpus.jsonl")
+
+
+def golden_calls():
+    """The corpus calls outside ``verify``, each without and with --pretty,
+    in corpus order: the calls of the golden file."""
+    return [argv for call in corpus() if call[0] != "verify"
+            for argv in (call, call + ["--pretty"])]
+
+
+def outcome_sha256(outcome):
+    """The sha256 of one call's (exit code, stdout, stderr)."""
+    return hashlib.sha256(json.dumps(list(outcome)).encode()).hexdigest()
+
+
 # verify's timings: "elapsed_s": 0.123 in JSON, "(2 trials, 0.123s)" pretty
 _TIMES = re.compile(r'("elapsed_s": )[-+.0-9e]+|(trials, )[.0-9]+(?=s\))')
 
@@ -199,6 +217,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", help="the source directory holding the wittcycles package")
     p.add_argument("--dump", help="write one JSON line per call to this file")
+    p.add_argument("--update", action="store_true",
+                   help="rewrite the golden file from these outputs")
     args = p.parse_args(argv)
     src = os.path.join(os.path.abspath(args.src), "")
     sys.path.insert(0, src)
@@ -208,7 +228,8 @@ def main(argv=None):
 
     digest = hashlib.sha256()
     count = passed = 0
-    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
+    with (open(args.dump, "w") if args.dump else contextlib.nullcontext()) as dump, \
+            (open(GOLDEN, "w") if args.update else contextlib.nullcontext()) as golden:
         for call in corpus():
             for argv_ in (call, call + ["--pretty"]):
                 record = [argv_, *run(cli.main, argv_)]
@@ -218,6 +239,9 @@ def main(argv=None):
                 passed += record[1] == 0
                 if dump:
                     dump.write(line + "\n")
+                if golden and argv_[0] != "verify":
+                    golden.write(json.dumps({"argv": argv_,
+                                             "sha256": outcome_sha256(record[1:])}) + "\n")
     print("calls %d exit0 %d sha256 %s" % (count, passed, digest.hexdigest()))
     lines = 0
     for path in glob.glob(os.path.join(src, "wittcycles", "*.py")):

@@ -6,7 +6,9 @@ dlog zero test are checked against the routes they replaced, written out
 below: the identity built inline, the bitmask expansion with its
 ``while`` loop, the rewriting through pi^(-m) round trips with its
 stack, and the dlog form built as a sum of wedges over the field, of
-dlog forms taken as the quotient du/u (``test_forms.old_dlog``)."""
+dlog forms taken as the quotient du/u (``test_forms.old_dlog``).
+``forms.dlog_wedge``, which reads the same formula as the dlog zero
+test, is checked against the wedge of dlog forms it replaced."""
 
 import random
 import signal
@@ -17,12 +19,13 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from sympy.polys.rings import PolyElement
 
-from wittcycles.errors import (DegenerateBranch, HypothesisViolated,
-                               NonRationalSupport, NoUnitEntry, WittCyclesError,
+from wittcycles.errors import (ContextMismatch, DegenerateBranch, HypothesisViolated,
+                               NonRationalSupport, WittCyclesError, ZeroArgument,
                                ZeroEntry)
 from wittcycles import milnorfield, scalars
-from wittcycles.forms import DiffForm, dlog
+from wittcycles.forms import DiffForm, dlog, dlog_wedge
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
                                     dlog_is_zero, elem_identity_instance,
                                     gersten_boundary, rewrite_filtration,
@@ -31,7 +34,7 @@ from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
 from wittcycles.scalars import FACTOR_CACHE_SIZE, Context, FieldElem, _factors, as_sum
 from wittcycles.verify import Sampler
 
-from test_forms import old_dlog
+from test_forms import _dlog_args, old_dlog
 
 
 @pytest.fixture
@@ -457,7 +460,7 @@ def old_rewrite_filtration(sym, m, upos):
                 front = i
                 break
         if front is None:
-            raise NoUnitEntry("no entry is a unit of the local ring")
+            raise HypothesisViolated("no entry is a unit of the local ring")
         if front != 0:
             coef = coef * (-1) ** front
             entries.insert(0, entries.pop(front))
@@ -642,6 +645,13 @@ def old_dlog_realization(terms) -> DiffForm:
     return total
 
 
+def old_dlog_wedge(ctx, values) -> DiffForm:
+    """dlog(v_1)^..^dlog(v_k) as a wedge of 1-forms, each product and sum
+    cancelled as it goes: the route dlog_wedge took before it divided once
+    per coefficient of forms.dlog_sum."""
+    return reduce(DiffForm.wedge, map(dlog, values), DiffForm.scalar(ctx.one))
+
+
 def _dlog_draws(rng, count):
     """Seeded symbol sums in 1-3 variables and of degrees 1-3, whose
     entries are rational multiples of products of one or two factors,
@@ -690,9 +700,72 @@ def test_dlog_is_zero_matches_the_form():
         assert dlog_is_zero(terms) == want, terms
         ctx = terms[0].ctx
         seen.add((want, terms[0].degree <= ctx.r))
-        seen.update(y.is_polynomial() for sym in terms for y in sym.entries)
+        seen.update(type(y.den) is int for sym in terms for y in sym.entries)
     # both verdicts where the degree does not decide, and both tiers
     assert seen == {(True, True), (True, False), (False, True), True, False}
+
+
+def _wedge_lists(rng, count):
+    """(ctx, values): the entry lists of _dlog_draws, then lists of 0-3
+    values of _dlog_args over one context, whose args i share the context
+    of the args i + 3, i + 6, ..."""
+    for terms in _dlog_draws(rng, count):
+        yield from ((sym.ctx, list(sym.entries)) for sym in terms)
+    args = list(_dlog_args(rng, 9 * count))
+    for k in range(count):
+        start = 9 * k + k % 3
+        yield args[start].ctx, args[start:9 * k + 9:3][:rng.randint(0, 3)]
+
+
+def test_dlog_wedge_matches_the_wedge_route():
+    b1, b2 = Context(("x",)), Context(("x", "y"))
+    x, y = b2.gens()
+    fixed = [(b2, [x, x * y]), (b2, [(x + 1) ** 2, x + 1]), (b2, [x + 1, (x + 1) ** 2, y]),
+             (b2, [x, y, x + y]), (b1, [b1.var(0), b1.var(0) + 1]),
+             (b2, [b2.rational(3), x / (y + 1)]), (b2, [(x + 1) / (y - 2), (x - 3) / (y + 4)])]
+    seen = set()
+    for ctx, values in fixed + list(_wedge_lists(random.Random(3636), 60)):
+        got, want = dlog_wedge(ctx, values), old_dlog_wedge(ctx, values)
+        assert got == want and repr(got) == repr(want), values
+        seen.add(len(values))
+        if len(values) > 1:
+            seen.add((len(values) > ctx.r, got.is_zero()))
+            seen.update(("constant" if v.num.is_ground else type(v.den) is int) for v in values)
+    # every length, n > r, both verdicts below it, rational constants and both tiers
+    assert seen == {0, 1, 2, 3, (True, True), (False, True), (False, False),
+                    "constant", True, False}
+    for route in (dlog_wedge, old_dlog_wedge):
+        for values in ([x, b2.zero], [b2.zero]):
+            with pytest.raises(ZeroArgument, match="^dlog\\(0\\)$"):
+                route(b2, values)
+        for values in ([x, b1.var(0)], [b1.var(0)]):
+            with pytest.raises(ContextMismatch):
+                route(b2, values)
+
+
+# scalars._cofactors calls of dlog_wedge on the two wedges below: one, the
+# quotient of the one dx^dy coefficient, against 12 and 7 by old_dlog_wedge.
+# The second has a part, x + 2, in no term of nonzero determinant, so a
+# denominator shared by every coefficient would hold it, and then the
+# quotient would fall back to sympy's gcd
+WEDGE_COFACTORS = [(1, 12), (1, 7)]
+
+
+def test_dlog_wedge_divides_once_per_coefficient(monkeypatch):
+    b2 = Context(("x", "y"))
+    x, y = b2.gens()
+    wedges = [[(x + 1) / (y - 2), (x - 3) / (y + 4)], [(x + 2) / (y + 1), x - 1]]
+    calls, fallbacks = [], []
+    cofactors, fallback = scalars._cofactors, PolyElement.cofactors
+    monkeypatch.setattr(scalars, "_cofactors", lambda f, g: calls.append(f) or cofactors(f, g))
+    monkeypatch.setattr(PolyElement, "cofactors",
+                        lambda f, g: fallbacks.append(f) or fallback(f, g))
+    for values, (new, old) in zip(wedges, WEDGE_COFACTORS):
+        got = dlog_wedge(b2, values)
+        assert (len(calls), len(fallbacks)) == (new, 0)
+        calls.clear()
+        assert old_dlog_wedge(b2, values) == got and len(calls) == old > new
+        calls.clear()
 
 
 def test_dlog_zero_test_edge_cases():
