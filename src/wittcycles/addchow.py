@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FaceDegenerate, NonRationalBoundary, NotAdmissible
+from .errors import (FaceDegenerate, NonRationalBoundary, NotAdmissible, ShapeError,
+                     ZeroEntry)
 from .forms import CanonRelForm
 from .milnorfield import Valuation, rational_support
 from .relmilnor import RelSymbol, normal_form
@@ -37,15 +38,12 @@ class CycleGen(JsonText):
     __slots__ = ("ctx", "f", "bs", "coef")
 
     def __init__(self, f, bs, coef=1):
-        f = tuple(f)
+        f, bs = tuple(f), tuple(bs)
         if not f:
-            raise ValueError("f needs at least the constant coefficient")
+            raise ShapeError("f needs at least the constant coefficient")
         ctx = f[0].ctx
-        for c in f:
+        for c in f + bs:
             ctx.check(c.ctx)
-        bs = tuple(bs)
-        for b in bs:
-            ctx.check(b.ctx)
         self.ctx = ctx
         self.f = f
         self.bs = bs
@@ -85,11 +83,8 @@ class CycleGen(JsonText):
 def cyc_milnor(zs, m: int) -> CanonRelForm:
     """The relative Milnor class of a generator sum at level m."""
     zs = as_sum(zs, CycleGen, "cycle")
-    n = zs[0].degree
     syms = []
     for z in zs:
-        if z.degree != n:
-            raise ValueError("mixed degrees in one cycle sum")
         entries = [z.unit(m)] + [TruncElem.constant(b, m) for b in z.bs]
         syms.append(RelSymbol(entries, z.coef))
     return normal_form(syms)
@@ -124,7 +119,7 @@ def tower_compat(zs, m_big: int, m_small: int) -> bool:
     """Whether restriction of the level-m_big class gives the level-m_small
     class; true for every admissible sum."""
     if m_small > m_big:
-        raise ValueError("levels out of order")
+        raise ShapeError("levels out of order")
     return (cyc_milnor(zs, m_big).restrict(m_small)
             == cyc_milnor(zs, m_small))
 
@@ -138,11 +133,11 @@ class ParamCurve:
     def __init__(self, ctx, upos, gs):
         gs = tuple(gs)
         if len(gs) < 2:
-            raise ValueError("need g_0 and at least one cube coordinate")
+            raise ShapeError("need g_0 and at least one cube coordinate")
         for g in gs:
             ctx.check(g.ctx)
             if g.is_zero():
-                raise ValueError("coordinates must be nonzero functions")
+                raise ZeroEntry("coordinates must be nonzero functions")
         self.ctx = ctx
         self.upos = upos
         self.gs = gs

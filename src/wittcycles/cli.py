@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import addchow, drw, relmilnor, verify, witt
-from .errors import ParseError, WittCyclesError
+from .errors import ParseError, ResourceLimit, ShapeError, WittCyclesError
 from .scalars import Context, parse_elem, parse_fraction, write_json
 from .trunc import TruncElem, parse_trunc
 
@@ -42,13 +42,6 @@ def _entries(body, text):
     return parts
 
 
-def _parse_coef(text, ring):
-    coef = parse_fraction(text)
-    if ring == "z" and coef.denominator != 1:
-        raise ParseError("coefficient %s is not an integer (--coeff z)" % coef)
-    return coef
-
-
 def _coef_prefix(text, opener, ring):
     """Split `c*<opener>...` into the coefficient c and the text from the
     first opener on, with spaces allowed around the one `*`.  A text
@@ -57,7 +50,10 @@ def _coef_prefix(text, opener, ring):
     head = head.strip()
     if not (sep and head.endswith("*")):
         return Fraction(1), text
-    return _parse_coef(head[:-1], ring), sep + rest
+    coef = parse_fraction(head[:-1])
+    if ring == "z" and coef.denominator != 1:
+        raise ParseError("coefficient %s is not an integer (--coeff z)" % coef)
+    return coef, sep + rest
 
 
 def parse_symbol(ctx, m, text, ring="q"):
@@ -111,8 +107,9 @@ def _context(args):
 
 
 def _check_level(level):
-    if level is not None and level > MAX_LEVEL:
-        raise ParseError("level %d is above the limit %d" % (level, MAX_LEVEL))
+    if level is not None and level > MAX_LEVEL:  # drw v's s*m may be too long to print
+        shown = level if level < 10 ** 100 else "of over 100 digits"
+        raise ParseError("level %s is above the limit %d" % (shown, MAX_LEVEL))
 
 
 def _coordinate_tuples(ctx, texts, m, extra=0):
@@ -125,9 +122,14 @@ def _coordinate_tuples(ctx, texts, m, extra=0):
 
 
 def _output(args, text, json_text):
-    """Print text() under --pretty and json_text() otherwise; only the
-    one printed is built."""
-    print(text() if args.pretty else json_text())
+    """Print text() under --pretty and json_text() otherwise, building only
+    the one printed; an integer that Python refuses to write is a ResourceLimit."""
+    try:
+        out = text() if args.pretty else json_text()
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimit("the output has an integer of more than %d digits" % limit) from exc
+    print(out)
     return 0
 
 
@@ -328,16 +330,15 @@ def main(argv=None):
         # s*m of drw v
         for level in (getattr(args, "m", None), getattr(args, "level", None)):
             if level is not None and level < 1:
-                raise ValueError("level must be >= 1")
+                raise ShapeError("level must be >= 1")
             _check_level(level)
         if getattr(args, "n", None) is not None and args.n < 1:
             raise ParseError("--n must be >= 1")
         if args.command == "drw" and args.subop in ("f", "v") and args.s < 1:
-            raise ValueError("s must be >= 1")
+            raise ShapeError("s must be >= 1")
         return args.fn(args)
-    except (WittCyclesError, ValueError) as exc:
-        name = type(exc).__name__ if isinstance(exc, WittCyclesError) else "ValueError"
-        error = {"error": {"type": name, "message": str(exc)}}
+    except WittCyclesError as exc:
+        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error), file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroArgument
+from .errors import ShapeError, ZeroArgument
 from .forms import DiffForm, FormTuple, dlog, dlog_wedge
 from .scalars import FieldElem
 from .witt import WittVector, ghost
@@ -51,9 +51,9 @@ def drw_d(a: DRWForm) -> DRWForm:
 
 def drw_V(s: int, a: DRWForm, level: int) -> DRWForm:
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ShapeError("s must be >= 1")
     if a.level < level // s:
-        raise ValueError("input level %d too small for V_%d at level %d"
+        raise ShapeError("input level %d too small for V_%d at level %d"
                          % (a.level, s, level))
     zero = DiffForm.zero(a.ctx, a.degree)
     comps = [a.comps[j // s - 1].scale(s) if j % s == 0 else zero
@@ -63,10 +63,10 @@ def drw_V(s: int, a: DRWForm, level: int) -> DRWForm:
 
 def drw_F(s: int, a: DRWForm) -> DRWForm:
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ShapeError("s must be >= 1")
     level = a.level // s
     if level < 1:
-        raise ValueError("F_%d empties a level-%d form" % (s, a.level))
+        raise ShapeError("F_%d empties a level-%d form" % (s, a.level))
     return DRWForm(a.ctx, a.degree, level,
                    [a.comps[s * j - 1] for j in range(1, level + 1)])
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy: every refusal is a WittCyclesError, all cli.main catches."""
 
 
 class WittCyclesError(Exception):
@@ -6,7 +6,15 @@ class WittCyclesError(Exception):
 
 
 class ParseError(WittCyclesError):
-    pass
+    """Malformed input text, argument or name, or a level over cli's limit."""
+
+
+class ShapeError(WittCyclesError, ValueError):
+    """Levels, lengths, degrees or index subsets that do not fit; a ValueError."""
+
+
+class ResourceLimit(WittCyclesError):
+    """An input or an output is over a documented size limit."""
 
 
 class ContextMismatch(WittCyclesError):
@@ -14,7 +22,7 @@ class ContextMismatch(WittCyclesError):
 
 
 class DivisionByZero(WittCyclesError):
-    pass
+    """A division by 0, 0^0 (= 0^1 / 0^1) included."""
 
 
 class ZeroArgument(WittCyclesError):
@@ -38,7 +46,7 @@ class NoPrincipalEntry(WittCyclesError):
 
 
 class ZeroEntry(WittCyclesError):
-    pass
+    """A symbol entry, identity input, valuation argument or curve coordinate is 0."""
 
 
 class NonRationalPoint(WittCyclesError):

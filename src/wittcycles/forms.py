@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from .errors import NotRelative, ZeroArgument
+from .errors import NotRelative, ShapeError, ZeroArgument
 from .scalars import FieldElem, JsonText
 
 
@@ -79,9 +79,9 @@ class DiffForm(JsonText):
                     continue
                 subset = tuple(subset)
                 if len(subset) != degree or list(subset) != sorted(set(subset)):
-                    raise ValueError("bad index subset %r for degree %d" % (subset, degree))
+                    raise ShapeError("bad index subset %r for degree %d" % (subset, degree))
                 if subset and (subset[0] < 0 or subset[-1] >= ctx.r):
-                    raise ValueError("index subset %r out of range" % (subset,))
+                    raise ShapeError("index subset %r out of range" % (subset,))
                 clean[subset] = value
         self.coeffs = clean
 
@@ -134,7 +134,7 @@ class DiffForm(JsonText):
     def _check(self, other):
         self.ctx.check(other.ctx)
         if self.degree != other.degree:
-            raise ValueError("degree mismatch %d vs %d" % (self.degree, other.degree))
+            raise ShapeError("degree mismatch %d vs %d" % (self.degree, other.degree))
 
     def wedge(self, other):
         self.ctx.check(other.ctx)
@@ -267,10 +267,10 @@ class LevelTuple(JsonText):
 
     def __init__(self, ctx, level, comps):
         if level < 1:
-            raise ValueError("level must be >= 1")
+            raise ShapeError("level must be >= 1")
         comps, size = tuple(comps), level * self.width + self.extra
         if len(comps) != size:
-            raise ValueError("need exactly %d components" % size)
+            raise ShapeError("need exactly %d components" % size)
         self.ctx = ctx
         self.level = level
         self.comps = comps
@@ -300,7 +300,7 @@ class LevelTuple(JsonText):
                             % (type(self).__name__, type(other).__name__))
         self.ctx.check(other.ctx)
         if self.level != other.level:
-            raise ValueError("level mismatch %d vs %d" % (self.level, other.level))
+            raise ShapeError("level mismatch %d vs %d" % (self.level, other.level))
         return other
 
     def __add__(self, other):
@@ -315,7 +315,7 @@ class LevelTuple(JsonText):
 
     def restrict(self, level):
         if level > self.level:
-            raise ValueError("cannot restrict upward")
+            raise ShapeError("cannot restrict upward")
         return self._like(self.comps[:level * self.width + self.extra], level)
 
     def json_shape(self):
@@ -339,7 +339,7 @@ class FormTuple(LevelTuple):
     def __init__(self, ctx, degree, level, comps):
         super().__init__(ctx, level, comps)
         if any(w.degree != degree - i % self.width for i, w in enumerate(self.comps)):
-            raise ValueError("component degree mismatch")
+            raise ShapeError("component degree mismatch")
         self.degree = degree
 
     def _like(self, comps, level=None):
@@ -457,7 +457,7 @@ class CanonRelForm(FormTuple):
     def from_json(cls, ctx, data):
         canon = super().from_json(ctx, data["canon"])
         if data["degree"] != canon.degree + 1:
-            raise ValueError("class degree must be the form degree + 1")
+            raise ShapeError("class degree must be the form degree + 1")
         return canon
 
 

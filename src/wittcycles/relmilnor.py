@@ -27,7 +27,7 @@ empty and the dt part is beta_1: no alpha and no derivative is built.
 
 from __future__ import annotations
 
-from .errors import NoPrincipalEntry, NotAUnit
+from .errors import NoPrincipalEntry, NotAUnit, ShapeError
 from .forms import CanonRelForm, DiffForm, dlog_wedge, series_product
 from .scalars import ScaledSymbol, as_sum, parse_fraction
 from .trunc import TruncElem, dlog_split, exp_t
@@ -41,12 +41,12 @@ class RelSymbol(ScaledSymbol):
     def __init__(self, entries, coef=1):
         entries = tuple(entries)
         if not entries:
-            raise ValueError("a symbol needs at least one entry")
+            raise ShapeError("a symbol needs at least one entry")
         ctx, level = entries[0].ctx, entries[0].level
         for u in entries:
             ctx.check(u.ctx)
             if u.level != level:
-                raise ValueError("mixed levels in one symbol")
+                raise ShapeError("mixed levels in one symbol")
             if not u.is_unit():
                 raise NotAUnit("symbol entry with zero constant term")
         super().__init__(ctx, entries, coef)
@@ -81,11 +81,8 @@ def normal_form(terms) -> CanonRelForm:
     n, m, ctx = terms[0].degree, terms[0].level, terms[0].ctx
     total = CanonRelForm.zero(ctx, n - 1, m)
     for sym in terms:
-        if sym.degree != n or sym.level != m:
-            raise ValueError("mixed shapes in one symbol sum")
         if not any(u.is_principal() for u in sym.entries):
             raise NoPrincipalEntry("no entry in 1 + t F_m")
-        ctx.check(sym.ctx)
         moving = [i for i, u in enumerate(sym.entries) if any(u.comps[1:])]
         if not moving:
             continue

@@ -73,17 +73,18 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, mul, sub
 
 from sympy import ZZ, grlex
 from sympy.polys.rings import ring as _sympy_ring
 
-from .errors import ContextMismatch, DivisionByZero, ParseError
+from .errors import ContextMismatch, DivisionByZero, ParseError, ResourceLimit, ShapeError
 
 
 class Context:
@@ -101,8 +102,8 @@ class Context:
         if len(set(names)) != len(names):
             raise ParseError("duplicate variable names: %r" % (names,))
         for name in names:
-            # the expression grammar reads a variable as one identifier token
-            if name in _OPS or _tokenize(name) != [name]:
+            # the expression grammar reads a variable as one name token
+            if not (_TOKEN.fullmatch(name) and (name[0].isalpha() or name[0] == "_")):
                 raise ParseError("variable name %r is not an identifier" % (name,))
         self = super().__new__(cls)
         self.names = names
@@ -389,10 +390,14 @@ class ScaledSymbol(JsonText):
 
 def as_sum(terms, kind=ScaledSymbol, noun="symbol"):
     """A formal sum given as one term of type kind or an iterable of
-    terms, as a nonempty list."""
+    terms, as a nonempty list of terms of one context, degree and level."""
     terms = [terms] if isinstance(terms, kind) else list(terms)
     if not terms:
-        raise ValueError("empty %s sum has no context" % noun)
+        raise ShapeError("empty %s sum has no context" % noun)
+    for term in terms:
+        terms[0].ctx.check(term.ctx)
+    if len({(term.degree, getattr(term, "level", None)) for term in terms}) > 1:
+        raise ShapeError("mixed shapes in one %s sum" % noun)
     return terms
 
 
@@ -541,7 +546,7 @@ class FieldElem(JsonText):
             return NotImplemented
         if n == 0:
             if not self.num:
-                raise ValueError("0**0")
+                raise DivisionByZero("0**0")
             return self.ctx.one
         base = self if n > 0 else self.inv()
         n = abs(n)
@@ -713,17 +718,27 @@ def fraction_text(c):
     return "%s/%s" % (c.numerator, c.denominator)
 
 
+_FRACTION = re.compile(r"([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+))?")
+
+
 def parse_fraction(text):
-    """The rational number written "p/q" or "p" with integers p and q."""
+    """The rational "p/q" or "p", p and q ASCII digits with an optional sign."""
     text = text.strip()
-    p, slash, q = text.partition("/")
-    try:
-        p, q = int(p), int(q) if slash else 1
-    except ValueError:
-        raise ParseError("malformed coefficient %r" % text) from None
+    match = _FRACTION.fullmatch(text)
+    if not match:
+        raise ParseError("malformed coefficient %r" % text)
+    p, q = _integer(match[1]), _integer(match[2] or "1")
     if not q:
         raise ParseError("coefficient %s has denominator 0" % text)
     return Fraction(p, q)
+
+
+def _integer(text):
+    """int(text), or a ResourceLimit over sys.get_int_max_str_digits() digits."""
+    n, limit = len(text.lstrip("+-")), sys.get_int_max_str_digits()
+    if limit and n > limit:
+        raise ResourceLimit("integer of %d digits is over the limit of %d digits" % (n, limit))
+    return int(text)
 
 
 def _poly_from_json(ctx, data):
@@ -748,34 +763,22 @@ _OPS = set("+-*/^(),")
 # Python's recursion limit; deeper input is a ParseError.
 MAX_NESTING = 100
 
-# A token is a run of decimal digits, a letter or '_' followed by letters,
-# digits and '_', or one other character that is not white space; re's
-# \d, \w and \s are exactly str.isdecimal, str.isalnum (with '_') and
-# str.isspace.  Text of ASCII letters, digits, white space and operators
-# alone has no bad token; other text is checked token by token.
-_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\S")
-_PLAIN = re.compile(r"[\w\s()*+,/^-]*\Z", re.ASCII)
-_DIGITS_BEFORE = re.compile(r"\d*\Z")
+# A token is a run of ASCII digits, an operator or a name: a letter or '_'
+# followed by letters, digits and '_' (re's \w is str.isalnum or '_').  The
+# regex also reads "²x" and "٣" as tokens, so each first character is checked.
+_TOKEN = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
 
 
 def _tokenize(text):
-    """Integers as ints, variables and operators as strings.  Any other
-    character is a ParseError.  A digit that is not decimal ("²") ends in
-    int()'s ValueError on the run of digits it belongs to."""
-    if _PLAIN.match(text):
-        return [int(tok) if tok[0].isdecimal() else tok for tok in _TOKEN.findall(text)]
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        tok = match.group()
+    """Integers as ints, names and operators as strings.  A token that
+    starts with any other character ("²", "٣", "$") is a ParseError, and a
+    run of digits longer than Python converts is a ResourceLimit."""
+    tokens = _TOKEN.findall(text)
+    for i, tok in enumerate(tokens):
         c = tok[0]
-        if c.isdecimal():
-            tokens.append(int(tok))
-        elif c in _OPS or c.isalpha() or c == "_":
-            tokens.append(tok)
-        else:
-            if c.isdigit():
-                int(_DIGITS_BEFORE.search(text, 0, match.start()).group()
-                    + "".join(takewhile(str.isdigit, tok)))
+        if "0" <= c <= "9":
+            tokens[i] = _integer(tok)
+        elif not (c in _OPS or c.isalpha() or c == "_"):
             raise ParseError("unexpected character %r in %r" % (c, text))
     return tokens
 

@@ -610,10 +610,9 @@ def suite_cycle_iso(seed, trials, names):
 
 @_check("two-entry-identity-both-branches")
 def check_elem_identity(names, seed, trials):
-    """The two-entry identity under dlog and boundary realizations,
-    both branches.  Each pass yields twice, once per branch, and the
-    count is checked only between passes, so an odd trial count rounds
-    up to the next even one."""
+    """The two-entry identity under dlog and boundary realizations: odd
+    trials check the generic branch of a new draw, even trials the forced
+    degenerate branch of the draw before."""
     ctx = Context(names)
     s = Sampler(ctx, seed)
     done = 0
@@ -628,6 +627,8 @@ def check_elem_identity(names, seed, trials):
         _require(ok, "two-entry-identity", a, b, sv, tau)
         done += 1
         yield
+        if done == trials:
+            return
         # forced degenerate branch: b t = -1/(as) - 1
         b2 = (-(a * sv).inv() - 1) / tau
         try:
@@ -696,5 +697,5 @@ def run_suite(name, seed=0, trials=None, names=("x", "y")):
         return {"suite": "all", "ok": all(r["ok"] for r in reports),
                 "reports": reports}
     if name not in SUITES:
-        raise ValueError("unknown suite %r" % name)
+        raise ParseError("unknown suite %r" % name)
     return SUITES[name](seed, trials, names)

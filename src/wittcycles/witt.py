@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadConstantTerm
+from .errors import BadConstantTerm, ShapeError
 from .forms import LevelTuple
 from .scalars import FieldElem
 from .trunc import TruncElem
@@ -121,9 +121,9 @@ def verschiebung(s: int, a: WittVector, level: int) -> WittVector:
     """V_s composed with restriction to the given level; on coordinates,
     V_s(a)_(s*i) = a_i."""
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ShapeError("s must be >= 1")
     if a.level < level // s:
-        raise ValueError("input level %d too small for V_%d at level %d"
+        raise ShapeError("input level %d too small for V_%d at level %d"
                          % (a.level, s, level))
     coords = [a.ctx.zero] * level
     for i in range(1, level // s + 1):
@@ -134,10 +134,10 @@ def verschiebung(s: int, a: WittVector, level: int) -> WittVector:
 def frobenius(s: int, a: WittVector) -> WittVector:
     """F_s: on ghost components, (F_s a)_j = g_(s*j)."""
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ShapeError("s must be >= 1")
     level = a.level // s
     if level < 1:
-        raise ValueError("F_%d empties a level-%d vector" % (s, a.level))
+        raise ShapeError("F_%d empties a level-%d vector" % (s, a.level))
     g = ghost(a)
     return unghost(tuple(g[s * j - 1] for j in range(1, level + 1)))
 

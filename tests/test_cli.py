@@ -275,7 +275,7 @@ def test_level_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {
-        "type": "ValueError", "message": "level must be >= 1"}
+        "type": "ShapeError", "message": "level must be >= 1"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,7 +292,7 @@ def test_level_below_one_exits_2_before_parsing(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {
-        "type": "ValueError", "message": "level must be >= 1"}
+        "type": "ShapeError", "message": "level must be >= 1"}
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -301,9 +301,9 @@ def test_level_below_one_exits_2_before_parsing(capsys, monkeypatch, argv):
     (["cyc", "--n", "-2", "--gen", "((641^96645)^19; x)"],
      {"type": "ParseError", "message": "--n must be >= 1"}),
     (["drw", "f", "--s", "0", "--witt", "((641^96645)^19)", "--bs", "(641^96645)^19"],
-     {"type": "ValueError", "message": "s must be >= 1"}),
+     {"type": "ShapeError", "message": "s must be >= 1"}),
     (["drw", "v", "--s", "-1", "--level", "4", "--witt", "((641^96645)^19)"],
-     {"type": "ValueError", "message": "s must be >= 1"}),
+     {"type": "ShapeError", "message": "s must be >= 1"}),
 ])
 def test_n_and_s_below_one_exit_2_before_parsing(capsys, monkeypatch, argv, error):
     def refuse(*args):
@@ -460,19 +460,37 @@ def test_unexpected_end_of_input(capsys):
         "type": "ParseError", "message": "unexpected end of input in '1+'"}
 
 
+_LONG_INPUT = "integer of 5000 digits is over the limit of 4300 digits"
+_LONG_OUTPUT = "the output has an integer of more than 4300 digits"
+
+
 @pytest.mark.parametrize("argv, kind, message", [
     (["nf", "--symbol", "2{1+t,x}"], "ParseError", "bad symbol prefix '2'"),
-    (["nf", "--symbol", "{1+t,0^0}"], "ValueError", "0**0"),
+    (["nf", "--symbol", "{1+t,0^0}"], "DivisionByZero", "0**0"),
     (["witt", "ghost", "((x)"], "ParseError", "expected ')' in '(x'"),
     (["witt", "ghost", "(x))"], "ParseError", "trailing input in 'x)'"),
-    (["drw", "f", "--s", "0", "--witt", "(1,2)"], "ValueError", "s must be >= 1"),
-    (["drw", "v", "--s", "0", "--witt", "(1,2)"], "ValueError", "s must be >= 1"),
-    (["drw", "v", "--s", "2", "--level", "9", "--witt", "(1,2)"], "ValueError",
+    (["drw", "f", "--s", "0", "--witt", "(1,2)"], "ShapeError", "s must be >= 1"),
+    (["drw", "v", "--s", "0", "--witt", "(1,2)"], "ShapeError", "s must be >= 1"),
+    (["drw", "v", "--s", "2", "--level", "9", "--witt", "(1,2)"], "ShapeError",
      "input level 2 too small for V_2 at level 9"),
+    # digits are ASCII; Python writes no integer over 4,300 digits
+    (["nf", "--symbol", "{1+t, ²}"], "ParseError", "unexpected character '²' in ' ²'"),
+    (["nf", "--symbol", "{1+t, ٣}"], "ParseError", "unexpected character '٣' in ' ٣'"),
+    (["nf", "--symbol", "٣*{1+t, x}"], "ParseError", "malformed coefficient '٣'"),
+    (["nf", "--symbol", "1_0*{1+t, x}"], "ParseError", "malformed coefficient '1_0'"),
+    (["nf", "--vars", "²", "--symbol", "{1+t, x}"], "ParseError",
+     "variable name '²' is not an identifier"),
+    (["nf", "--symbol", "{1+t, %s}" % ("7" * 5000)], "ResourceLimit", _LONG_INPUT),
+    (["nf", "--symbol", "%s*{1+t, x}" % ("7" * 5000)], "ResourceLimit", _LONG_INPUT),
+    (["witt", "ghost", "--vars", "x", "(2^20000)"], "ResourceLimit", _LONG_OUTPUT),
+    (["witt", "ghost", "--vars", "x", "--pretty", "(2^20000)"], "ResourceLimit", _LONG_OUTPUT),
+    (["drw", "v", "--s", "9" * 4300, "--witt", "(1,2,3)"], "ParseError",
+     "level of over 100 digits is above the limit 256"),
 ])
 def test_bad_input_exits_2_with_its_message(capsys, argv, kind, message):
+    """One JSON line names the WittCyclesError; no refusal is a traceback."""
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["error"] == {"type": kind, "message": message}
 
 

@@ -22,8 +22,8 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 from wittcycles.errors import (ContextMismatch, DegenerateBranch, HypothesisViolated,
-                               NonRationalSupport, WittCyclesError, ZeroArgument,
-                               ZeroEntry)
+                               NonRationalSupport, ShapeError, WittCyclesError,
+                               ZeroArgument, ZeroEntry)
 from wittcycles import milnorfield, scalars
 from wittcycles.forms import DiffForm, dlog, dlog_wedge
 from wittcycles.milnorfield import (FieldSymbol, Valuation, collect_terms,
@@ -777,7 +777,7 @@ def test_dlog_zero_test_edge_cases():
                          FieldSymbol(b2, [y * 4, x / 3], Fraction(1, 2))])
     assert not dlog_is_zero([FieldSymbol(b2, [x, y], Fraction(1, 2)),
                              FieldSymbol(b2, [y, x], Fraction(1, 3))])
-    with pytest.raises(ValueError, match="mixed degrees"):
+    with pytest.raises(ShapeError, match="^mixed shapes in one symbol sum$"):
         dlog_is_zero([FieldSymbol(b2, [x]), FieldSymbol(b2, [x, y])])
 
 

@@ -11,7 +11,7 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 from wittcycles import relmilnor, scalars, trunc
-from wittcycles.errors import ContextMismatch, NoPrincipalEntry, NotAUnit
+from wittcycles.errors import ContextMismatch, NoPrincipalEntry, NotAUnit, ShapeError
 from wittcycles.forms import CanonRelForm, FormOnTrunc, dlog, reduce_mod_exact
 from wittcycles.relmilnor import RelSymbol, mult_by_absolute, normal_form, theta
 from wittcycles.scalars import Context, FieldElem, parse_elem
@@ -269,19 +269,20 @@ def test_normal_form_errors():
     with pytest.raises(NoPrincipalEntry, match="^no entry in 1 \\+ t F_m$"):
         normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), no_principal])
     for other in (RelSymbol([u]), RelSymbol([u.restrict(1), TruncElem.constant(x, 1)])):
-        with pytest.raises(ValueError, match="^mixed shapes in one symbol sum$"):
+        with pytest.raises(ShapeError, match="^mixed shapes in one symbol sum$"):
             normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), other])
-    with pytest.raises(ValueError, match="^empty symbol sum has no context$"):
+    with pytest.raises(ShapeError, match="^empty symbol sum has no context$"):
         normal_form([])
     # a sum over two contexts fails, also where the second symbol's class
-    # is zero, and a symbol without a principal entry fails first
+    # is zero, and before a symbol without a principal entry: the whole
+    # sum's shape is checked first
     other = Context(("x", "y"))
     for sym in (RelSymbol([TruncElem.one(other, 2), TruncElem.constant(other.var(1), 2)]),
                 RelSymbol([parse_trunc(other, 2, "1+x*t"), parse_trunc(other, 2, "1+y*t")])):
         with pytest.raises(ContextMismatch, match=re.escape(
                 "mixed contexts %r and %r" % (ctx, other))):
             normal_form([RelSymbol([u, TruncElem.constant(x, 2)]), sym])
-    with pytest.raises(NoPrincipalEntry):
+    with pytest.raises(ContextMismatch):
         normal_form([RelSymbol([u]), RelSymbol([TruncElem.constant(other.var(0), 2)])])
 
 

@@ -78,6 +78,14 @@ def test_retry_loop_check_counts_completed_trials(monkeypatch):
     assert prop["counterexample"] == repr(instances[-1])
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_two_entry_identity_runs_the_trials_asked_for(trials):
+    """An odd count ends after a generic branch: the forced degenerate
+    branch is every second trial."""
+    report = verify.run_suite("rewriting", seed=5, trials=trials)
+    assert [p["trials"] for p in report["properties"]] == [trials, trials]
+
+
 def test_corpus_check_reports_failing_curve(monkeypatch):
     _, calls = patch(monkeypatch, addchow, "verify_boundary_vanishing",
                      fail_at=2, wrong=(False, {"sum": "1"}))
